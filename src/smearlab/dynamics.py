@@ -25,6 +25,7 @@ __all__ = [
     "EvolutionSpec",
     "evolve",
     "propagator",
+    "heisenberg_samples",
     "smear",
     "LRParams",
     "make_lr_params",
@@ -65,12 +66,38 @@ class EvolutionSpec:
         return cls("ode", interaction=phi, step=float(step))
 
 
-def _rk4_step(W, t, h, ham_at):
-    k1 = 1j * W @ ham_at(t)
-    k2 = 1j * (W + 0.5 * h * k1) @ ham_at(t + 0.5 * h)
-    k3 = 1j * (W + 0.5 * h * k2) @ ham_at(t + 0.5 * h)
-    k4 = 1j * (W + h * k3) @ ham_at(t + h)
-    return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(W, ham_at, t, h, n_steps):
+    """Advance W' = i W H(t) from time t by n_steps classical RK4 steps of h."""
+    for _ in range(n_steps):
+        H_mid = ham_at(t + 0.5 * h)
+        k1 = 1j * W @ ham_at(t)
+        k2 = 1j * (W + 0.5 * h * k1) @ H_mid
+        k3 = 1j * (W + 0.5 * h * k2) @ H_mid
+        k4 = 1j * (W + h * k3) @ ham_at(t + h)
+        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return W
+
+
+def heisenberg_samples(ham_at, A, ts, max_step):
+    """tau_{0,t}(A) for every t of ts, stacked along axis 0.
+
+    `ts` is a uniform grid symmetric about 0 with an odd number of nodes.
+    The propagator is stepped outward from t = 0 in both directions, each
+    grid interval split into equal RK4 steps no longer than `max_step`.
+    No eigendecomposition is used.
+    """
+    mid = ts.size // 2
+    h = ts[1] - ts[0]
+    n_sub = max(1, math.ceil(h / max_step))
+    values = np.empty((ts.size,) + A.shape, dtype=complex)
+    values[mid] = A
+    for d in (1, -1):
+        W = np.eye(A.shape[0], dtype=complex)
+        for j in range(mid + d, mid + d * (mid + 1), d):
+            W = _rk4(W, ham_at, ts[j - d], d * h / n_sub, n_sub)
+            values[j] = W @ A @ W.conj().T
+    return values
 
 
 def propagator(spec, s, t):
@@ -80,20 +107,11 @@ def propagator(spec, s, t):
         phases = np.exp(1j * sd.energies * (t - s))
         V = np.asarray(sd.vectors, dtype=complex)
         return (V * phases) @ V.conj().T
-    phi = spec.interaction
-    dim = phi.dim
-    W = np.eye(dim, dtype=complex)
+    W = np.eye(spec.interaction.dim, dtype=complex)
     if t == s:
         return W
-    span = t - s
-    n_steps = max(1, math.ceil(abs(span) / spec.step))
-    h = span / n_steps
-    ham_at = phi.hamiltonian
-    x = s
-    for _ in range(n_steps):
-        W = _rk4_step(W, x, h, ham_at)
-        x += h
-    return W
+    n_steps = max(1, math.ceil(abs(t - s) / spec.step))
+    return _rk4(W, spec.interaction.hamiltonian, s, (t - s) / n_steps, n_steps)
 
 
 def evolve(spec, A, s, t):
@@ -107,47 +125,21 @@ def evolve(spec, A, s, t):
     return W @ A @ W.conj().T
 
 
-def smear(spec, filt, A, t_max=None, nodes_per_unit=None):
+def smear(spec, filt, A):
     """Filtered evolution tau_f(A) = int f(t) tau_{0,t}(A) dt.
 
-    Composite Simpson quadrature on [-T, T] with T chosen from the filter
-    tail bound so the truncation error is below 1e-10 ||A|| int|f|.
+    Spectral route: entry (mu, nu) of A in the eigenbasis is multiplied by
+    int f(t) e^{i w t} dt = sqrt(2 pi) f^(w) at w = E_mu - E_nu, in closed
+    form.  ODE route: composite Simpson quadrature of RK4-propagated
+    tau_{0,t}(A) on the filter's time grid.
     """
-    T = filt.t_max() if t_max is None else float(t_max)
-    density = filt.nodes_per_unit if nodes_per_unit is None else nodes_per_unit
-    n_half = max(2, math.ceil(T * density))
-    ts = np.linspace(-T, T, 2 * n_half + 1)
-    weights = np.asarray(filt(ts), dtype=float)
-
     if spec.kind == "spectral":
         sd = spec.spectral_data
-        A_tilde = sd.to_eigenbasis(A)
-        omega = sd.frequency_table()
-        # scalar quadrature of the phase factor per frequency
-        kernel = simpson(
-            weights[:, None] * np.exp(1j * np.outer(ts, omega.ravel())),
-            x=ts,
-            axis=0,
-        ).reshape(omega.shape)
-        return sd.from_eigenbasis(kernel * A_tilde)
-
-    values = np.empty((ts.size,) + A.shape, dtype=complex)
-    h = ts[1] - ts[0]
-    phi = spec.interaction
-    n_sub = max(1, math.ceil(h / spec.step))
-    mid = n_half
-    values[mid] = A
-    W = np.eye(A.shape[0], dtype=complex)
-    for j in range(mid + 1, ts.size):
-        for k in range(n_sub):
-            W = _rk4_step(W, ts[j - 1] + k * h / n_sub, h / n_sub, phi.hamiltonian)
-        values[j] = W @ A @ W.conj().T
-    W = np.eye(A.shape[0], dtype=complex)
-    for j in range(mid - 1, -1, -1):
-        for k in range(n_sub):
-            W = _rk4_step(W, ts[j + 1] - k * h / n_sub, -h / n_sub, phi.hamiltonian)
-        values[j] = W @ A @ W.conj().T
-    return simpson(weights[:, None, None] * values, x=ts, axis=0)
+        kernel = math.sqrt(2.0 * math.pi) * filt.fourier(sd.frequency_table())
+        return sd.from_eigenbasis(kernel * sd.to_eigenbasis(A))
+    ts = filt.grid()
+    values = heisenberg_samples(spec.interaction.hamiltonian, A, ts, spec.step)
+    return simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -172,11 +164,11 @@ class LRParams:
         return 2.0 * self.constant * self.phi_norm / self.b
 
 
-def make_lr_params(phi, b=0.5, b_prime=1.0, t_samples=21):
+def make_lr_params(phi, b=0.5, b_prime=1.0):
     """LR constants for an interaction at decay pair (b, b')."""
     if not 0 < b < b_prime:
         raise ValueError("need 0 < b < b_prime")
-    norm = phi.norm(b_prime, t_samples)
+    norm = phi.norm(b_prime)
     const = phi.graph.c_bk(1.0, b_prime - b)
     return LRParams(b, b_prime, norm, const)
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from .algebra import liouvillian, schatten_norm
+from .dynamics import _RK4_ANGLE_CAP, heisenberg_samples
 from .errors import AssumptionError
 
 __all__ = [
@@ -42,6 +43,10 @@ __all__ = [
     "locality_bound",
 ]
 
+# Simpson nodes on [-t_max, t_max]: 40 per unit of beta t, which puts the
+# quadrature error well below the 1e-6 cross-check tolerance
+_GRID_NODES = 641
+
 
 class GaussianFilter:
     """Normalized Gaussian weight phi_beta(t) = (beta/sqrt(pi)) e^{-(beta t)^2}.
@@ -54,9 +59,6 @@ class GaussianFilter:
             raise ValueError("beta must be positive")
         self.beta = float(beta)
         self.l1 = 1.0
-        # Simpson node density per unit time, tuned so the quadrature error
-        # sits well below the 1e-6 cross-check tolerance
-        self.nodes_per_unit = 40.0 * self.beta
 
     def __call__(self, t):
         b = self.beta
@@ -69,15 +71,20 @@ class GaussianFilter:
 
     def tail(self, T):
         """Mass of |phi_beta| outside [-T, T]."""
-        from scipy.special import erfc
-
         return float(erfc(self.beta * T))
 
     def t_max(self, rel_tol=1e-10):
-        """Truncation horizon: T = 8/beta leaves tail mass ~1e-29."""
+        """Truncation horizon: T = 8/beta leaves tail mass ~1e-29; raises
+        ValueError if that exceeds rel_tol times the mass."""
         T = 8.0 / self.beta
-        assert self.tail(T) <= rel_tol * self.l1
+        if self.tail(T) > rel_tol * self.l1:
+            raise ValueError(f"tail mass {self.tail(T):.1e} exceeds {rel_tol:.1e}")
         return T
+
+    def grid(self):
+        """The Simpson grid on [-t_max, t_max], symmetric about 0."""
+        T = self.t_max()
+        return np.linspace(-T, T, _GRID_NODES)
 
 
 def gaussian_kernel(w, beta):
@@ -114,7 +121,7 @@ def almost_inverse_liouvillian(sd, beta, A, method="spectral"):
     The quadrature route never touches the eigendecomposition: unitaries
     are RK4-propagated from the stored Hamiltonian, the inner integral is
     a cumulative Simpson rule and the outer one a composite Simpson rule
-    with truncation at t_max = 8/beta and 40 nodes per unit beta*t.
+    on the filter's grid.
     """
     if method == "spectral":
         K = gaussian_kernel(sd.frequency_table(), beta)
@@ -124,34 +131,13 @@ def almost_inverse_liouvillian(sd, beta, A, method="spectral"):
 
     filt = GaussianFilter(beta)
     H = np.asarray(sd.hamiltonian, dtype=complex)
-    T = filt.t_max()
-    n_half = max(4, math.ceil(T * filt.nodes_per_unit))
-    ts = np.linspace(-T, T, 2 * n_half + 1)
-    h = ts[1] - ts[0]
-
-    # RK4 substeps keep h_eff ||H|| small; Frobenius norm upper-bounds the
-    # spectral norm without an eigenvalue call
+    ts = filt.grid()
+    mid = ts.size // 2
+    # the Frobenius norm upper-bounds the spectral norm without an
+    # eigenvalue call
     h_norm = float(np.linalg.norm(H))
-    n_sub = max(1, math.ceil(h * h_norm / 0.02))
-
-    from .dynamics import _rk4_step
-
-    def _ham(_t):
-        return H
-
-    values = np.empty((ts.size,) + A.shape, dtype=complex)
-    mid = n_half
-    values[mid] = A
-    W = np.eye(A.shape[0], dtype=complex)
-    for j in range(mid + 1, ts.size):
-        for k in range(n_sub):
-            W = _rk4_step(W, 0.0, h / n_sub, _ham)
-        values[j] = W @ A @ W.conj().T
-    W = np.eye(A.shape[0], dtype=complex)
-    for j in range(mid - 1, -1, -1):
-        for k in range(n_sub):
-            W = _rk4_step(W, 0.0, -h / n_sub, _ham)
-        values[j] = W @ A @ W.conj().T
+    max_step = _RK4_ANGLE_CAP / h_norm if h_norm > 0 else np.inf
+    values = heisenberg_samples(lambda _t: H, A, ts, max_step)
 
     # inner integral G(t) = int_0^t tau_s(A) ds, cumulative from t = 0;
     # cumulative_simpson allocates real output, so integrate parts
@@ -210,17 +196,14 @@ def erf_step_map(sd, split, beta, A):
     return apply_spectral_kernel(sd, K, A)
 
 
-def _one_sided_kind(split, A, tol=1e-10):
-    """'upper' for A = P A Pperp, 'lower' for Pperp A P, else None."""
+def _is_one_sided(split, A, tol=1e-10):
+    """True for A = P A Pperp or A = Pperp A P."""
     P = split.projector
+    Pp = np.eye(P.shape[0]) - P
     scale = max(schatten_norm(A, np.inf), 1e-300)
-    upper = P @ A @ (np.eye(P.shape[0]) - P)
-    lower = (np.eye(P.shape[0]) - P) @ A @ P
-    if schatten_norm(A - upper, np.inf) <= tol * scale:
-        return "upper"
-    if schatten_norm(A - lower, np.inf) <= tol * scale:
-        return "lower"
-    return None
+    return any(
+        schatten_norm(A - X, np.inf) <= tol * scale for X in (P @ A @ Pp, Pp @ A @ P)
+    )
 
 
 @dataclass
@@ -244,56 +227,49 @@ class Prop34Result:
         return bool(ok)
 
 
-def prop34_check(sd, split, beta, A, p_list=(1, 2, np.inf)):
-    """Reconstruction error of I_beta after L_H against its bound.
-
-    For the plain variant A must be one-sided cross-patch; the commutator
-    variant accepts any A.
-    """
+def _residual_check(name, sd, split, beta, A, residual, divisor, p_list):
+    """Schatten norms of residual(A) and of [residual(A), P] against
+    p ||A|| e^{-gamma^2/4 beta^2} / divisor and twice that."""
     _check_split_consistency(sd, split)
-    kind = _one_sided_kind(split, A)
-    if kind is None:
+    if not _is_one_sided(split, A):
         raise ValueError(
-            "prop34_check needs one-sided cross-patch A (= P A Pperp or "
-            "Pperp A P); use the commutator entries for general A"
+            f"{name} needs one-sided cross-patch A (= P A Pperp or Pperp A P)"
         )
     norm_a = schatten_norm(A, np.inf)
     damping = math.exp(-split.gap**2 / (4.0 * beta**2))
-
-    residual = almost_inverse_liouvillian(sd, beta, liouvillian(sd.hamiltonian, A)) - A
-    lhs = {p: schatten_norm(residual, p) for p in p_list}
-    rhs = split.p * norm_a * damping
-
+    R = residual(A)
     P = split.projector
-    comm = residual @ P - P @ residual
-    comm_lhs = {p: schatten_norm(comm, p) for p in p_list}
-    comm_rhs = 2.0 * split.p * norm_a * damping
-    return Prop34Result(lhs, rhs, comm_lhs, comm_rhs)
+    comm = R @ P - P @ R
+    rhs = split.p * norm_a * damping / divisor
+    return Prop34Result(
+        {p: schatten_norm(R, p) for p in p_list},
+        rhs,
+        {p: schatten_norm(comm, p) for p in p_list},
+        2.0 * rhs,
+    )
+
+
+def prop34_check(sd, split, beta, A, p_list=(1, 2, np.inf)):
+    """Reconstruction error of I_beta after L_H on one-sided cross-patch A,
+    against p ||A|| e^{-gamma^2/4 beta^2} (commutator variant doubled)."""
+    return _residual_check(
+        "prop34_check", sd, split, beta, A,
+        lambda X: almost_inverse_liouvillian(
+            sd, beta, liouvillian(sd.hamiltonian, X)) - X,
+        1.0, p_list,
+    )
 
 
 def lemma36_check(sd, split, beta, A, p_list=(1, 2, np.inf)):
     """Distance between the almost and exact inverses on cross-patch A,
     against p ||A|| gamma^{-1} e^{-gamma^2/4 beta^2} (commutator variant
     doubled)."""
-    _check_split_consistency(sd, split)
-    kind = _one_sided_kind(split, A)
-    if kind is None:
-        raise ValueError("lemma36_check needs one-sided cross-patch A")
-    norm_a = schatten_norm(A, np.inf)
-    gamma = split.gap
-    damping = math.exp(-(gamma**2) / (4.0 * beta**2))
-
-    residual = almost_inverse_liouvillian(sd, beta, A) - exact_inverse_liouvillian(
-        sd, split, A
+    return _residual_check(
+        "lemma36_check", sd, split, beta, A,
+        lambda X: almost_inverse_liouvillian(sd, beta, X)
+        - exact_inverse_liouvillian(sd, split, X),
+        split.gap, p_list,
     )
-    lhs = {p: schatten_norm(residual, p) for p in p_list}
-    rhs = split.p * norm_a * damping / gamma
-
-    P = split.projector
-    comm = residual @ P - P @ residual
-    comm_lhs = {p: schatten_norm(comm, p) for p in p_list}
-    comm_rhs = 2.0 * split.p * norm_a * damping / gamma
-    return Prop34Result(lhs, rhs, comm_lhs, comm_rhs)
 
 
 def locality_bound(params, beta, d, min_support, norm_a, norm_b, t_grid=None):

@@ -185,6 +185,7 @@ def run(config, out_dir=None, seed=None, threads=None):
     threads = config.threads if threads is None else int(threads)
     if threads < 1:
         raise SchemaError("threads must be >= 1")
+    _refuse_oversized(config.params)
     out = out_dir or config.out or f"{config.kind}-results"
     os.makedirs(out, exist_ok=True)
 
@@ -210,6 +211,16 @@ def run(config, out_dir=None, seed=None, threads=None):
             f"(min margin {verdict['min_margin']:.3e})"
         )
     return RunResult(csv_path, summary_path, summary)
+
+
+def _refuse_oversized(params):
+    """SchemaError when one dense 2^n x 2^n complex matrix exceeds physical memory."""
+    g = params.get("graph", {})
+    n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
+    need, have = 16 * 4**n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SchemaError(f"{n} sites need {need / 2**30:.3g} GiB for one dense "
+                          f"operator; physical memory is {have / 2**30:.3g} GiB")
 
 
 def _build_graph(spec):

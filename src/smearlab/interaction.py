@@ -1,16 +1,18 @@
 """Finite-range interactions Phi(t, Z) on site graphs.
 
 An interaction is a list of terms, each a Hermitian local operator with a
-smooth real coefficient path in the parameter t.  Terms sharing a support
-set are summed before norms are taken.  The weighted norm
+smooth real coefficient path in the parameter t.  The weighted norm
 
     ||Phi||_b = sup_t max_z sum_{Z containing z} ||Phi(t, Z)|| e^{b diam Z}
 
-is evaluated with the sup over t on a finite grid.
+is bounded from above: constant terms sharing a support are summed before
+the norm is taken, and each varying term counts with the exact sup of
+|c| on the parameter interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,14 @@ class PolyPath:
             return 0.0
         return float(np.polynomial.polynomial.polyval(s, dcoeffs))
 
+    def extent(self, lo, hi):
+        """(min, max) of c on [lo, hi], taken at the endpoints and the real
+        parts of the critical points clipped into the interval."""
+        poly = np.polynomial.polynomial
+        crit = np.clip(poly.polyroots(poly.polyder(self.coeffs)).real, lo, hi)
+        vals = poly.polyval(np.concatenate([[lo, hi], crit]), self.coeffs)
+        return float(vals.min()), float(vals.max())
+
     def __repr__(self):
         return f"PolyPath({list(self.coeffs)})"
 
@@ -72,6 +82,12 @@ class TrigRampPath:
 
     def derivative(self, s):
         return (self.end - self.start) * np.pi * np.sin(np.pi * s) / 2.0
+
+    def extent(self, lo, hi):
+        """(min, max) of c on [lo, hi]; c is monotone between integers."""
+        ints = np.arange(math.ceil(lo), math.floor(hi) + 1)
+        vals = self(np.concatenate([[lo, hi], ints]))
+        return float(vals.min()), float(vals.max())
 
     def __repr__(self):
         return f"TrigRampPath({self.start}, {self.end})"
@@ -187,8 +203,8 @@ class Interaction:
             (sites, LocalOperator(sites, mat)) for sites, mat in sorted(groups.items())
         ]
 
-    def norm(self, b, t_samples=21):
-        return interaction_norm(self, b, t_samples)
+    def norm(self, b):
+        return interaction_norm(self, b)
 
     def __repr__(self):
         return (
@@ -197,31 +213,30 @@ class Interaction:
         )
 
 
-def interaction_norm(phi, b, t_samples=21):
-    """Weighted norm ||Phi||_b with the parameter sup taken on a grid.
+def interaction_norm(phi, b):
+    """Upper bound on the weighted norm ||Phi||_b over the parameter interval.
 
-    `t_samples` may be an integer (uniform grid on the interval) or an
-    explicit array of parameter values.  The grid sup is a lower bound for
-    the true sup; polynomially and trigonometrically varying coefficients
-    are tame enough on 21 points for the bound checks downstream.
+    Terms with a constant coefficient are summed per support before the
+    operator norm is taken.  Each varying term adds sup|c| ||op|| (triangle
+    inequality), with the sup of |c| exact on the interval.
     """
-    if np.isscalar(t_samples):
-        lo, hi = phi.interval
-        grid = np.linspace(lo, hi, int(t_samples))
-    else:
-        grid = np.asarray(t_samples, dtype=float)
     if b < 0:
         raise ValueError("the weight exponent b must be nonnegative")
-    worst = 0.0
-    for t in grid:
-        per_site = np.zeros(phi.graph.n_sites)
-        for sites, op in phi.grouped_terms(t):
-            region = Region(phi.graph, sites)
-            w = schatten_norm(op.matrix, np.inf) * np.exp(b * region.diameter)
-            for z in sites:
-                per_site[z] += w
-        worst = max(worst, float(per_site.max()) if per_site.size else 0.0)
-    return worst
+    fixed, varying = {}, []
+    for term in phi.terms:
+        cmin, cmax = term.path.extent(*phi.interval)
+        if cmin != cmax:
+            op_norm = schatten_norm(term.operator.matrix, np.inf)
+            varying.append((term.sites, max(-cmin, cmax) * op_norm))
+        elif cmin != 0.0:
+            fixed[term.sites] = fixed.get(term.sites, 0.0) + cmin * term.operator.matrix
+    norms = [(sites, schatten_norm(m, np.inf)) for sites, m in sorted(fixed.items())]
+    per_site = np.zeros(phi.graph.n_sites)
+    for sites, op_norm in norms + varying:
+        w = op_norm * np.exp(b * Region(phi.graph, sites).diameter)
+        for z in sites:
+            per_site[z] += w
+    return float(per_site.max()) if per_site.size else 0.0
 
 
 def tfim(graph, j=1.0, g=1.0):
@@ -286,6 +301,10 @@ class _scaled:
 
     def derivative(self, s):
         return self.factor * self.path.derivative(s)
+
+    def extent(self, lo, hi):
+        a, b = self.path.extent(lo, hi)
+        return tuple(sorted((self.factor * a, self.factor * b)))
 
     def __repr__(self):
         return f"{self.factor}*{self.path!r}"

@@ -1,5 +1,7 @@
 """Heisenberg evolution (spectral and ODE routes), smearing, LR bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,30 @@ def test_smear_routes_agree():
     ref = smear(EvolutionSpec.spectral(sd), filt, A)
     got = smear(EvolutionSpec.ode(phi, step=0.005), filt, A)
     assert operator_norm(got - ref) < 1e-6
+
+
+def test_ode_smear_time_dependent_closed_form():
+    # H(t) = t sz: the off-diagonal entry of tau_{0,t}(sx) is e^{i t^2}, and
+    # int phi_beta(t) e^{i t^2} dt = beta / sqrt(beta^2 - i); the sampler
+    # steps both time directions through a time-dependent H
+    phi = custom_model(build_chain(1), [("z", (0,), [0.0, 1.0])])
+    for beta in (0.7, 1.0, 2.0):
+        out = smear(EvolutionSpec.ode(phi, step=0.001), GaussianFilter(beta), PAULI_X)
+        assert abs(out[0, 1] - beta / np.sqrt(beta**2 - 1j)) < 1e-10
+
+
+def test_spectral_smear_memory_stays_at_matrix_size():
+    # the closed-form transform needs a few dim^2 arrays, not one per node
+    phi = tfim(build_chain(8), 1.0, 1.2)
+    sd = diagonalize(phi.hamiltonian(0.0))
+    A = pauli_string("x", (3,)).embed(8)
+    tracemalloc.start()
+    try:
+        smear(EvolutionSpec.spectral(sd), GaussianFilter(1.0), A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_lr_params_and_decay_profile():

@@ -1,11 +1,16 @@
 """Gaussian-filtered inverse Liouvillian: kernels, identities, bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import smearlab
 from smearlab.algebra import (
     PAULI_X,
     PAULI_Y,
@@ -49,6 +54,26 @@ def test_gaussian_filter_normalization_and_tail():
         assert filt.tail(filt.t_max()) <= 1e-10
     with pytest.raises(ValueError):
         GaussianFilter(0.0)
+
+
+def test_t_max_raises_when_tail_exceeds_tolerance():
+    with pytest.raises(ValueError):
+        GaussianFilter(1.0).t_max(rel_tol=1e-40)
+    # the check must survive python -O, which strips assert statements
+    src = str(Path(smearlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from smearlab.filtering import GaussianFilter\n"
+        "try:\n"
+        "    GaussianFilter(1.0).t_max(rel_tol=1e-40)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gaussian_filter_fourier_pair():

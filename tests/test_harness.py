@@ -5,6 +5,7 @@ desk-size instances, byte-level determinism, and the CLI exit codes."""
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,29 @@ def test_cli_schema_error_exits_2(tmp_path, capsys):
     assert cli_main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_refuses_config_larger_than_memory(tmp_path, capsys):
+    # one dense operator on 20 sites takes 16 * 4^20 B = 16 TiB; the run
+    # must stop at the schema stage, before anything of that size exists
+    cfg = write_config(tmp_path, "big.json", {
+        "experiment": "lppl",
+        "graph": {"kind": "chain", "n": 20},
+        "model": {"kind": "tfim", "j": 1.0, "g": 2.0},
+        "split": {"rule": "lowest_k", "k": 1},
+        "perturbation": {"site": 0, "strength": 0.3},
+        "distances": [2, 3],
+    })
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert peak < 10e6
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_assumption_error_exits_3(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Interaction terms, coefficient paths, weighted norms, model builders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,19 @@ def test_interaction_norm_takes_parameter_sup():
     phi = custom_model(g, [("z", (0,), PolyPath([0.0, 1.0]))])
     # coefficient grows linearly: sup over [0, 1] is at s=1
     assert phi.norm(0.3) == pytest.approx(1.0)
+
+
+def test_interaction_norm_is_an_upper_bound_between_grid_points():
+    # c(s) = s - s^3 peaks at s = 1/sqrt(3) with c = 2/(3 sqrt 3) = 0.3849...,
+    # between the points of a uniform 21-point grid (which gives 0.3840);
+    # the norm is that sup up to rounding
+    phi = custom_model(build_chain(1), [("z", (0,), PolyPath([0, 1, 0, -1]))])
+    assert phi.norm(0.5) == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), rel=1e-12)
+    # a field ramp -(1 - cos(pi s))/2 on [0.5, 2.5] is 0.5 in size at both
+    # ends and peaks at 1 at the interior integer s = 1
+    g = build_chain(1)
+    ramp = tfim(g, 0.0, TrigRampPath(0.0, 1.0))
+    assert Interaction(g, ramp.terms, interval=(0.5, 2.5)).norm(0.5) == 1.0
 
 
 def test_xy_charge_commutes_with_total_charge():
