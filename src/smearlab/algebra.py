@@ -19,6 +19,7 @@ __all__ = [
     "IDENTITY_2",
     "LocalOperator",
     "pauli_string",
+    "site_index",
     "embed",
     "trace_sites",
     "conditional_expectation",
@@ -83,16 +84,9 @@ class LocalOperator:
         """
         if not self.is_diagonal:
             raise ValueError("operator is not diagonal in the product basis")
-        support = set(self.sites)
-        block = np.diagonal(self.matrix).reshape((self.q,) * len(self.sites))
-        # support axes stay in ascending order, other sites broadcast
-        shape = [self.q if s in support else 1 for s in range(n_sites)]
-        full = np.broadcast_to(
-            block.reshape(shape), (self.q,) * n_sites
-        ).reshape(self.q**n_sites)
-        if np.iscomplexobj(full) and not full.imag.any():
-            return full.real.copy()
-        return full.copy()
+        full = np.empty(self.q**n_sites, dtype=complex)
+        full[site_index(self.sites, n_sites, self.q)] = self.matrix.diagonal()[:, None]
+        return full if full.imag.any() else full.real.copy()
 
     def norm(self, p=np.inf):
         return schatten_norm(self.matrix, p)
@@ -118,6 +112,19 @@ def pauli_string(label, sites, q=2):
     return LocalOperator(tuple(sites[i] for i in order), mat, q)
 
 
+def site_index(sites, n_sites, q=2):
+    """Global basis index idx[a, r] of local state a on `sites` joined with
+    state r on the remaining sites, both read leftmost site first."""
+    def digits(group):
+        out = np.zeros(1, dtype=np.intp)
+        for s in group:
+            out = (out[:, None] + np.arange(q) * q ** (n_sites - 1 - s)).ravel()
+        return out
+
+    rest = [s for s in range(n_sites) if s not in sites]
+    return digits(sites)[:, None] + digits(rest)[None, :]
+
+
 def embed(matrix, sites, n_sites, q=2):
     """Tensor `matrix` (acting on `sites`) with identity on all other sites.
 
@@ -132,14 +139,10 @@ def embed(matrix, sites, n_sites, q=2):
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (q**k, q**k):
         raise ValueError("matrix does not match the support size")
-    rest = [s for s in range(n_sites) if s not in sites]
-    full = np.kron(matrix, np.eye(q ** len(rest), dtype=complex))
-    # full acts with leg order (sites..., rest...); permute into site order
-    perm = list(sites) + rest
-    inv = np.argsort(perm)
-    tensor = full.reshape((q,) * (2 * n_sites))
-    axes = list(inv) + [n_sites + i for i in inv]
-    return tensor.transpose(axes).reshape(q**n_sites, q**n_sites)
+    idx = site_index(sites, n_sites, q)
+    full = np.zeros((q**n_sites, q**n_sites), dtype=complex)
+    full[idx[:, None, :], idx[None, :, :]] = matrix[:, :, None]
+    return full
 
 
 def trace_sites(A, sites, n_sites, q=2):

@@ -66,6 +66,14 @@ class EvolutionSpec:
         return cls("ode", interaction=phi, step=float(step))
 
 
+def _ham_at(phi):
+    """t -> H(t), with H built once when no coupling varies."""
+    if not phi.is_constant:
+        return phi.hamiltonian
+    H = phi.hamiltonian()
+    return lambda _t: H
+
+
 def _rk4(W, ham_at, t, h, n_steps):
     """Advance W' = i W H(t) from time t by n_steps classical RK4 steps of h."""
     for _ in range(n_steps):
@@ -89,7 +97,8 @@ def heisenberg_samples(ham_at, A, ts, max_step):
     """
     mid = ts.size // 2
     h = ts[1] - ts[0]
-    n_sub = max(1, math.ceil(h / max_step))
+    # a ratio within 1e-9 of an integer is that integer, not one step more
+    n_sub = max(1, math.ceil(h / max_step * (1.0 - 1e-9)))
     values = np.empty((ts.size,) + A.shape, dtype=complex)
     values[mid] = A
     for d in (1, -1):
@@ -111,7 +120,7 @@ def propagator(spec, s, t):
     if t == s:
         return W
     n_steps = max(1, math.ceil(abs(t - s) / spec.step))
-    return _rk4(W, spec.interaction.hamiltonian, s, (t - s) / n_steps, n_steps)
+    return _rk4(W, _ham_at(spec.interaction), s, (t - s) / n_steps, n_steps)
 
 
 def evolve(spec, A, s, t):
@@ -138,7 +147,7 @@ def smear(spec, filt, A):
         kernel = math.sqrt(2.0 * math.pi) * filt.fourier(sd.frequency_table())
         return sd.from_eigenbasis(kernel * sd.to_eigenbasis(A))
     ts = filt.grid()
-    values = heisenberg_samples(spec.interaction.hamiltonian, A, ts, spec.step)
+    values = heisenberg_samples(_ham_at(spec.interaction), A, ts, spec.step)
     return simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)
 
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .algebra import (
     LocalOperator,
-    embed,
     is_hermitian,
     pauli_string,
     schatten_norm,
+    site_index,
 )
 from .lattice import Region, SiteGraph
 
@@ -48,21 +48,19 @@ class PolyPath:
         self.coeffs = tuple(float(c) for c in np.atleast_1d(coeffs))
         if not self.coeffs:
             raise ValueError("empty coefficient list")
+        self._dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
 
     def __call__(self, s):
         return float(np.polynomial.polynomial.polyval(s, self.coeffs))
 
     def derivative(self, s):
-        dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
-        if len(dcoeffs) == 0:
-            return 0.0
-        return float(np.polynomial.polynomial.polyval(s, dcoeffs))
+        return float(np.polynomial.polynomial.polyval(s, self._dcoeffs))
 
     def extent(self, lo, hi):
         """(min, max) of c on [lo, hi], taken at the endpoints and the real
         parts of the critical points clipped into the interval."""
         poly = np.polynomial.polynomial
-        crit = np.clip(poly.polyroots(poly.polyder(self.coeffs)).real, lo, hi)
+        crit = np.clip(poly.polyroots(self._dcoeffs).real, lo, hi)
         vals = poly.polyval(np.concatenate([[lo, hi], crit]), self.coeffs)
         return float(vals.min()), float(vals.max())
 
@@ -147,22 +145,30 @@ class Interaction:
     def dim(self):
         return 2**self.graph.n_sites
 
+    @property
+    def is_constant(self):
+        """True when no coefficient varies on the parameter interval.  On an
+        interval of positive length the polynomial and cosine-ramp paths
+        are then constant for every t."""
+        extents = (term.path.extent(*self.interval) for term in self.terms)
+        return all(lo == hi for lo, hi in extents)
+
     def hamiltonian(self, t=0.0):
         """Dense H(t) = sum_Z Phi(t, Z)."""
-        H = np.zeros((self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            c = term.coefficient(t)
-            if c != 0.0:
-                H += c * term.operator.embed(self.n_sites)
-        return H
+        return self._assemble(term.coefficient(t) for term in self.terms)
 
     def hamiltonian_derivative(self, t):
         """Dense dH/dt, using the exact path derivatives."""
+        return self._assemble(term.coefficient_derivative(t) for term in self.terms)
+
+    def _assemble(self, coeffs):
+        """sum_Z c_Z Phi_Z, each term added in place on its own entries."""
         H = np.zeros((self.dim, self.dim), dtype=complex)
-        for term in self.terms:
-            c = term.coefficient_derivative(t)
+        for term, c in zip(self.terms, coeffs):
             if c != 0.0:
-                H += c * term.operator.embed(self.n_sites)
+                idx = site_index(term.sites, self.n_sites)
+                block = (c * term.operator.matrix)[:, :, None]
+                H[idx[:, None, :], idx[None, :, :]] += block
         return H
 
     def derivative_snapshot(self, t):

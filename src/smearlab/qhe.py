@@ -71,10 +71,10 @@ def region_charge(graph, region):
 
 
 def charge_conservation_defect(phi, Q, t_samples=5):
-    """max over a parameter grid of ||[H(t), Q]||_inf."""
+    """max over a parameter grid of ||[H(t), Q]||_inf (one point if H is constant)."""
     lo, hi = phi.interval
     worst = 0.0
-    for t in np.linspace(lo, hi, t_samples):
+    for t in np.linspace(lo, hi, 1 if phi.is_constant else t_samples):
         worst = max(worst, schatten_norm(commutator(phi.hamiltonian(t), Q), np.inf))
     return worst
 

@@ -83,6 +83,17 @@ def test_embed_two_site_noncontiguous():
     assert np.allclose(got2, expect)
 
 
+def test_embed_qutrits_on_noncontiguous_support_matches_permuted_kron():
+    # q = 3 on sites (0, 3) of 5: kron(M, 1) acts with leg order
+    # (0, 3, 1, 2, 4); moving the legs into site order gives the oracle
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    legs = np.kron(M, np.eye(27)).reshape((3,) * 10)
+    inv = np.argsort([0, 3, 1, 2, 4])
+    expect = legs.transpose(list(inv) + [5 + i for i in inv]).reshape(243, 243)
+    assert np.array_equal(embed(M, (0, 3), 5, q=3), expect)
+
+
 def test_embed_is_homomorphism():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -167,6 +178,11 @@ def test_local_operator_diagonal_fast_path():
     diag = op.embed_diagonal(4)
     assert diag.dtype == np.float64
     assert np.allclose(np.diag(diag), op.embed(4))
+    # complex entries stay complex; site 1 is the high bit of the pair
+    phase = LocalOperator((1, 3), np.diag([1.0, 1j, -1.0, -1j]))
+    cdiag = phase.embed_diagonal(4)
+    assert cdiag.dtype == np.complex128
+    assert np.array_equal(cdiag, np.diagonal(phase.embed(4)))
     xop = pauli_string("x", (1,))
     assert not xop.is_diagonal
     with pytest.raises(ValueError):

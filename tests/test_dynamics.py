@@ -13,9 +13,12 @@ from smearlab.algebra import (
     pauli_string,
     random_hermitian,
 )
+from scipy.integrate import simpson
+
 from smearlab.dynamics import (
     EvolutionSpec,
     evolve,
+    heisenberg_samples,
     lr_bound,
     lr_decay_profile,
     lr_experiment,
@@ -116,6 +119,44 @@ def test_smear_routes_agree():
     ref = smear(EvolutionSpec.spectral(sd), filt, A)
     got = smear(EvolutionSpec.ode(phi, step=0.005), filt, A)
     assert operator_norm(got - ref) < 1e-6
+
+
+def _count_hamiltonian_calls(phi):
+    calls = []
+    build = phi.hamiltonian
+
+    def counted(t=0.0):
+        calls.append(t)
+        return build(t)
+
+    phi.hamiltonian = counted
+    return calls
+
+
+def test_ode_routes_build_a_constant_hamiltonian_once():
+    phi = tfim(build_chain(3), 1.0, 1.2)
+    A = pauli_string("x", (0,)).embed(3)
+    filt = GaussianFilter(1.0)
+    ts = filt.grid()
+    values = heisenberg_samples(phi.hamiltonian, A, ts, 0.005)
+    expect = simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)
+    calls = _count_hamiltonian_calls(phi)
+    got = smear(EvolutionSpec.ode(phi, step=0.005), filt, A)
+    assert len(calls) == 1
+    assert np.array_equal(got, expect)
+    calls.clear()
+    propagator(EvolutionSpec.ode(phi, step=0.005), 0.0, 0.7)
+    assert len(calls) == 1
+
+
+def test_ode_smear_takes_no_extra_substep_for_float_noise():
+    # h / step = 0.025 / 0.005 is 5 up to rounding: 640 intervals of five
+    # RK4 steps with three H evaluations each
+    phi = custom_model(build_chain(1), [("z", (0,), [0.0, 1.0])])
+    calls = _count_hamiltonian_calls(phi)
+    out = smear(EvolutionSpec.ode(phi, step=0.005), GaussianFilter(1.0), PAULI_X)
+    assert len(calls) == 640 * 5 * 3
+    assert abs(out[0, 1] - 1.0 / np.sqrt(1.0 - 1j)) < 1e-8
 
 
 def test_ode_smear_time_dependent_closed_form():

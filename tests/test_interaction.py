@@ -1,6 +1,7 @@
 """Interaction terms, coefficient paths, weighted norms, model builders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from smearlab.interaction import (
     tfim,
     xy_charge,
 )
-from smearlab.lattice import build_chain, build_ring
+from smearlab.lattice import build_chain, build_ring, build_torus
 
 
 def test_poly_path_values_and_derivative():
@@ -89,6 +90,35 @@ def test_hamiltonian_derivative_matches_finite_difference():
     assert all(
         len(t.operator.sites) == 2 for t in phi.derivative_snapshot(0.0).terms
     )
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [tfim(build_ring(6), 1.3, 0.6), xy_charge(build_torus(3, 3), 0.2, 1.0)],
+    ids=["ring-wrap-edge", "xy-torus3"],
+)
+def test_hamiltonian_is_exactly_the_sum_of_embedded_terms(phi):
+    expect = np.zeros((phi.dim, phi.dim), dtype=complex)
+    for term in phi.terms:
+        expect += term.coefficient(0.0) * term.operator.embed(phi.n_sites)
+    assert np.array_equal(phi.hamiltonian(0.0), expect)
+
+
+def test_hamiltonian_assembly_holds_one_matrix():
+    phi = tfim(build_chain(10), 1.0, 0.7)
+    tracemalloc.start()
+    H = phi.hamiltonian(0.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.25 * H.nbytes
+
+
+def test_is_constant_reads_the_paths_on_the_interval():
+    g = build_chain(2)
+    assert tfim(g, 1.0, 0.5).is_constant
+    assert tfim(g, TrigRampPath(2.0, 2.0), PolyPath([0.5, 0.0])).is_constant
+    assert not tfim(g, 1.0, PolyPath([0.5, 1.0])).is_constant
+    assert not tfim(g, TrigRampPath(1.0, 2.0), 0.5).is_constant
 
 
 def test_snapshot_freezes_coefficients():

@@ -52,6 +52,20 @@ def test_hopping_model_conserves_charge(torus3):
     assert charge_conservation_defect(bad, Q) > 0.1
 
 
+def test_charge_defect_samples_a_constant_hamiltonian_once(torus3):
+    geo, phi, _ = torus3
+    Q = region_charge(geo.graph, geo.upper_half)
+    expect = max(
+        schatten_norm(commutator(phi.hamiltonian(t), Q), np.inf)
+        for t in np.linspace(0.0, 1.0, 5)
+    )
+    fresh = xy_charge(geo.graph, 0.2, 1.0)
+    build, calls = fresh.hamiltonian, []
+    fresh.hamiltonian = lambda t=0.0: calls.append(t) or build(t)
+    assert charge_conservation_defect(fresh, Q) == expect
+    assert calls == [0.0]
+
+
 def test_geometry_halves_and_strips():
     geo = ChargeGeometry(4)
     n = geo.graph.n_sites
