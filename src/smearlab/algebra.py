@@ -27,6 +27,7 @@ __all__ = [
     "operator_norm",
     "liouvillian",
     "commutator",
+    "commutator_norm",
     "random_hermitian",
     "is_hermitian",
 ]
@@ -206,6 +207,18 @@ def operator_norm(A):
 
 def commutator(A, B):
     return A @ B - B @ A
+
+
+def commutator_norm(A, B):
+    """||[A, B]||_inf for Hermitian A and B, from one product C = A B:
+    [A, B] = C - C^dagger, and i (C - C^dagger) is exactly Hermitian, so
+    the norm takes the eigenvalue path.  Other input raises ValueError,
+    since C - C^dagger is then not the commutator and could read too low.
+    """
+    if not (is_hermitian(A) and is_hermitian(B)):
+        raise ValueError("commutator_norm needs Hermitian A and B")
+    C = A @ B
+    return schatten_norm(1j * (C - C.conj().T), np.inf)
 
 
 def liouvillian(H, A):

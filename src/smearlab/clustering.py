@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AssumptionError
 from .filtering import erf_step_kernel
-from .spectra import split_spectrum
+from .spectra import diagonalize, split_spectrum
 
 __all__ = [
     "ClusterDecomposition",
@@ -36,17 +36,17 @@ __all__ = [
 _CHUNK = 256
 
 
-def _kernel_matvec(energies, beta, gamma, A_tilde, vec):
-    """(K o A_tilde) @ vec with K[m, n] = ghat_beta(E_n - E_m), computed
+def _kernel_matvec(energies, beta, gamma, A_tilde, vecs):
+    """(K o A_tilde) @ vecs with K[m, n] = ghat_beta(E_n - E_m), computed
     in row chunks so the kernel matrix is never stored."""
     dim = energies.size
-    out = np.empty(dim, dtype=complex)
+    out = np.empty(vecs.shape, dtype=complex)
     for start in range(0, dim, _CHUNK):
         stop = min(start + _CHUNK, dim)
         block = erf_step_kernel(
             energies[None, :] - energies[start:stop, None], beta, gamma
         )
-        out[start:stop] = (block * A_tilde[start:stop]) @ vec
+        out[start:stop] = (block * A_tilde[start:stop]) @ vecs
     return out
 
 
@@ -87,6 +87,8 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     """Three-term decomposition of <Omega, A Pperp B Omega>.
 
     Omega must lie in the range of the patch projector (checked to 1e-10).
+    A 2-D `omega_vec` holds one state per column and gives a list of
+    decompositions, one per column, from a single transform of A and B.
     `norm_a`/`norm_b` default to 1 (Pauli observables); they only scale
     the diagnostic bounds.
     """
@@ -95,47 +97,44 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     e = sd.energies
     mask = split.patch_mask()
 
-    w = sd.vectors.conj().T @ np.asarray(omega_vec, dtype=complex)
-    norm = np.linalg.norm(w)
-    if abs(norm - 1.0) > 1e-10:
+    states = np.asarray(omega_vec, dtype=complex)
+    W = sd.vectors.conj().T @ states.reshape(e.size, -1)
+    if np.any(np.abs(np.linalg.norm(W, axis=0) - 1.0) > 1e-10):
         raise AssumptionError("state vector is not normalized")
-    if np.linalg.norm(w[~mask]) > 1e-10:
+    if np.any(np.linalg.norm(W[~mask], axis=0) > 1e-10):
         raise AssumptionError("state vector is not in the patch range")
 
     A_t = sd.to_eigenbasis(A)
     B_t = sd.to_eigenbasis(B)
 
-    Bw = B_t @ w
-    Jw = _kernel_matvec(e, beta, gamma, A_t, w)
-    JBw = _kernel_matvec(e, beta, gamma, A_t, Bw)
+    BW = B_t @ W
+    JW, JBW = np.hsplit(_kernel_matvec(e, beta, gamma, A_t, np.hstack([W, BW])), 2)
+    # A Pperp B w, shared by term III and the correlation
+    ABW = A_t @ (BW * (~mask)[:, None])
 
-    term_i = complex(w.conj() @ JBw - w.conj() @ (B_t @ Jw))
-    term_ii = complex(w.conj() @ (B_t @ Jw))
+    def dots(X):
+        return np.einsum("ij,ij->j", W.conj(), X)
+
+    term_ii = dots(B_t @ JW)
+    term_i = dots(JBW) - term_ii
     # III = <w, (P A Pperp - P J(A)) B w>   (P w = w)
-    z1 = (A_t @ (Bw * (~mask))) * mask
-    z2 = JBw * mask
-    term_iii = complex(w.conj() @ (z1 - z2))
-
-    correlation = complex(w.conj() @ (A_t @ (Bw * (~mask))))
+    term_iii = dots((ABW - JBW) * mask[:, None])
+    correlation = dots(ABW)
+    defect = np.abs(correlation - (term_i + term_ii + term_iii))
 
     na = 1.0 if norm_a is None else float(norm_a)
     nb = 1.0 if norm_b is None else float(norm_b)
     n0 = split.distinct_count()
-    envelope = (
-        n0
-        / math.sqrt(math.pi)
-        * (beta / gamma)
-        * math.exp(-((gamma / beta) ** 2) / 64.0)
-        * na
-        * nb
-    )
+    envelope = (n0 / math.sqrt(math.pi) * (beta / gamma)
+                * math.exp(-((gamma / beta) ** 2) / 64.0) * na * nb)
     bound_ii = 4.0 * envelope
     bound_iii = 6.0 * envelope
 
-    defect = abs(correlation - (term_i + term_ii + term_iii))
-    return ClusterDecomposition(
-        term_i, term_ii, term_iii, correlation, bound_ii, bound_iii, defect
-    )
+    decs = [
+        ClusterDecomposition(*map(complex, terms), bound_ii, bound_iii, float(f))
+        for *terms, f in zip(term_i, term_ii, term_iii, correlation, defect)
+    ]
+    return decs[0] if states.ndim == 1 else decs
 
 
 @dataclass
@@ -188,8 +187,6 @@ def cluster_experiment(
     beta = gamma/(2 sqrt(d)).  Returns the list of ClusterPlacement
     records, ordered by distance.
     """
-    from .spectra import diagonalize
-
     H = phi.hamiltonian(0.0)
     sd = diagonalize(H)
     split = split_spectrum(sd, split_rule, min_gap)
@@ -200,6 +197,7 @@ def cluster_experiment(
     rng = rng or np.random.default_rng(0)
     ground = np.asarray(sd.vectors[:, split.idx0[0]], dtype=complex)
     samples = _random_patch_states(split, n_state_samples, rng)
+    states = np.column_stack([ground] + samples)
 
     A_op = observable_builder(site_a)
     A = A_op.embed_diagonal(n) if A_op.is_diagonal else A_op.embed(n)
@@ -211,12 +209,8 @@ def cluster_experiment(
         B_op = observable_builder(site_b)
         B = B_op.embed_diagonal(n) if B_op.is_diagonal else B_op.embed(n)
         nb = B_op.norm(np.inf)
-        ground_dec = decompose_correlation(sd, split, beta, A, B, ground, na, nb)
-        sampled = [
-            decompose_correlation(sd, split, beta, A, B, state, na, nb)
-            for state in samples
-        ]
+        decs = decompose_correlation(sd, split, beta, A, B, states, na, nb)
         records.append(
-            ClusterPlacement(int(d), beta, site_a, site_b, ground_dec, sampled)
+            ClusterPlacement(int(d), beta, site_a, site_b, decs[0], decs[1:])
         )
     return records, split

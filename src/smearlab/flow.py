@@ -298,14 +298,11 @@ def automorphic_equivalence_experiment(
 ):
     """Endpoint transport error of the almost flow over a beta grid.
 
-    Returns (x, errors) with x = beta^{-2} ascending; the gap is monitored
-    on the grid via the shared eigenvalue cache.
+    Returns (x, errors) with x = beta^{-2} ascending.  The gap is checked
+    at every point the flow visited, via the shared eigenvalue cache.
     """
     cache = EigenCache(phi)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    # gap stays open along the path
-    for s in (s_grid[0], s_grid[len(s_grid) // 2], s_grid[-1]):
-        split_spectrum(cache.at(s), split_rule, min_gap)
     split0 = split_spectrum(cache.at(0.0), split_rule, min_gap)
     split1 = split_spectrum(cache.at(1.0), split_rule, min_gap)
     target = patch_expectation(split1, A)
@@ -317,6 +314,8 @@ def automorphic_equivalence_experiment(
         result = integrate_flow(gen, s_grid)
         transported = patch_expectation(split0, result.transported(A))
         errors[beta] = abs(target - transported)
+    for sd in cache._store.values():
+        split_spectrum(sd, split_rule, min_gap)
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
     values = np.array([errors[b] for b in reversed(betas)])
     return xs, values
@@ -330,7 +329,6 @@ def lppl_experiment(
     observable_builder,
     split_rule,
     min_gap=1e-8,
-    gap_check_points=(0.0, 0.5, 1.0),
 ):
     """Endpoint patch-state response |omega_1(A) - omega_0(A)| versus the
     distance of A from the perturbed region.
@@ -344,9 +342,8 @@ def lppl_experiment(
     pert_region = Region(graph, perturbation_op.sites)
 
     cache = EigenCache(phi)
-    for s in gap_check_points:
-        split_spectrum(cache.at(s), split_rule, min_gap)
     split0 = split_spectrum(cache.at(0.0), split_rule, min_gap)
+    split_spectrum(cache.at(0.5), split_rule, min_gap)
     split1 = split_spectrum(cache.at(1.0), split_rule, min_gap)
 
     sites = []

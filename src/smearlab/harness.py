@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import pauli_string, random_hermitian, schatten_norm
+from .algebra import commutator_norm, pauli_string, random_hermitian, schatten_norm
 from .clustering import cluster_experiment
 from .config import ExperimentConfig, load_config
 from .dynamics import EvolutionSpec, lr_experiment, make_lr_params
@@ -349,12 +349,12 @@ def _run_locality(params, rng, mapper):
     lrp = make_lr_params(phi, params["b"], params["b_prime"])
 
     pairs = [(d, _site_at_distance(graph, site_a, d)) for d in params["distances"]]
+    Bs = [(d, _embed_observable(params["op_b"], site_b, n)) for d, site_b in pairs]
     rows, margins = [], []
     for beta in params["betas"]:
         filtered = almost_inverse_liouvillian(sd, beta, A)
-        for d, site_b in pairs:
-            B = _embed_observable(params["op_b"], site_b, n)
-            measured = schatten_norm(filtered @ B - B @ filtered, np.inf)
+        for d, B in Bs:
+            measured = commutator_norm(filtered, B)
             grid_inf, _closed = locality_bound(lrp, beta, d, 1, 1.0, 1.0)
             rows.append((d, float(measured), float(grid_inf),
                          float(grid_inf - measured)))

@@ -23,7 +23,7 @@ from scipy.linalg import svd
 
 from .algebra import (
     LocalOperator,
-    commutator,
+    commutator_norm,
     conditional_expectation,
     liouvillian,
     schatten_norm,
@@ -72,11 +72,8 @@ def region_charge(graph, region):
 
 def charge_conservation_defect(phi, Q, t_samples=5):
     """max over a parameter grid of ||[H(t), Q]||_inf (one point if H is constant)."""
-    lo, hi = phi.interval
-    worst = 0.0
-    for t in np.linspace(lo, hi, 1 if phi.is_constant else t_samples):
-        worst = max(worst, schatten_norm(commutator(phi.hamiltonian(t), Q), np.inf))
-    return worst
+    ts = np.linspace(*phi.interval, 1 if phi.is_constant else t_samples)
+    return max(commutator_norm(phi.hamiltonian(t), Q) for t in ts)
 
 
 class ChargeGeometry:
@@ -328,8 +325,8 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8):
 
     Qbar = dressed_charge(sd, Q_upper, beta=beta)
     P = split.projector
-    dressing_defect = schatten_norm(Qbar @ P - P @ Qbar, np.inf)
-    bare_defect = schatten_norm(Q_upper @ P - P @ Q_upper, np.inf)
+    dressing_defect = commutator_norm(Qbar, P)
+    bare_defect = commutator_norm(Q_upper, P)
 
     fact = flux_unitary(sd, Q_upper, geometry, beta=beta)
     trans = transport_operator(fact.lower, Q_right, geometry)

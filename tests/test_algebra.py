@@ -10,6 +10,7 @@ from smearlab.algebra import (
     PAULI_Z,
     LocalOperator,
     commutator,
+    commutator_norm,
     conditional_expectation,
     embed,
     is_hermitian,
@@ -170,6 +171,16 @@ def test_liouvillian_two_level_closed_form():
     out = liouvillian(H, A)
     assert np.allclose(out, 1j * A)
     assert np.allclose(commutator(H, A), H @ A - A @ H)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_commutator_norm_matches_svd_of_the_commutator(dim):
+    rng = np.random.default_rng(dim)
+    A = random_hermitian(dim, rng)
+    B = random_hermitian(dim, rng)
+    # the explicit commutator is anti-Hermitian, so its norm is taken by SVD
+    explicit = schatten_norm(A @ B - B @ A, np.inf)
+    assert commutator_norm(A, B) == pytest.approx(explicit, rel=1e-12, abs=0.0)
 
 
 def test_local_operator_diagonal_fast_path():

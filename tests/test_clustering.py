@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+import smearlab.clustering
 from smearlab.algebra import pauli_string
 from smearlab.clustering import (
+    ClusterDecomposition,
     cluster_experiment,
     decompose_correlation,
 )
 from smearlab.errors import AssumptionError
 from smearlab.interaction import tfim
 from smearlab.lattice import build_chain, build_ring
-from smearlab.spectra import diagonalize, lowest_k, split_spectrum, window
+from smearlab.spectra import (
+    SpectralData,
+    diagonalize,
+    lowest_k,
+    split_spectrum,
+    window,
+)
 
 
 def setup_chain(n=6, g=2.0):
@@ -117,3 +125,54 @@ def test_experiment_matches_direct_decomposition():
     )
     assert records[0].ground.correlation == pytest.approx(direct.correlation)
     assert records[0].ground.term_i == pytest.approx(direct.term_i)
+
+
+def _count_calls(monkeypatch, owner, name, log):
+    wrapped = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(name)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_experiment_decomposes_and_transforms_once_per_placement(monkeypatch):
+    phi = tfim(build_ring(8), 1.0, 2.0)
+    log = []
+    _count_calls(monkeypatch, smearlab.clustering, "decompose_correlation", log)
+    _count_calls(monkeypatch, SpectralData, "to_eigenbasis", log)
+    records, _ = cluster_experiment(
+        phi,
+        lowest_k(1),
+        0,
+        lambda s: pauli_string("z", (s,)),
+        {d: d for d in (1, 2, 3, 4)},
+        rng=np.random.default_rng(5),
+    )
+    assert [len(r.sampled) for r in records] == [5] * 4
+    assert log.count("decompose_correlation") == 4
+    assert log.count("to_eigenbasis") == 8
+
+
+def test_stacked_states_match_single_state_calls():
+    # a two-fold ground patch (the ordered doublet at small field), so the
+    # sampled states differ from the ground state by more than a phase
+    phi = tfim(build_chain(6), 1.0, 0.5)
+    sd = diagonalize(phi.hamiltonian(0.0))
+    split = split_spectrum(sd, lowest_k(2))
+    assert split.p == 2
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+    states = split.patch_vectors() @ (C / np.linalg.norm(C, axis=0))
+    A = pauli_string("x", (1,)).embed(6)
+    B = pauli_string("z", (4,)).embed_diagonal(6)
+    beta = split.gap / 3.0
+    stacked = decompose_correlation(sd, split, beta, A, B, states, 1.0, 2.0)
+    assert len(stacked) == 6
+    for j, dec in enumerate(stacked):
+        single = decompose_correlation(sd, split, beta, A, B, states[:, j], 1.0, 2.0)
+        assert isinstance(single, ClusterDecomposition)
+        for name in ("term_i", "term_ii", "term_iii", "correlation",
+                     "bound_ii", "bound_iii", "identity_defect"):
+            assert abs(getattr(dec, name) - getattr(single, name)) < 1e-12

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import smearlab.algebra
 from smearlab.algebra import (
     PAULI_X,
     PAULI_Y,
@@ -30,7 +31,7 @@ from smearlab.dynamics import (
 from smearlab.filtering import GaussianFilter
 from smearlab.interaction import custom_model, tfim
 from smearlab.lattice import build_chain
-from smearlab.spectra import diagonalize
+from smearlab.spectra import SpectralData, diagonalize
 
 
 def test_precession_closed_form_pins_the_sign():
@@ -233,3 +234,32 @@ def test_measured_commutator_curve_matches_direct():
     At = evolve(spec, A.embed(4), 0.0, t)
     Bf = B.embed(4)
     assert curve[0] == pytest.approx(operator_norm(At @ Bf - Bf @ At))
+
+
+def test_commutator_curve_stays_in_the_eigenbasis(monkeypatch):
+    phi = tfim(build_chain(5), 1.0, 1.2)
+    sd = diagonalize(phi.hamiltonian(0.0))
+    spec = EvolutionSpec.spectral(sd)
+    A = pauli_string("x", (0,))
+    B = pauli_string("y", (3,))
+    times = np.linspace(0.0, 2.0, 20)
+    log = []
+    for owner, name in ((SpectralData, "to_eigenbasis"),
+                        (SpectralData, "from_eigenbasis"),
+                        (smearlab.algebra, "svdvals")):
+        wrapped = getattr(owner, name)
+
+        def counted(*args, _wrapped=wrapped, _name=name):
+            log.append(_name)
+            return _wrapped(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    curve = measured_commutator_curve(spec, A, B, times)
+    assert log == ["to_eigenbasis"] * 2
+    monkeypatch.undo()
+    Bf = B.embed(5)
+    for t, value in zip(times, curve):
+        At = evolve(spec, A.embed(5), 0.0, t)
+        assert abs(value - operator_norm(At @ Bf - Bf @ At)) < 1e-12
+    with pytest.raises(ValueError):
+        measured_commutator_curve(EvolutionSpec.ode(phi), A, B, times)

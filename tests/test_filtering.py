@@ -35,7 +35,7 @@ from smearlab.filtering import (
     locality_bound,
     prop34_check,
 )
-from smearlab.dynamics import make_lr_params
+from smearlab.dynamics import _RK4_ANGLE_CAP, make_lr_params
 from smearlab.interaction import tfim
 from smearlab.lattice import build_chain
 from smearlab.spectra import diagonalize, lowest_k, split_spectrum
@@ -157,17 +157,25 @@ def test_spectral_and_quadrature_routes_agree_random():
         almost_inverse_liouvillian(sd, 1.0, A, method="series")
 
 
-def test_quadrature_route_on_wide_spectrum():
+def test_quadrature_route_on_wide_spectrum(monkeypatch):
     # the pinned node density loses accuracy like (h ||H||)^4 on wider
     # spectra; a 4-site field chain still lands inside a 2e-5 envelope
     g = build_chain(4)
     phi = tfim(g, 1.0, 2.0)
     sd = diagonalize(phi.hamiltonian())
     A = pauli_string("x", (1,)).embed(4)
+    steps = []
+    sampler = smearlab.filtering.heisenberg_samples
+    monkeypatch.setattr(smearlab.filtering, "heisenberg_samples",
+                        lambda *a: steps.append(a[3]) or sampler(*a))
     ref = almost_inverse_liouvillian(sd, 0.5, A)
     quadr = almost_inverse_liouvillian(sd, 0.5, A, method="quadrature")
     rel = operator_norm(quadr - ref) / operator_norm(ref)
     assert rel < 2e-5
+    # RK4 steps are sized by the largest column sum, a bound on ||H|| that
+    # is 1.6x tighter here than the Frobenius norm
+    norm_1 = np.abs(sd.hamiltonian).sum(axis=0).max()
+    assert steps == [pytest.approx(_RK4_ANGLE_CAP / norm_1, rel=1e-15)]
 
 
 def test_exact_inverse_is_inverse_on_cross_patch():

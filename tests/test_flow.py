@@ -146,6 +146,18 @@ def test_automorphic_error_decreases_with_filter_sharpness():
     assert vals[1] > 1e-10
 
 
+def test_automorphic_experiment_checks_the_gap_along_the_whole_path():
+    # g(s) = 2 - 15 s (1 - s)(1 - 2s)^2: the gap is 2.511 at s = 0, 0.5 and
+    # 1 but dips to 0.796 near s = 0.85, between the old check points
+    g = PolyPath([2.0, -15.0, 75.0, -120.0, 60.0])
+    phi = tfim(build_chain(4), 1.0, g)
+    A = pauli_string("z", (0,)).embed(4)
+    with pytest.raises(AssumptionError, match="spectral gap"):
+        automorphic_equivalence_experiment(
+            phi, lowest_k(1), A, [1.0], s_steps=20, min_gap=1.5
+        )
+
+
 def test_modulated_flow_with_large_cutoff_matches_almost():
     g = build_chain(4)
     phi = tfim(g, 1.0, TrigRampPath(1.2, 2.0))

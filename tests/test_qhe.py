@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smearlab.algebra import commutator, operator_norm, schatten_norm
+from smearlab.algebra import commutator, commutator_norm, operator_norm, schatten_norm
 from smearlab.errors import AssumptionError, DegenerateFactorError
 from smearlab.interaction import tfim, xy_charge
 from smearlab.qhe import (
@@ -52,12 +52,22 @@ def test_hopping_model_conserves_charge(torus3):
     assert charge_conservation_defect(bad, Q) > 0.1
 
 
+def test_commutator_norm_of_conserved_charge_is_exactly_zero(torus3):
+    geo, phi, _ = torus3
+    H = phi.hamiltonian(0.0)
+    Q = region_charge(geo.graph, geo.graph.sites())
+    assert commutator_norm(H, Q) == 0.0
+    with pytest.raises(ValueError):
+        commutator_norm(H + 0.5j * np.eye(H.shape[0]), Q)
+    with pytest.raises(ValueError):
+        commutator_norm(H, np.triu(Q + H))
+
+
 def test_charge_defect_samples_a_constant_hamiltonian_once(torus3):
     geo, phi, _ = torus3
     Q = region_charge(geo.graph, geo.upper_half)
     expect = max(
-        schatten_norm(commutator(phi.hamiltonian(t), Q), np.inf)
-        for t in np.linspace(0.0, 1.0, 5)
+        commutator_norm(phi.hamiltonian(t), Q) for t in np.linspace(0.0, 1.0, 5)
     )
     fresh = xy_charge(geo.graph, 0.2, 1.0)
     build, calls = fresh.hamiltonian, []
