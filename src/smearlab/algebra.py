@@ -32,12 +32,17 @@ __all__ = [
     "is_hermitian",
 ]
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+IDENTITY_2 = np.eye(2)
 
 _PAULI_BY_LABEL = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "I": IDENTITY_2}
+
+
+def _as_operator(matrix):
+    """`matrix` as a float or complex array, complex only when its data is."""
+    return np.asarray(matrix, dtype=np.result_type(np.asarray(matrix), float))
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class LocalOperator:
             raise ValueError("sites must be strictly increasing")
         object.__setattr__(self, "sites", sites)
         dim = self.q ** len(sites)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _as_operator(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match {len(sites)} sites"
@@ -80,14 +85,14 @@ class LocalOperator:
     def embed_diagonal(self, n_sites):
         """Diagonal of the embedded operator, for diagonal local matrices.
 
-        Returned as a 1-D array of length q^n (real when the entries are),
-        which the spectral transforms accept in place of a full matrix.
+        Returned as a 1-D array of length q^n in the matrix's dtype, which
+        the spectral transforms accept in place of a full matrix.
         """
         if not self.is_diagonal:
             raise ValueError("operator is not diagonal in the product basis")
-        full = np.empty(self.q**n_sites, dtype=complex)
+        full = np.empty(self.q**n_sites, dtype=self.matrix.dtype)
         full[site_index(self.sites, n_sites, self.q)] = self.matrix.diagonal()[:, None]
-        return full if full.imag.any() else full.real.copy()
+        return full
 
     def norm(self, p=np.inf):
         return schatten_norm(self.matrix, p)
@@ -105,7 +110,7 @@ def pauli_string(label, sites, q=2):
     if q != 2:
         raise ValueError("Pauli strings are defined for two-level sites")
     order = np.argsort(sites)
-    mat = np.array([[1.0 + 0.0j]])
+    mat = np.ones((1, 1))
     for i in order:
         if label[i] not in _PAULI_BY_LABEL:
             raise ValueError(f"unknown Pauli letter {label[i]!r}")
@@ -137,11 +142,11 @@ def embed(matrix, sites, n_sites, q=2):
         raise ValueError("sites must be strictly increasing")
     if k and (sites[0] < 0 or sites[-1] >= n_sites):
         raise ValueError("support site out of range")
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = _as_operator(matrix)
     if matrix.shape != (q**k, q**k):
         raise ValueError("matrix does not match the support size")
     idx = site_index(sites, n_sites, q)
-    full = np.zeros((q**n_sites, q**n_sites), dtype=complex)
+    full = np.zeros((q**n_sites, q**n_sites), dtype=matrix.dtype)
     full[idx[:, None, :], idx[None, :, :]] = matrix[:, :, None]
     return full
 
@@ -171,7 +176,7 @@ def conditional_expectation(A, keep_sites, n_sites, q=2):
     keep = sorted({int(s) for s in keep_sites})
     rest = [s for s in range(n_sites) if s not in keep]
     if not rest:
-        return np.asarray(A, dtype=complex).copy()
+        return np.array(A)
     reduced = trace_sites(A, rest, n_sites, q) / q ** len(rest)
     return embed(reduced, keep, n_sites, q)
 

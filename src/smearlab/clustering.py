@@ -40,7 +40,7 @@ def _kernel_matvec(energies, beta, gamma, A_tilde, vecs):
     """(K o A_tilde) @ vecs with K[m, n] = ghat_beta(E_n - E_m), computed
     in row chunks so the kernel matrix is never stored."""
     dim = energies.size
-    out = np.empty(vecs.shape, dtype=complex)
+    out = np.empty(vecs.shape, dtype=np.result_type(A_tilde, vecs))
     for start in range(0, dim, _CHUNK):
         stop = min(start + _CHUNK, dim)
         block = erf_step_kernel(
@@ -97,7 +97,7 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     e = sd.energies
     mask = split.patch_mask()
 
-    states = np.asarray(omega_vec, dtype=complex)
+    states = np.asarray(omega_vec)
     W = sd.vectors.conj().T @ states.reshape(e.size, -1)
     if np.any(np.abs(np.linalg.norm(W, axis=0) - 1.0) > 1e-10):
         raise AssumptionError("state vector is not normalized")
@@ -160,7 +160,7 @@ class ClusterPlacement:
 
 
 def _random_patch_states(split, count, rng):
-    V0 = np.asarray(split.patch_vectors(), dtype=complex)
+    V0 = split.patch_vectors()
     states = []
     for _ in range(count):
         c = rng.standard_normal(split.p) + 1j * rng.standard_normal(split.p)
@@ -195,7 +195,7 @@ def cluster_experiment(
     n = phi.n_sites
 
     rng = rng or np.random.default_rng(0)
-    ground = np.asarray(sd.vectors[:, split.idx0[0]], dtype=complex)
+    ground = sd.vectors[:, split.idx0[0]]
     samples = _random_patch_states(split, n_state_samples, rng)
     states = np.column_stack([ground] + samples)
 

@@ -114,7 +114,7 @@ def propagator(spec, s, t):
     if spec.kind == "spectral":
         sd = spec.spectral_data
         phases = np.exp(1j * sd.energies * (t - s))
-        V = np.asarray(sd.vectors, dtype=complex)
+        V = sd.vectors
         return (V * phases) @ V.conj().T
     W = np.eye(spec.interaction.dim, dtype=complex)
     if t == s:

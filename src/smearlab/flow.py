@@ -298,8 +298,9 @@ def automorphic_equivalence_experiment(
 ):
     """Endpoint transport error of the almost flow over a beta grid.
 
-    Returns (x, errors) with x = beta^{-2} ascending.  The gap is checked
-    at every point the flow visited, via the shared eigenvalue cache.
+    Returns (x, errors, min_gap_along_path) with x = beta^{-2} ascending.
+    The gap is checked at every point the flow visited, via the shared
+    eigenvalue cache, and its minimum over those points is returned.
     """
     cache = EigenCache(phi)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
@@ -311,14 +312,15 @@ def automorphic_equivalence_experiment(
     errors = {}
     for beta in betas:
         gen = FlowGenerator(phi, "almost", beta=beta, cache=cache)
-        result = integrate_flow(gen, s_grid)
-        transported = patch_expectation(split0, result.transported(A))
-        errors[beta] = abs(target - transported)
-    for sd in cache._store.values():
-        split_spectrum(sd, split_rule, min_gap)
+        # no FlowResult outlives its beta, so one set of unitaries is held at a time
+        transported = integrate_flow(gen, s_grid).transported(A)
+        errors[beta] = abs(target - patch_expectation(split0, transported))
+    path_gap = min(
+        split_spectrum(sd, split_rule, min_gap).gap for sd in cache._store.values()
+    )
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
     values = np.array([errors[b] for b in reversed(betas)])
-    return xs, values
+    return xs, values, path_gap
 
 
 def lppl_experiment(

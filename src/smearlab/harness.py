@@ -185,7 +185,7 @@ def run(config, out_dir=None, seed=None, threads=None):
     threads = config.threads if threads is None else int(threads)
     if threads < 1:
         raise SchemaError("threads must be >= 1")
-    _refuse_oversized(config.params)
+    _refuse_oversized(config.kind, config.params)
     out = out_dir or config.out or f"{config.kind}-results"
     os.makedirs(out, exist_ok=True)
 
@@ -213,14 +213,22 @@ def run(config, out_dir=None, seed=None, threads=None):
     return RunResult(csv_path, summary_path, summary)
 
 
-def _refuse_oversized(params):
-    """SchemaError when one dense 2^n x 2^n complex matrix exceeds physical memory."""
+def _refuse_oversized(kind, params):
+    """SchemaError when the dense 2^n x 2^n matrices a run holds at once
+    exceed physical memory.
+
+    Most experiments are sized by one complex matrix, 16 * 4^n bytes.  A flow
+    keeps a real H and its real eigenvectors (8 * 4^n bytes each) at each of
+    the 2 s_steps + 1 points its RK4 steps visit, plus the s_steps + 1
+    complex unitaries (16 * 4^n bytes each) of one integration.
+    """
     g = params.get("graph", {})
     n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
-    need, have = 16 * 4**n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = 16 * 4**n * (3 * params["s_steps"] + 2 if kind == "flow" else 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise SchemaError(f"{n} sites need {need / 2**30:.3g} GiB for one dense "
-                          f"operator; physical memory is {have / 2**30:.3g} GiB")
+        raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of dense "
+                          f"matrices; physical memory is {have / 2**30:.3g} GiB")
 
 
 def _build_graph(spec):
@@ -380,7 +388,7 @@ def _run_flow(params, rng, mapper):
     obs = params["observable"]
     A = _embed_observable(obs["op"], _check_site(obs["site"], n, "observable.site"), n)
 
-    xs, values = automorphic_equivalence_experiment(
+    xs, values, path_gap = automorphic_equivalence_experiment(
         phi, rule, A, params["betas"], s_steps=params["s_steps"], min_gap=min_gap
     )
     curve = DecayCurve(xs, values, floor=_FLOW_FLOOR)
@@ -394,6 +402,7 @@ def _run_flow(params, rng, mapper):
     summary = {
         "fit": fit.as_dict(),
         "floor": _FLOW_FLOOR,
+        "min_gap_along_path": path_gap,
         "monotone_decreasing_above_floor": monotone,
     }
     if params["exact_control"]:

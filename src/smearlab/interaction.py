@@ -163,7 +163,8 @@ class Interaction:
 
     def _assemble(self, coeffs):
         """sum_Z c_Z Phi_Z, each term added in place on its own entries."""
-        H = np.zeros((self.dim, self.dim), dtype=complex)
+        mats = [term.operator.matrix for term in self.terms]
+        H = np.zeros((self.dim, self.dim), dtype=np.result_type(float, *mats))
         for term, c in zip(self.terms, coeffs):
             if c != 0.0:
                 idx = site_index(term.sites, self.n_sites)
@@ -265,9 +266,9 @@ def xy_charge(graph, j=1.0, h=1.0):
     charge h n_x with n = (1 - sz)/2.  Commutes with the total charge.
     """
     jp, hp = as_path(j), as_path(h)
-    hop = np.zeros((4, 4), dtype=complex)
+    hop = np.zeros((4, 4))
     hop[1, 2] = hop[2, 1] = 1.0  # |01><10| + |10><01|
-    n1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    n1 = np.array([[0.0, 0.0], [0.0, 1.0]])
     terms = []
     for a, b in graph.edges:
         terms.append(InteractionTerm(LocalOperator((a, b), hop), jp))

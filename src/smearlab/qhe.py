@@ -53,7 +53,7 @@ __all__ = [
     "qhe_experiment",
 ]
 
-_CHARGE_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+_CHARGE_1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
 def local_charge(site):
@@ -64,7 +64,7 @@ def local_charge(site):
 def region_charge(graph, region):
     """Q_X = sum over the region of the local charges (dense)."""
     n = graph.n_sites
-    Q = np.zeros((2**n, 2**n), dtype=complex)
+    Q = np.zeros((2**n, 2**n))
     for x in region:
         Q += local_charge(x).embed(n)
     return Q

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import is_hermitian
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -66,19 +67,12 @@ class SpectralData:
 
 
 def diagonalize(H):
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Real-symmetric inputs take the real path; eigenvectors are returned in
-    whatever dtype the solver produces and promoted on use.
-    """
+    """Full eigendecomposition of a Hermitian matrix; the eigenvectors come
+    in the dtype of H, real for a real-symmetric H."""
     H = np.asarray(H)
-    if not np.allclose(H, H.conj().T, atol=1e-10, rtol=0.0):
+    if not is_hermitian(H, tol=1e-10):
         raise ValueError("Hamiltonian is not Hermitian")
-    if np.iscomplexobj(H) and np.abs(H.imag).max() < 1e-14:
-        H_work = np.ascontiguousarray(H.real)
-    else:
-        H_work = H
-    energies, vectors = np.linalg.eigh(H_work)
+    energies, vectors = np.linalg.eigh(H)
     return SpectralData(energies, vectors, H)
 
 
@@ -140,7 +134,7 @@ class SpectralSplit:
         """Assembled P = sum over sigma_0 of |v><v| (cached)."""
         if self._projector is None:
             V0 = self.spectral_data.vectors[:, self.idx0]
-            self._projector = np.asarray(V0, dtype=complex) @ V0.conj().T
+            self._projector = V0 @ V0.conj().T
         return self._projector
 
     def patch_mask(self):

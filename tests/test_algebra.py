@@ -194,6 +194,12 @@ def test_local_operator_diagonal_fast_path():
     cdiag = phase.embed_diagonal(4)
     assert cdiag.dtype == np.complex128
     assert np.array_equal(cdiag, np.diagonal(phase.embed(4)))
+    # integer entries become float
+    counts = LocalOperator((2,), np.diag([0, 2]))
+    assert counts.matrix.dtype == np.float64
+    idiag = counts.embed_diagonal(4)
+    assert idiag.dtype == np.float64
+    assert np.array_equal(idiag, np.diagonal(counts.embed(4)))
     xop = pauli_string("x", (1,))
     assert not xop.is_diagonal
     with pytest.raises(ValueError):

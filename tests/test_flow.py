@@ -135,7 +135,7 @@ def test_automorphic_error_decreases_with_filter_sharpness():
     g = build_chain(4)
     phi = tfim(g, 1.0, TrigRampPath(1.2, 2.0))
     A = pauli_string("x", (1,)).embed(4)
-    xs, vals = automorphic_equivalence_experiment(
+    xs, vals, _gap = automorphic_equivalence_experiment(
         phi, lowest_k(1), A, [0.9, 0.5], s_steps=100
     )
     # xs is beta^{-2} ascending
@@ -156,6 +156,30 @@ def test_automorphic_experiment_checks_the_gap_along_the_whole_path():
         automorphic_equivalence_experiment(
             phi, lowest_k(1), A, [1.0], s_steps=20, min_gap=1.5
         )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        TrigRampPath(2.0, 3.0),
+        # dips between s = 0.5 and 1, so the minimum is at an interior point
+        PolyPath([2.0, -15.0, 75.0, -120.0, 60.0]),
+    ],
+    ids=["ramp", "interior-dip"],
+)
+def test_automorphic_experiment_returns_the_minimum_gap_along_the_path(field):
+    phi = tfim(build_chain(4), 1.0, field)
+    A = pauli_string("x", (1,)).embed(4)
+    _xs, _vals, path_gap = automorphic_equivalence_experiment(
+        phi, lowest_k(1), A, [0.7], s_steps=20
+    )
+    # the RK4 steps visit the 21 grid points and the 20 midpoints; the flow
+    # keys them by s rounded to 12 decimals, which moves the last bits
+    gaps = [
+        split_spectrum(diagonalize(phi.hamiltonian(s)), lowest_k(1)).gap
+        for s in np.linspace(0.0, 1.0, 41)
+    ]
+    assert path_gap == pytest.approx(min(gaps), rel=1e-12, abs=0.0)
 
 
 def test_modulated_flow_with_large_cutoff_matches_almost():

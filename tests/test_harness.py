@@ -20,6 +20,9 @@ from smearlab.errors import (
     SchemaError,
 )
 from smearlab.harness import DecayCurve, fit_exponential, run, write_csv, write_summary
+from smearlab.interaction import tfim
+from smearlab.lattice import build_chain
+from smearlab.spectra import diagonalize, lowest_k, split_spectrum
 
 
 # ---------------------------------------------------------------- fitting
@@ -200,6 +203,9 @@ def test_run_flow_fits_decay(tmp_path):
     assert res.summary["floor"] == 1e-12
     assert res.summary["monotone_decreasing_above_floor"] is True
     assert "exact_control_error" not in res.summary
+    # the field ramps up from g = 2, so the gap is smallest at s = 0
+    sd0 = diagonalize(tfim(build_chain(4), 1.0, 2.0).hamiltonian())
+    assert res.summary["min_gap_along_path"] == split_spectrum(sd0, lowest_k(1)).gap
     rows = open(res.csv_path, encoding="utf-8").read().strip().split("\n")[1:]
     xs = [float(r.split(",")[0]) for r in rows]
     assert xs == sorted(xs) and abs(xs[0] - 0.9**-2) < 1e-12
@@ -357,6 +363,51 @@ def test_cli_refuses_config_larger_than_memory(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert peak < 10e6
     assert not (tmp_path / "o").exists()
+
+
+def _flow_config(n, s_steps):
+    return {
+        "experiment": "flow",
+        "graph": {"kind": "chain", "n": n},
+        "model": {"kind": "tfim", "j": 1.0,
+                  "g": {"kind": "trig_ramp", "start": 2.0, "stop": 3.0}},
+        "split": {"rule": "lowest_k", "k": 1},
+        "betas": [0.9, 0.7, 0.55, 0.45],
+        "observable": {"site": 1, "op": "x"},
+        "s_steps": s_steps,
+    }
+
+
+def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypatch):
+    # pin physical memory to 7 GiB, whatever the machine running the test has
+    sysconf = os.sysconf
+    pages = 7 * 2**30 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+
+    def must_not_run(params, rng, mapper):
+        raise AssertionError("the flow started instead of being refused")
+
+    monkeypatch.setitem(harness._DRIVERS, "flow", must_not_run)
+    # 401 cached real (H, V) pairs of 16 MiB plus 201 complex unitaries of
+    # 16 MiB: 9.4 GiB
+    cfg = write_config(tmp_path, "flow10.json", _flow_config(10, 200))
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert peak < 10e6
+    assert not (tmp_path / "o").exists()
+    # a chain of 9 needs 2.4 GiB, a chain of 6 with 400 steps 75 MiB, and
+    # other experiments one dense operator: all are accepted
+    for params in (_flow_config(9, 200), _flow_config(6, 400)):
+        harness._refuse_oversized("flow", validate_config(params).params)
+    harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
 
 
 def test_cli_assumption_error_exits_3(tmp_path, capsys):

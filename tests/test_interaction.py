@@ -8,6 +8,7 @@ import pytest
 
 from smearlab.algebra import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     LocalOperator,
     commutator,
@@ -28,6 +29,8 @@ from smearlab.interaction import (
     xy_charge,
 )
 from smearlab.lattice import build_chain, build_ring, build_torus
+from smearlab.qhe import region_charge
+from smearlab.spectra import diagonalize
 
 
 def test_poly_path_values_and_derivative():
@@ -111,6 +114,43 @@ def test_hamiltonian_assembly_holds_one_matrix():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1.25 * H.nbytes
+
+
+def test_real_models_stay_real_from_terms_to_eigenvectors():
+    chain = build_chain(5)
+    phi = tfim(chain, 1.0, TrigRampPath(2.0, 3.0))
+    H = phi.hamiltonian(0.3)
+    torus = build_torus(3, 3)
+    real = [
+        H,
+        phi.hamiltonian_derivative(0.3),
+        xy_charge(torus, 0.2, 1.0).hamiltonian(),
+        region_charge(torus, [0, 4, 8]),
+        pauli_string("x", (1,)).embed(5),
+        pauli_string("z", (3,)).embed(5),
+    ]
+    assert [A.dtype for A in real] == [np.float64] * len(real)
+    sd = diagonalize(H)
+    assert sd.vectors.dtype == np.float64
+    assert sd.hamiltonian is H
+
+
+def test_y_term_makes_the_hamiltonian_complex():
+    specs = [("Y", (0,), 0.7), ("Z", (1,), -0.4), ("ZZ", (1, 2), 1.1),
+             ("X", (2,), 0.5), ("Y", (2,), -0.3)]
+    phi = custom_model(build_chain(3), specs)
+    H = phi.hamiltonian()
+    assert H.dtype == np.complex128
+    letters = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    expect = np.zeros((8, 8), dtype=complex)
+    for label, sites, c in specs:
+        factors = [letters[label[sites.index(x)]] if x in sites else np.eye(2)
+                   for x in range(3)]
+        expect += c * np.kron(np.kron(factors[0], factors[1]), factors[2])
+    assert np.array_equal(H, expect)
+    sd = diagonalize(H)
+    V = sd.vectors
+    assert np.abs((V * sd.energies) @ V.conj().T - H).max() <= 1e-12
 
 
 def test_is_constant_reads_the_paths_on_the_interval():
