@@ -182,7 +182,8 @@ def conditional_expectation(A, keep_sites, n_sites, q=2):
 
 
 def is_hermitian(A, tol=1e-12):
-    return bool(np.allclose(A, A.conj().T, atol=tol, rtol=0.0))
+    """Every entry of A - A^dagger is at most tol in modulus (NaN fails)."""
+    return bool(np.abs(A - A.conj().T).max(initial=0.0) <= tol)
 
 
 def schatten_norm(A, p=np.inf):
@@ -217,13 +218,13 @@ def commutator(A, B):
 def commutator_norm(A, B):
     """||[A, B]||_inf for Hermitian A and B, from one product C = A B:
     [A, B] = C - C^dagger, and i (C - C^dagger) is exactly Hermitian, so
-    the norm takes the eigenvalue path.  Other input raises ValueError,
+    its norm is the largest |eigenvalue|.  Other input raises ValueError,
     since C - C^dagger is then not the commutator and could read too low.
     """
     if not (is_hermitian(A) and is_hermitian(B)):
         raise ValueError("commutator_norm needs Hermitian A and B")
     C = A @ B
-    return schatten_norm(1j * (C - C.conj().T), np.inf)
+    return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
 
 
 def liouvillian(H, A):

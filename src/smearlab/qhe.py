@@ -25,8 +25,10 @@ from .algebra import (
     LocalOperator,
     commutator_norm,
     conditional_expectation,
+    embed,
     liouvillian,
     schatten_norm,
+    trace_sites,
 )
 from .errors import AssumptionError, DegenerateFactorError
 from .filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
@@ -104,27 +106,21 @@ class ChargeGeometry:
         self.upper_half = Region(self.graph, [self._site(x, y) for y in rows for x in range(self.lx)])
         self.right_half = Region(self.graph, [self._site(x, y) for x in cols for y in range(self.ly)])
 
-        self.lower_strip = self._row_strip(self.row_start, w)
-        self.upper_strip = self._row_strip(0, w)
-        self.left_strip = self._col_strip(self.col_start, w)
-        self.right_strip = self._col_strip(0, w)
+        self.lower_strip = self._strip(1, self.row_start, w)
+        self.upper_strip = self._strip(1, 0, w)
+        self.left_strip = self._strip(0, self.col_start, w)
+        self.right_strip = self._strip(0, 0, w)
 
     def _site(self, x, y):
         return x % self.lx + self.lx * (y % self.ly)
 
-    def _row_strip(self, cut_row, w):
-        """Rows cut_row-w .. cut_row+w-1 (mod Ly) around the cut below
-        cut_row."""
-        rows = [(cut_row + k) % self.ly for k in range(-w, w)]
-        return Region(
-            self.graph, [self._site(x, y) for y in rows for x in range(self.lx)]
-        )
-
-    def _col_strip(self, cut_col, w):
-        cols = [(cut_col + k) % self.lx for k in range(-w, w)]
-        return Region(
-            self.graph, [self._site(x, y) for x in cols for y in range(self.ly)]
-        )
+    def _strip(self, axis, cut, w):
+        """Rows (axis 1) or columns (axis 0) cut-w .. cut+w-1, wrapped
+        around the torus, on both sides of the cut before line `cut`."""
+        size = (self.lx, self.ly)[axis]
+        lines = {(cut + k) % size for k in range(-w, w)}
+        return Region(self.graph, [self._site(x, y) for y in range(self.ly)
+                                   for x in range(self.lx) if (x, y)[axis] in lines])
 
     @property
     def strips_disjoint(self):
@@ -184,6 +180,16 @@ def _polar_unitary(M, min_sv=1e-6):
     return u @ vh, float(s.min())
 
 
+def _strip_unitary(M, strip, n):
+    """Polar part of E_strip(M) = m (x) 1, taken on the strip: polar(m (x) 1)
+    is polar(m) (x) 1 with the same singular values, so only m is
+    decomposed.  Returns the embedded unitary and the smallest singular
+    value."""
+    rest = [s for s in range(n) if s not in strip.sites]
+    u, sv = _polar_unitary(trace_sites(M, rest, n) / 2 ** len(rest))
+    return embed(u, strip.sites, n), sv
+
+
 @dataclass
 class FluxFactorization:
     flux: np.ndarray
@@ -193,7 +199,7 @@ class FluxFactorization:
     min_singular_value: float
 
 
-def flux_unitary(sd, Q_upper, geometry, beta=None, split=None, angle=2.0 * math.pi):
+def flux_unitary(sd, Q_upper, geometry, beta=None, angle=2.0 * math.pi):
     """W = e^{i angle Qbar_U} and its boundary factorization.
 
     The lower factor is the re-unitarized conditional expectation of W
@@ -205,14 +211,10 @@ def flux_unitary(sd, Q_upper, geometry, beta=None, split=None, angle=2.0 * math.
     separation between the cuts.
     """
     n = geometry.graph.n_sites
-    Qbar = dressed_charge(sd, Q_upper, beta=beta, split=split)
+    Qbar = dressed_charge(sd, Q_upper, beta=beta)
     W = _unitary_exponential(Qbar, angle)
-    lower_raw = conditional_expectation(W, geometry.lower_strip.sites, n)
-    lower, sv_low = _polar_unitary(lower_raw)
-    upper_raw = conditional_expectation(
-        lower.conj().T @ W, geometry.upper_strip.sites, n
-    )
-    upper, _ = _polar_unitary(upper_raw)
+    lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
+    upper, _ = _strip_unitary(lower.conj().T @ W, geometry.upper_strip, n)
     residual = schatten_norm(W - lower @ upper, np.inf)
     return FluxFactorization(W, lower, upper, residual, sv_low)
 
@@ -262,26 +264,22 @@ class ZPhaseResult:
     det_residual: float
 
 
-def z_phase_operator(sd, U, Q_right, geometry, phi, beta=None, split=None,
-                     det_split=None):
+def z_phase_operator(sd, U, Q_right, geometry, phi, beta=None, det_split=None):
     """Z(phi) = U^dagger e^{i phi Qbar_R} U e^{-i phi Qbar_R}.
 
     Reports ||[Z, P]||_inf and, using the left-strip factor of Z, the
     distance of its patch determinant from 1 (meaningful at phi = 2 pi).
     """
     n = geometry.graph.n_sites
-    Qbar_r = dressed_charge(sd, Q_right, beta=beta, split=split)
+    if det_split is None:
+        raise ValueError("need a split for the patch diagnostics")
+    Qbar_r = dressed_charge(sd, Q_right, beta=beta)
     E = _unitary_exponential(Qbar_r, phi)
     Z = U.conj().T @ E @ U @ E.conj().T
-    ref = det_split if det_split is not None else split
-    if ref is None:
-        raise ValueError("need a split for the patch diagnostics")
-    P = ref.projector
+    P = det_split.projector
     comm = schatten_norm(Z @ P - P @ Z, np.inf)
-    z_left, _ = _polar_unitary(
-        conditional_expectation(Z, geometry.left_strip.sites, n)
-    )
-    V0 = ref.patch_vectors()
+    z_left, _ = _strip_unitary(Z, geometry.left_strip, n)
+    V0 = det_split.patch_vectors()
     block = V0.conj().T @ z_left @ V0
     det_res = abs(np.linalg.det(block) - 1.0)
     return ZPhaseResult(Z, comm, det_res)

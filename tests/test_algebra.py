@@ -183,6 +183,19 @@ def test_commutator_norm_matches_svd_of_the_commutator(dim):
     assert commutator_norm(A, B) == pytest.approx(explicit, rel=1e-12, abs=0.0)
 
 
+def test_is_hermitian_edge_cases():
+    tol = 1e-12
+    for defect, verdict in ((1.01 * tol, False), (0.99 * tol, True)):
+        real = np.array([[1.0, defect], [0.0, -1.0]])
+        cplx = np.array([[1.0, 2.0 + 1j * defect], [2.0, -1.0]])
+        assert is_hermitian(real, tol=tol) is verdict
+        assert is_hermitian(cplx, tol=tol) is verdict
+    H = np.eye(3)
+    H[1, 1] = np.nan
+    assert is_hermitian(H) is False
+    assert is_hermitian(np.zeros((0, 0))) is True
+
+
 def test_local_operator_diagonal_fast_path():
     op = pauli_string("zz", (0, 2))
     assert op.is_diagonal

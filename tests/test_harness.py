@@ -4,6 +4,7 @@ desk-size instances, byte-level determinism, and the CLI exit codes."""
 
 import filecmp
 import json
+import math
 import os
 import tracemalloc
 
@@ -286,6 +287,18 @@ def test_run_qhe_free_point_is_trivial(tmp_path):
     assert pt["gap"] == 1.0
     rows = open(res.csv_path, encoding="utf-8").read().strip().split("\n")[1:]
     assert rows == ["0,0"]
+
+
+def test_run_qhe_phase_grid_is_trivial_at_zero_flux(tmp_path):
+    cfg = validate_config({"experiment": "qhe", "L": 3, "J": [0.2],
+                           "phi_grid": [0.0, 2 * math.pi]})
+    res = run(cfg, out_dir=str(tmp_path / "qhe"))
+    zero, full = res.summary["z_phase"]
+    assert (zero["phi"], full["phi"]) == (0.0, 2 * math.pi)
+    assert zero["patch_commutator"] <= 1e-12
+    assert zero["det_residual"] <= 1e-12
+    assert full["patch_commutator"] < 1e-8
+    assert full["det_residual"] < 0.05
 
 
 def test_failed_verdict_still_writes_files(tmp_path, monkeypatch):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from smearlab.algebra import commutator, commutator_norm, operator_norm, schatten_norm
+from smearlab.algebra import (
+    commutator,
+    commutator_norm,
+    conditional_expectation,
+    operator_norm,
+    schatten_norm,
+)
 from smearlab.errors import AssumptionError, DegenerateFactorError
 from smearlab.interaction import tfim, xy_charge
 from smearlab.qhe import (
@@ -157,6 +163,27 @@ def test_flux_unitary_factorization(torus3):
         schatten_norm(fact.flux - fact.lower @ fact.upper, np.inf)
     )
     assert fact.min_singular_value > 1e-3
+
+
+def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
+    # on the 3x3 torus every boundary strip holds 6 sites, so each polar
+    # SVD runs at 2^6 = 64 and never on the 512-dimensional product operator
+    import smearlab.qhe as qhe
+
+    geo, phi, sd = torus3
+    split = split_spectrum(sd, lowest_k(1))
+    shapes, svd = [], qhe.svd
+    monkeypatch.setattr(qhe, "svd", lambda M: shapes.append(M.shape) or svd(M))
+    beta = 3**-0.5
+    fact = flux_unitary(sd, region_charge(geo.graph, geo.upper_half), geo, beta=beta)
+    z_phase_operator(sd, fact.lower, region_charge(geo.graph, geo.right_half), geo,
+                     2 * math.pi, beta=beta, det_split=split)
+    assert shapes == [(64, 64)] * 3
+    # oracle: the polar part of the re-embedded conditional expectation
+    dense, sv = qhe._polar_unitary(
+        conditional_expectation(fact.flux, geo.lower_strip.sites, geo.graph.n_sites))
+    assert operator_norm(fact.lower - dense) < 1e-12
+    assert fact.min_singular_value == pytest.approx(sv, rel=1e-12)
 
 
 def test_polar_factor_rejects_singular_input():
