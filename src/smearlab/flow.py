@@ -31,7 +31,7 @@ from .filtering import (
 )
 from .interaction import local_perturbation
 from .lattice import Region
-from .spectra import diagonalize, patch_expectation, split_spectrum
+from .spectra import diagonalize, lowest_levels, patch_expectation, split_spectrum
 
 __all__ = [
     "FlowGenerator",
@@ -335,18 +335,14 @@ def lppl_experiment(
     """Endpoint patch-state response |omega_1(A) - omega_0(A)| versus the
     distance of A from the perturbed region.
 
-    `observable_builder(site)` supplies the observable at a chosen site;
-    sites are picked as the lowest index realizing each requested graph
-    distance from the perturbation support.
+    `observable_builder(site)` supplies the local observable at a chosen
+    site; sites are picked as the lowest index realizing each requested
+    graph distance from the perturbation support.  Also returns the
+    minimum gap over 21 evenly spaced s and the largest ||H v - E v||.
     """
     phi = local_perturbation(base, perturbation_op, strength_path)
     graph = phi.graph
     pert_region = Region(graph, perturbation_op.sites)
-
-    cache = EigenCache(phi)
-    split0 = split_spectrum(cache.at(0.0), split_rule, min_gap)
-    split_spectrum(cache.at(0.5), split_rule, min_gap)
-    split1 = split_spectrum(cache.at(1.0), split_rule, min_gap)
 
     sites = []
     for d in distances:
@@ -355,12 +351,21 @@ def lppl_experiment(
             raise AssumptionError(f"no site at distance {d} from the perturbation")
         sites.append(min(candidates))
 
+    # keep only the endpoint splits: a dense one holds a full eigendecomposition
+    gaps, residuals, ends = [], [], []
+    for s in np.linspace(0.0, 1.0, 21):
+        if split_rule.kind == "lowest_k":
+            sd = lowest_levels(phi.sparse_hamiltonian(s), *split_rule.params)
+        else:
+            sd = diagonalize(phi.hamiltonian(s))
+        split = split_spectrum(sd, split_rule, min_gap)
+        gaps.append(split.gap)
+        residuals.append(sd.residual())
+        if s in (0.0, 1.0):
+            ends.append(split)
+
     values = []
     for x in sites:
-        A_op = observable_builder(x)
-        n = graph.n_sites
-        A = A_op.embed_diagonal(n) if A_op.is_diagonal else A_op.embed(n)
-        w0 = patch_expectation(split0, A)
-        w1 = patch_expectation(split1, A)
+        w0, w1 = (patch_expectation(split, observable_builder(x)) for split in ends)
         values.append(abs(w1 - w0))
-    return np.asarray(distances, float), np.asarray(values), sites
+    return np.asarray(distances, float), np.asarray(values), sites, min(gaps), max(residuals)

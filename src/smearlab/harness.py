@@ -37,6 +37,7 @@ from .interaction import PolyPath, TrigRampPath, tfim, xy_charge
 from .lattice import Region, build_chain, build_ring, build_torus
 from .qhe import (
     ChargeGeometry,
+    dressed_charge,
     flux_unitary,
     qhe_experiment,
     region_charge,
@@ -428,7 +429,7 @@ def _run_lppl(params, rng, mapper):
     def builder(site):
         return pauli_string(params["observable_op"], (site,))
 
-    xs, values, sites = lppl_experiment(
+    xs, values, sites, path_gap, residual = lppl_experiment(
         base, pert_op, strength_path, params["distances"], builder, rule,
         min_gap=min_gap,
     )
@@ -437,6 +438,8 @@ def _run_lppl(params, rng, mapper):
     summary = {
         "fit": fit.as_dict(),
         "floor": 1e-14,
+        "max_patch_residual": residual,
+        "min_gap_along_path": path_gap,
         "observable_sites": sites,
     }
     return ("x", "value"), rows, summary
@@ -534,11 +537,11 @@ def _run_qhe(params, rng, mapper):
         split = split_spectrum(sd, rule, min_gap=min_gap)
         q_upper = region_charge(geometry.graph, geometry.upper_half)
         q_right = region_charge(geometry.graph, geometry.right_half)
-        fact = flux_unitary(sd, q_upper, geometry, beta=beta)
+        fact = flux_unitary(dressed_charge(sd, q_upper, beta=beta), geometry)
+        qbar_right = dressed_charge(sd, q_right, beta=beta)
         z_rows = []
         for ang in params["phi_grid"]:
-            z = z_phase_operator(sd, fact.lower, q_right, geometry, ang,
-                                 beta=beta, det_split=split)
+            z = z_phase_operator(fact.lower, qbar_right, geometry, ang, det_split=split)
             z_rows.append({
                 "phi": ang,
                 "patch_commutator": z.patch_commutator,

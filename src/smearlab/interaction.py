@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .algebra import (
     LocalOperator,
@@ -161,15 +162,29 @@ class Interaction:
         """Dense dH/dt, using the exact path derivatives."""
         return self._assemble(term.coefficient_derivative(t) for term in self.terms)
 
+    def sparse_hamiltonian(self, t=0.0):
+        """CSR H(t) from the entries `hamiltonian(t)` adds; entries that
+        several terms share are summed."""
+        parts = list(zip(*self._entries(term.coefficient(t) for term in self.terms)))
+        rows, cols, vals = (np.concatenate(p) for p in parts) if parts else ([], [], [])
+        return coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+
+    def _entries(self, coeffs):
+        """Rows, columns and values of the nonzero entries of each c_Z Phi_Z
+        in H, flat, with no (row, column) pair twice within one term."""
+        for term, c in zip(self.terms, coeffs):
+            if c != 0.0:
+                idx = site_index(term.sites, self.n_sites)
+                a, b = np.nonzero(term.operator.matrix)
+                vals = np.repeat(c * term.operator.matrix[a, b], idx.shape[1])
+                yield idx[a].ravel(), idx[b].ravel(), vals
+
     def _assemble(self, coeffs):
         """sum_Z c_Z Phi_Z, each term added in place on its own entries."""
         mats = [term.operator.matrix for term in self.terms]
         H = np.zeros((self.dim, self.dim), dtype=np.result_type(float, *mats))
-        for term, c in zip(self.terms, coeffs):
-            if c != 0.0:
-                idx = site_index(term.sites, self.n_sites)
-                block = (c * term.operator.matrix)[:, :, None]
-                H[idx[:, None, :], idx[None, :, :]] += block
+        for rows, cols, vals in self._entries(coeffs):
+            H[rows, cols] += vals
         return H
 
     def derivative_snapshot(self, t):

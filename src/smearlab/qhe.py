@@ -199,7 +199,7 @@ class FluxFactorization:
     min_singular_value: float
 
 
-def flux_unitary(sd, Q_upper, geometry, beta=None, angle=2.0 * math.pi):
+def flux_unitary(Qbar_upper, geometry, angle=2.0 * math.pi):
     """W = e^{i angle Qbar_U} and its boundary factorization.
 
     The lower factor is the re-unitarized conditional expectation of W
@@ -211,8 +211,7 @@ def flux_unitary(sd, Q_upper, geometry, beta=None, angle=2.0 * math.pi):
     separation between the cuts.
     """
     n = geometry.graph.n_sites
-    Qbar = dressed_charge(sd, Q_upper, beta=beta)
-    W = _unitary_exponential(Qbar, angle)
+    W = _unitary_exponential(Qbar_upper, angle)
     lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
     upper, _ = _strip_unitary(lower.conj().T @ W, geometry.upper_strip, n)
     residual = schatten_norm(W - lower @ upper, np.inf)
@@ -264,7 +263,7 @@ class ZPhaseResult:
     det_residual: float
 
 
-def z_phase_operator(sd, U, Q_right, geometry, phi, beta=None, det_split=None):
+def z_phase_operator(U, Qbar_right, geometry, phi, det_split=None):
     """Z(phi) = U^dagger e^{i phi Qbar_R} U e^{-i phi Qbar_R}.
 
     Reports ||[Z, P]||_inf and, using the left-strip factor of Z, the
@@ -273,8 +272,7 @@ def z_phase_operator(sd, U, Q_right, geometry, phi, beta=None, det_split=None):
     n = geometry.graph.n_sites
     if det_split is None:
         raise ValueError("need a split for the patch diagnostics")
-    Qbar_r = dressed_charge(sd, Q_right, beta=beta)
-    E = _unitary_exponential(Qbar_r, phi)
+    E = _unitary_exponential(Qbar_right, phi)
     Z = U.conj().T @ E @ U @ E.conj().T
     P = det_split.projector
     comm = schatten_norm(Z @ P - P @ Z, np.inf)
@@ -326,7 +324,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8):
     dressing_defect = commutator_norm(Qbar, P)
     bare_defect = commutator_norm(Q_upper, P)
 
-    fact = flux_unitary(sd, Q_upper, geometry, beta=beta)
+    fact = flux_unitary(Qbar, geometry)
     trans = transport_operator(fact.lower, Q_right, geometry)
     quant = quantization_check(split, trans.operator)
     return QHEPoint(

@@ -9,11 +9,13 @@ through a degenerate level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .algebra import is_hermitian
+from .algebra import LocalOperator, is_hermitian, site_index
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "window",
     "largest_gap_below",
     "diagonalize",
+    "lowest_levels",
     "split_spectrum",
     "patch_expectation",
 ]
@@ -57,6 +60,11 @@ class SpectralData:
         """omega[i, j] = E_i - E_j."""
         return self.energies[:, None] - self.energies[None, :]
 
+    def residual(self):
+        """Largest ||H v - E v|| over the eigenpairs held."""
+        V = self.vectors
+        return float(np.linalg.norm(self.hamiltonian @ V - V * self.energies, axis=0).max())
+
     def clusters(self, tol=DEGENERACY_TOL):
         """Index ranges of eigenvalues within `tol` of their neighbour."""
         e = self.energies
@@ -74,6 +82,35 @@ def diagonalize(H):
         raise ValueError("Hamiltonian is not Hermitian")
     energies, vectors = np.linalg.eigh(H)
     return SpectralData(energies, vectors, H)
+
+
+def lowest_levels(H, k):
+    """The lowest levels of a sparse Hermitian H, enough for
+    `split_spectrum(., lowest_k(k))`: the whole degenerate cluster holding
+    level k-1 and the one level above it.
+
+    A Krylov space can miss copies of a degenerate level, so each level is
+    the lowest eigenpair, by `eigsh` with fixed seeds, of H shifted above
+    its spectrum on the span of the levels found before it.  Returns a
+    partial SpectralData holding H.
+    """
+    dim = H.shape[0]
+    shift = 2.0 * abs(H).sum(axis=1).max() + 1.0  # above 2 ||H||
+    v0 = np.random.default_rng(12345).standard_normal(dim)
+    energies, rows = np.empty(0), np.empty((0, dim), dtype=H.dtype)
+    while energies.size < dim:
+        # einsum, not numpy's BLAS, whose threads would contend with eigsh's
+        conj, shifted = rows.conj(), shift * rows
+        deflated = LinearOperator((dim, dim), dtype=H.dtype, matvec=lambda x: (
+            H @ x + np.einsum("i,ik->k", np.einsum("ij,j->i", conj, x), shifted)))
+        val, vec = eigsh(deflated, k=1, which="SA", v0=v0, tol=0.0,
+                         rng=np.random.default_rng(12345))
+        closed = energies.size >= k and val[0] - energies[-1] > DEGENERACY_TOL
+        energies = np.append(energies, val)
+        rows = np.vstack((rows, vec.T))
+        if closed:
+            return SpectralData(energies, rows.T, H)
+    raise AssumptionError(f"lowest_k({k}) selects the entire spectrum")
 
 
 @dataclass(frozen=True)
@@ -217,11 +254,13 @@ def split_spectrum(sd, rule, min_gap=1e-8, tol=DEGENERACY_TOL):
 def patch_expectation(split, A):
     """Normalized patch state omega(A) = tr(P A) / p.
 
-    A 1-D input is read as a diagonal operator.
+    A LocalOperator is applied to the patch vectors on its support only:
+    W[a, r] = V0[idx[a, r]], contracted with its matrix.
     """
     V0 = split.patch_vectors()
-    if np.ndim(A) == 1:
-        vals = np.einsum("ji,j,ji->i", V0.conj(), np.asarray(A), V0, optimize=True)
+    if isinstance(A, LocalOperator):
+        W = V0[site_index(A.sites, round(math.log(V0.shape[0], A.q)), A.q)]
+        vals = np.einsum("ari,ab,bri->i", W.conj(), A.matrix, W, optimize=True)
     else:
         vals = np.einsum("ij,jk,ki->i", V0.conj().T, A, V0, optimize=True)
     return complex(vals.sum() / split.p)

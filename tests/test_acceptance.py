@@ -236,7 +236,7 @@ def test_criterion_09_perturbation_response_is_local():
     def builder(site):
         return pauli_string("z", (site,))
 
-    xs, values, _sites = lppl_experiment(
+    xs, values, _sites, _gap, _residual = lppl_experiment(
         base, perturbation, PolyPath([0.0, 0.3]), list(range(2, 9)),
         builder, lowest_k(1))
     fit = fit_exponential(DecayCurve(xs, values))

@@ -1,6 +1,7 @@
 """Spectral flows: generators, transport, localization, decay experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from smearlab.flow import (
     sup_poly_exp,
     tail_geom,
 )
-from smearlab.interaction import PolyPath, TrigRampPath, custom_model, tfim
+from smearlab.interaction import (
+    PolyPath,
+    TrigRampPath,
+    custom_model,
+    local_perturbation,
+    tfim,
+)
 from smearlab.lattice import build_chain
 from smearlab.spectra import diagonalize, lowest_k, patch_expectation, split_spectrum
 
@@ -260,7 +267,7 @@ def test_tail_geom_dominates_series():
 def test_lppl_zero_perturbation_is_flat():
     g = build_chain(5)
     base = tfim(g, 1.0, 2.0)
-    xs, vals, sites = lppl_experiment(
+    xs, vals, sites, _gap, _residual = lppl_experiment(
         base,
         pauli_string("z", (0,)),
         PolyPath([0.0]),
@@ -277,7 +284,7 @@ def test_lppl_commuting_perturbation_is_flat():
     # one eigenbasis, so the patch state never moves
     g = build_chain(4)
     base = tfim(g, 0.0, 2.0)
-    xs, vals, _ = lppl_experiment(
+    xs, vals, _sites, _gap, _residual = lppl_experiment(
         base,
         pauli_string("x", (0,)),
         PolyPath([0.0, 0.3]),
@@ -288,10 +295,57 @@ def test_lppl_commuting_perturbation_is_flat():
     assert np.all(vals <= 1e-12)
 
 
+def test_lppl_matches_the_dense_route_along_the_path():
+    # a non-diagonal observable contracted on its support gives the dense
+    # embedded expectation, and the path gap is the minimum over 21 points
+    n = 6
+    base = tfim(build_chain(n), 1.0, 2.0)
+    pert, path = pauli_string("z", (0,)), PolyPath([0.0, 0.3])
+    _, vals, sites, path_gap, residual = lppl_experiment(
+        base, pert, path, [1, 2, 3], lambda s: pauli_string("x", (s,)), lowest_k(1))
+    phi = local_perturbation(base, pert, path)
+    splits = [split_spectrum(diagonalize(phi.hamiltonian(s)), lowest_k(1))
+              for s in np.linspace(0.0, 1.0, 21)]
+    for x, value in zip(sites, vals):
+        A = pauli_string("x", (x,)).embed(n)
+        w0, w1 = (patch_expectation(split, A) for split in (splits[0], splits[-1]))
+        assert value == pytest.approx(abs(w1 - w0), abs=1e-12)
+    assert path_gap == pytest.approx(min(split.gap for split in splits), abs=1e-12)
+    assert 0.0 < residual <= 1e-12
+
+
+def test_lppl_lowest_k_never_goes_dense(monkeypatch):
+    # one dense H on 14 sites alone would take 2.1 GB
+    import smearlab.flow as flow
+    import smearlab.spectra as spectra
+
+    calls = []
+    for module in (flow, spectra):
+        monkeypatch.setattr(module, "diagonalize",
+                            lambda H: calls.append("diagonalize"))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **kw: calls.append("eigh") or eigh(*a, **kw))
+    tracemalloc.start()
+    try:
+        _, vals, _, path_gap, residual = lppl_experiment(
+            tfim(build_chain(14), 1.0, 2.0), pauli_string("z", (0,)),
+            PolyPath([0.0, 0.3]), [2, 5, 8], lambda s: pauli_string("z", (s,)),
+            lowest_k(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 64e6
+    assert np.all(np.diff(vals) < 0)
+    assert path_gap > 1.0
+    assert residual <= 1e-12
+
+
 def test_lppl_response_decays_with_distance():
     g = build_chain(6)
     base = tfim(g, 1.0, 2.0)
-    xs, vals, sites = lppl_experiment(
+    xs, vals, sites, _gap, _residual = lppl_experiment(
         base,
         pauli_string("z", (0,)),
         PolyPath([0.0, 0.3]),

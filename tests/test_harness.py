@@ -244,6 +244,22 @@ def test_run_lppl_records_sites(tmp_path):
     assert res.summary["fit"]["r_squared"] > 0.9
 
 
+def test_run_lppl_reports_path_health_byte_identically(tmp_path):
+    cfg = validate_config({
+        "experiment": "lppl",
+        "graph": {"kind": "chain", "n": 8},
+        "model": {"kind": "tfim", "j": 1.0, "g": 2.0},
+        "split": {"rule": "lowest_k", "k": 1},
+        "perturbation": {"site": 0, "strength": 0.3},
+        "distances": [2, 3, 4],
+    })
+    one = run(cfg, out_dir=str(tmp_path / "one"))
+    two = run(cfg, out_dir=str(tmp_path / "two"))
+    assert filecmp.cmp(one.summary_path, two.summary_path, shallow=False)
+    assert 1.0 < one.summary["min_gap_along_path"] < 4.0
+    assert 0.0 < one.summary["max_patch_residual"] <= 1e-12
+
+
 def test_run_lppl_decay_sweep(tmp_path):
     # perturbation response over seven separations on the n = 12 chain
     cfg = validate_config({

@@ -107,6 +107,25 @@ def test_hamiltonian_is_exactly_the_sum_of_embedded_terms(phi):
     assert np.array_equal(phi.hamiltonian(0.0), expect)
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        tfim(build_ring(6), PolyPath([1.3, -0.4]), TrigRampPath(0.6, 2.0)),
+        xy_charge(build_torus(3, 3), 0.2, 1.0),
+        custom_model(build_chain(4), [("Y", (0,), 0.7), ("ZZ", (1, 2), 1.1),
+                                      ("XY", (2, 3), PolyPath([0.5, 1.0]))]),
+    ],
+    ids=["ring-paths", "xy-torus3", "complex-chain4"],
+)
+def test_sparse_hamiltonian_matches_dense(phi):
+    for t in (0.0, 0.4):
+        H = phi.hamiltonian(t)
+        S = phi.sparse_hamiltonian(t)
+        assert S.format == "csr"
+        assert S.dtype == H.dtype
+        assert np.abs(S.toarray() - H).max() <= 1e-14 * operator_norm(H)
+
+
 def test_hamiltonian_assembly_holds_one_matrix():
     phi = tfim(build_chain(10), 1.0, 0.7)
     tracemalloc.start()

@@ -156,7 +156,7 @@ def test_single_particle_spectrum_and_gap(torus3):
 def test_flux_unitary_factorization(torus3):
     geo, phi, sd = torus3
     Q = region_charge(geo.graph, geo.upper_half)
-    fact = flux_unitary(sd, Q, geo, beta=3**-0.5)
+    fact = flux_unitary(dressed_charge(sd, Q, beta=3**-0.5), geo)
     for U in (fact.flux, fact.lower, fact.upper):
         assert operator_norm(U.conj().T @ U - np.eye(512)) < 1e-10
     assert fact.residual == pytest.approx(
@@ -175,9 +175,11 @@ def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
     shapes, svd = [], qhe.svd
     monkeypatch.setattr(qhe, "svd", lambda M: shapes.append(M.shape) or svd(M))
     beta = 3**-0.5
-    fact = flux_unitary(sd, region_charge(geo.graph, geo.upper_half), geo, beta=beta)
-    z_phase_operator(sd, fact.lower, region_charge(geo.graph, geo.right_half), geo,
-                     2 * math.pi, beta=beta, det_split=split)
+    fact = flux_unitary(
+        dressed_charge(sd, region_charge(geo.graph, geo.upper_half), beta=beta), geo)
+    z_phase_operator(fact.lower,
+                     dressed_charge(sd, region_charge(geo.graph, geo.right_half), beta=beta),
+                     geo, 2 * math.pi, det_split=split)
     assert shapes == [(64, 64)] * 3
     # oracle: the polar part of the re-embedded conditional expectation
     dense, sv = qhe._polar_unitary(
@@ -198,7 +200,7 @@ def test_transport_operator_properties(torus3):
     geo, phi, sd = torus3
     Q_up = region_charge(geo.graph, geo.upper_half)
     Q_r = region_charge(geo.graph, geo.right_half)
-    fact = flux_unitary(sd, Q_up, geo, beta=3**-0.5)
+    fact = flux_unitary(dressed_charge(sd, Q_up, beta=3**-0.5), geo)
     res = transport_operator(fact.lower, Q_r, geo)
     T = res.operator
     assert np.allclose(T, T.conj().T)
@@ -262,19 +264,20 @@ def test_z_phase_operator_diagnostics(torus3):
     Q_up = region_charge(geo.graph, geo.upper_half)
     Q_r = region_charge(geo.graph, geo.right_half)
     beta = 3**-0.5
-    fact = flux_unitary(sd, Q_up, geo, beta=beta)
+    fact = flux_unitary(dressed_charge(sd, Q_up, beta=beta), geo)
+    Qbar_r = dressed_charge(sd, Q_r, beta=beta)
     # phi = 0 gives the identity exactly
     z0 = z_phase_operator(
-        sd, fact.lower, Q_r, geo, 0.0, beta=beta, det_split=split
+        fact.lower, Qbar_r, geo, 0.0, det_split=split
     )
     assert z0.patch_commutator < 1e-12
     assert z0.det_residual < 1e-12
     # one flux quantum: Z almost commutes with P and the left-strip
     # determinant returns to one
     z1 = z_phase_operator(
-        sd, fact.lower, Q_r, geo, 2 * math.pi, beta=beta, det_split=split
+        fact.lower, Qbar_r, geo, 2 * math.pi, det_split=split
     )
     assert z1.patch_commutator < 1e-8
     assert z1.det_residual < 0.05
     with pytest.raises(ValueError):
-        z_phase_operator(sd, fact.lower, Q_r, geo, 1.0, beta=beta)
+        z_phase_operator(fact.lower, Qbar_r, geo, 1.0)

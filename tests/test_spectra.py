@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from smearlab.algebra import random_hermitian
+from smearlab.algebra import LocalOperator, pauli_string, random_hermitian
 from smearlab.errors import AssumptionError, SchemaError
-from smearlab.interaction import tfim
+from smearlab.interaction import custom_model, tfim
 from smearlab.lattice import build_chain
 from smearlab.spectra import (
     diagonalize,
     largest_gap_below,
     lowest_k,
+    lowest_levels,
     patch_expectation,
     split_spectrum,
     window,
@@ -136,8 +137,67 @@ def test_patch_expectation_matches_projector_trace():
     expect = np.trace(split.projector @ A) / split.p
     got = patch_expectation(split, A)
     assert got == pytest.approx(expect)
-    # diagonal fast path agrees with the dense route
-    d = rng.standard_normal(8)
-    assert patch_expectation(split, d) == pytest.approx(
-        patch_expectation(split, np.diag(d))
+    # a local operator, applied on its support only, agrees with the dense route
+    op = LocalOperator((0, 2), random_hermitian(4, rng))
+    assert patch_expectation(split, op) == pytest.approx(
+        patch_expectation(split, op.embed(3))
     )
+
+
+def test_lowest_levels_match_the_dense_spectrum_on_a_chain_of_12():
+    n = 12
+    phi = tfim(build_chain(n), 1.0, 2.0)
+    dense = split_spectrum(diagonalize(phi.hamiltonian()), lowest_k(1))
+    sd = lowest_levels(phi.sparse_hamiltonian(), 1)
+    split = split_spectrum(sd, lowest_k(1))
+    assert sd.energies.size == 2
+    assert np.abs(sd.energies - dense.spectral_data.energies[:2]).max() <= 1e-10
+    assert sd.residual() <= 1e-12
+    assert (split.p, split.gap) == (1, pytest.approx(dense.gap, abs=1e-10))
+    for op in (pauli_string("z", (0,)), pauli_string("z", (5,)), pauli_string("x", (5,))):
+        assert patch_expectation(split, op) == pytest.approx(
+            patch_expectation(dense, op), abs=1e-10)
+
+
+_COMPLEX_SPECS = [("Y", (0,), 0.7), ("ZZ", (1, 2), 1.1), ("XY", (2, 3), 0.5),
+                  ("ZZ", (3, 4), 1.0), ("X", (5,), 0.3)]
+
+
+@pytest.mark.parametrize(
+    "phi, k, p",
+    [
+        (tfim(build_chain(6), 1.0, 0.0), 1, 2),
+        (tfim(build_chain(6), 1.0, 0.0), 3, 12),
+        (tfim(build_chain(8), 1.0, 0.0), 3, 16),
+        (tfim(build_chain(8), 1.0, 0.0), 11, 16),
+        (custom_model(build_chain(6), _COMPLEX_SPECS), 2, 4),
+    ],
+    ids=["ising6-k1", "ising6-k3", "ising8-k3", "ising8-k11", "complex6-k2"],
+)
+def test_lowest_levels_close_exactly_degenerate_clusters(phi, k, p):
+    # the classical Ising chain of n sites has a twofold ground level and a
+    # 2(n-1)-fold first excited level; one Krylov space from one start
+    # vector need not hold every copy of a level
+    dense = split_spectrum(diagonalize(phi.hamiltonian()), lowest_k(k))
+    H = phi.sparse_hamiltonian()
+    sd = lowest_levels(H, k)
+    split = split_spectrum(sd, lowest_k(k))
+    # eigsh restarts from random vectors when its Krylov space closes
+    assert np.array_equal(sd.vectors, lowest_levels(H, k).vectors)
+    assert split.p == dense.p == p
+    assert sd.energies.size == p + 1
+    assert split.gap == pytest.approx(dense.gap, abs=1e-10)
+    assert split.width == pytest.approx(dense.width, abs=1e-10)
+    # Davis-Kahan: the patch can be off by no more than residual / gap
+    residual = sd.residual()
+    assert residual <= 1e-9
+    bound = np.sqrt(p) * residual / split.gap + 1e-13
+    assert np.abs(split.projector - dense.projector).max() <= bound
+
+
+def test_lowest_levels_refuse_a_cluster_that_reaches_the_top():
+    # a single Ising bond: levels -1, -1, 1, 1, so level 2 has none above it
+    H = tfim(build_chain(2), 1.0, 0.0).sparse_hamiltonian()
+    assert lowest_levels(H, 2).energies.tolist() == pytest.approx([-1, -1, 1])
+    with pytest.raises(AssumptionError):
+        lowest_levels(H, 3)
