@@ -24,6 +24,7 @@ __all__ = [
     "trace_sites",
     "conditional_expectation",
     "schatten_norm",
+    "singular_value_norm",
     "operator_norm",
     "liouvillian",
     "commutator",
@@ -192,12 +193,15 @@ def schatten_norm(A, p=np.inf):
     Hermitian inputs take the eigenvalue fast path.
     """
     A = np.asarray(A)
+    if A.shape[0] == A.shape[1] and is_hermitian(A):
+        return singular_value_norm(np.abs(np.linalg.eigvalsh(A)), p)
+    return singular_value_norm(svdvals(A), p)
+
+
+def singular_value_norm(s, p=np.inf):
+    """Schatten p-norm of an operator with singular values s."""
     if p != np.inf and p < 1:
         raise ValueError("Schatten norms need p >= 1")
-    if A.shape[0] == A.shape[1] and is_hermitian(A):
-        s = np.abs(np.linalg.eigvalsh(A))
-    else:
-        s = svdvals(A)
     if p == np.inf:
         return float(s.max()) if s.size else 0.0
     if p == 1:

@@ -96,9 +96,9 @@ def gaussian_kernel(w, beta):
     return out
 
 
-def inverse_kernel(w, patch_mask_row, patch_mask_col):
+def inverse_kernel(w, patch_mask):
     """Multiplier i/w on cross-patch entries, 0 within either patch."""
-    cross = patch_mask_row[:, None] ^ patch_mask_col[None, :]
+    cross = patch_mask[:, None] ^ patch_mask[None, :]
     out = np.zeros(w.shape, dtype=complex)
     out[cross] = 1j / w[cross]
     return out
@@ -180,7 +180,7 @@ def exact_inverse_liouvillian(sd, split, A):
             f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
             f"{split.gap / 2.0:.3e}"
         )
-    K = inverse_kernel(omega, mask, mask)
+    K = inverse_kernel(omega, mask)
     return apply_spectral_kernel(sd, K, A)
 
 
@@ -238,13 +238,11 @@ def _residual_check(name, sd, split, beta, A, residual, divisor, p_list):
     norm_a = schatten_norm(A, np.inf)
     damping = math.exp(-split.gap**2 / (4.0 * beta**2))
     R = residual(A)
-    P = split.projector
-    comm = R @ P - P @ R
     rhs = split.p * norm_a * damping / divisor
     return Prop34Result(
         {p: schatten_norm(R, p) for p in p_list},
         rhs,
-        {p: schatten_norm(comm, p) for p in p_list},
+        {p: split.commutator_norm(R, p) for p in p_list},
         2.0 * rhs,
     )
 

@@ -149,27 +149,24 @@ class FlowResult:
         return schatten_norm(V.conj().T @ V - np.eye(V.shape[0]), np.inf)
 
 
-def integrate_flow(generator, s_grid, substeps=1):
-    """RK4 integration of V' = i K(s) V over the given grid.
+def integrate_flow(generator, s_grid):
+    """RK4 integration of V' = i K(s) V over the given grid, one step per
+    grid interval.
 
-    Returns the transport unitary at every grid point.  `substeps` splits
-    each grid interval into that many RK4 steps.
+    Returns the transport unitary at every grid point.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     dim = generator.phi.dim
     V = np.eye(dim, dtype=complex)
     unitaries = [V]
-    for a, b in zip(s_grid[:-1], s_grid[1:]):
-        h = (b - a) / substeps
-        s = a
-        for _ in range(substeps):
-            k1 = 1j * generator(s) @ V
-            K_mid = generator(s + 0.5 * h)
-            k2 = 1j * K_mid @ (V + 0.5 * h * k1)
-            k3 = 1j * K_mid @ (V + 0.5 * h * k2)
-            k4 = 1j * generator(s + h) @ (V + h * k3)
-            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += h
+    for s, b in zip(s_grid[:-1], s_grid[1:]):
+        h = b - s
+        k1 = 1j * generator(s) @ V
+        K_mid = generator(s + 0.5 * h)
+        k2 = 1j * K_mid @ (V + 0.5 * h * k1)
+        k3 = 1j * K_mid @ (V + 0.5 * h * k2)
+        k4 = 1j * generator(s + h) @ (V + h * k3)
+        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         unitaries.append(V)
     return FlowResult(s_grid, unitaries)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,21 +35,8 @@ from .flow import (
 )
 from .interaction import PolyPath, TrigRampPath, tfim, xy_charge
 from .lattice import Region, build_chain, build_ring, build_torus
-from .qhe import (
-    ChargeGeometry,
-    dressed_charge,
-    flux_unitary,
-    qhe_experiment,
-    region_charge,
-    z_phase_operator,
-)
-from .spectra import (
-    diagonalize,
-    largest_gap_below,
-    lowest_k,
-    split_spectrum,
-    window,
-)
+from .qhe import qhe_experiment
+from .spectra import diagonalize, largest_gap_below, lowest_k, window
 
 __all__ = [
     "DecayCurve",
@@ -215,20 +202,27 @@ def run(config, out_dir=None, seed=None, threads=None):
 
 
 def _refuse_oversized(kind, params):
-    """SchemaError when the dense 2^n x 2^n matrices a run holds at once
-    exceed physical memory.
+    """SchemaError when the matrices a run holds at once exceed physical
+    memory.
 
-    Most experiments are sized by one complex matrix, 16 * 4^n bytes.  A flow
-    keeps a real H and its real eigenvectors (8 * 4^n bytes each) at each of
-    the 2 s_steps + 1 points its RK4 steps visit, plus the s_steps + 1
-    complex unitaries (16 * 4^n bytes each) of one integration.
+    Most experiments are sized by one dense complex matrix, 16 * 4^n bytes.
+    A flow keeps a real H and its real eigenvectors (8 * 4^n bytes each) at
+    each of the 2 s_steps + 1 points its RK4 steps visit, plus the
+    s_steps + 1 complex unitaries (16 * 4^n bytes each) of one integration.
+    lppl under `lowest_k` holds no dense matrix: each of its terms (one per
+    edge and per site, and the perturbation) puts 2^n entries into the
+    sparse H, and the run peaks near 106 bytes per entry (traced on TFIM
+    chains of 10 to 14 sites, Krylov vectors included), taken as 128.
     """
     g = params.get("graph", {})
     n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
-    need = 16 * 4**n * (3 * params["s_steps"] + 2 if kind == "flow" else 1)
+    if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
+        need = 128 * 2**n * (len(_build_graph(g).edges) + n + 1)
+    else:
+        need = 16 * 4**n * (3 * params["s_steps"] + 2 if kind == "flow" else 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of dense "
+        raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of "
                           f"matrices; physical memory is {have / 2**30:.3g} GiB")
 
 
@@ -502,7 +496,7 @@ def _run_qhe(params, rng, mapper):
     points = qhe_experiment(
         L, params["j_values"], h=params["h"], beta=beta,
         strip_width=params["strip_width"], rule=rule, min_gap=min_gap,
-        mapper=mapper,
+        phi_grid=params["phi_grid"], mapper=mapper,
     )
     rows = [(float(p.coupling), float(p.residual)) for p in points]
 
@@ -531,23 +525,7 @@ def _run_qhe(params, rng, mapper):
     }
 
     if params["phi_grid"]:
-        geometry = ChargeGeometry(L, strip_width=params["strip_width"])
-        model = xy_charge(geometry.graph, params["j_values"][0], params["h"])
-        sd = diagonalize(model.hamiltonian(0.0))
-        split = split_spectrum(sd, rule, min_gap=min_gap)
-        q_upper = region_charge(geometry.graph, geometry.upper_half)
-        q_right = region_charge(geometry.graph, geometry.right_half)
-        fact = flux_unitary(dressed_charge(sd, q_upper, beta=beta), geometry)
-        qbar_right = dressed_charge(sd, q_right, beta=beta)
-        z_rows = []
-        for ang in params["phi_grid"]:
-            z = z_phase_operator(fact.lower, qbar_right, geometry, ang, det_split=split)
-            z_rows.append({
-                "phi": ang,
-                "patch_commutator": z.patch_commutator,
-                "det_residual": z.det_residual,
-            })
-        summary["z_phase"] = z_rows
+        summary["z_phase"] = [asdict(z) for z in points[0].z_phase]
     return ("x", "value"), rows, summary
 
 

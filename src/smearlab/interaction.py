@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -169,15 +170,24 @@ class Interaction:
         rows, cols, vals = (np.concatenate(p) for p in parts) if parts else ([], [], [])
         return coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
 
+    @cached_property
+    def _layout(self):
+        """Rows, columns and values of the nonzero entries of each Phi_Z in
+        H, flat, with no (row, column) pair twice within one term; built on
+        first use and shared by every later assembly."""
+        layout = []
+        for term in self.terms:
+            idx = site_index(term.sites, self.n_sites)
+            a, b = np.nonzero(term.operator.matrix)
+            vals = np.repeat(term.operator.matrix[a, b], idx.shape[1])
+            layout.append((idx[a].ravel(), idx[b].ravel(), vals))
+        return layout
+
     def _entries(self, coeffs):
-        """Rows, columns and values of the nonzero entries of each c_Z Phi_Z
-        in H, flat, with no (row, column) pair twice within one term."""
-        for term, c in zip(self.terms, coeffs):
+        """The entries of each c_Z Phi_Z with c_Z != 0, from the layout."""
+        for (rows, cols, vals), c in zip(self._layout, coeffs):
             if c != 0.0:
-                idx = site_index(term.sites, self.n_sites)
-                a, b = np.nonzero(term.operator.matrix)
-                vals = np.repeat(c * term.operator.matrix[a, b], idx.shape[1])
-                yield idx[a].ravel(), idx[b].ravel(), vals
+                yield rows, cols, c * vals
 
     def _assemble(self, coeffs):
         """sum_Z c_Z Phi_Z, each term added in place on its own entries."""

@@ -166,9 +166,11 @@ def dressed_charge(sd, Q, beta=None, split=None):
     return (Qbar + Qbar.conj().T) / 2.0
 
 
-def _unitary_exponential(Hermitian, angle):
+def _unitary_exponentials(Hermitian, angles):
+    """e^{i angle H} for each angle, one at a time, from one
+    eigendecomposition of H."""
     vals, vecs = np.linalg.eigh(Hermitian)
-    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+    return ((vecs * np.exp(1j * angle * vals)) @ vecs.conj().T for angle in angles)
 
 
 def _polar_unitary(M, min_sv=1e-6):
@@ -211,7 +213,7 @@ def flux_unitary(Qbar_upper, geometry, angle=2.0 * math.pi):
     separation between the cuts.
     """
     n = geometry.graph.n_sites
-    W = _unitary_exponential(Qbar_upper, angle)
+    (W,) = _unitary_exponentials(Qbar_upper, [angle])
     lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
     upper, _ = _strip_unitary(lower.conj().T @ W, geometry.upper_strip, n)
     residual = schatten_norm(W - lower @ upper, np.inf)
@@ -258,29 +260,27 @@ def quantization_check(split, T):
 
 @dataclass
 class ZPhaseResult:
-    operator: np.ndarray
+    phi: float
     patch_commutator: float
     det_residual: float
 
 
-def z_phase_operator(U, Qbar_right, geometry, phi, det_split=None):
-    """Z(phi) = U^dagger e^{i phi Qbar_R} U e^{-i phi Qbar_R}.
+def z_phase_operator(U, Qbar_right, geometry, phis, split):
+    """Z(phi) = U^dagger e^{i phi Qbar_R} U e^{-i phi Qbar_R} at each angle,
+    from one eigendecomposition of Qbar_R.
 
     Reports ||[Z, P]||_inf and, using the left-strip factor of Z, the
     distance of its patch determinant from 1 (meaningful at phi = 2 pi).
     """
     n = geometry.graph.n_sites
-    if det_split is None:
-        raise ValueError("need a split for the patch diagnostics")
-    E = _unitary_exponential(Qbar_right, phi)
-    Z = U.conj().T @ E @ U @ E.conj().T
-    P = det_split.projector
-    comm = schatten_norm(Z @ P - P @ Z, np.inf)
-    z_left, _ = _strip_unitary(Z, geometry.left_strip, n)
-    V0 = det_split.patch_vectors()
-    block = V0.conj().T @ z_left @ V0
-    det_res = abs(np.linalg.det(block) - 1.0)
-    return ZPhaseResult(Z, comm, det_res)
+    V0 = split.patch_vectors()
+    results = []
+    for phi, E in zip(phis, _unitary_exponentials(Qbar_right, phis)):
+        Z = U.conj().T @ E @ U @ E.conj().T
+        z_left, _ = _strip_unitary(Z, geometry.left_strip, n)
+        det_res = abs(np.linalg.det(V0.conj().T @ z_left @ V0) - 1.0)
+        results.append(ZPhaseResult(phi, split.commutator_norm(Z), det_res))
+    return results
 
 
 @dataclass
@@ -298,10 +298,12 @@ class QHEPoint:
     bare_defect: float
     conservation_defect: float
     strips_disjoint: bool
+    z_phase: list
 
 
-def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8):
-    """Run the full transport pipeline for one model instance."""
+def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()):
+    """Run the full transport pipeline for one model instance, with the
+    Z(phi) diagnostics at each angle of `phi_grid`."""
     graph = geometry.graph
     Q_total = region_charge(graph, graph.sites())
     defect = charge_conservation_defect(phi, Q_total)
@@ -320,13 +322,13 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8):
     Q_right = region_charge(graph, geometry.right_half)
 
     Qbar = dressed_charge(sd, Q_upper, beta=beta)
-    P = split.projector
-    dressing_defect = commutator_norm(Qbar, P)
-    bare_defect = commutator_norm(Q_upper, P)
-
     fact = flux_unitary(Qbar, geometry)
     trans = transport_operator(fact.lower, Q_right, geometry)
     quant = quantization_check(split, trans.operator)
+    z_phase = []
+    if phi_grid:
+        Qbar_right = dressed_charge(sd, Q_right, beta=beta)
+        z_phase = z_phase_operator(fact.lower, Qbar_right, geometry, phi_grid, split)
     return QHEPoint(
         coupling=float(coupling),
         gap=split.gap,
@@ -335,28 +337,32 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8):
         residual=quant.residual,
         factorization_residual=fact.residual,
         split_residual=trans.split_residual,
-        dressing_defect=dressing_defect,
-        bare_defect=bare_defect,
+        dressing_defect=split.commutator_norm(Qbar),
+        bare_defect=split.commutator_norm(Q_upper),
         conservation_defect=defect,
         strips_disjoint=geometry.strips_disjoint,
+        z_phase=z_phase,
     )
 
 
 def qhe_experiment(l, j_values, h=1.0, beta=None, strip_width=None, rule=None,
-                   min_gap=1e-8, mapper=map):
+                   min_gap=1e-8, phi_grid=(), mapper=map):
     """Transport sweep over hopping strengths on an l x l torus.
 
     Each point builds the charge-conserving hopping model, dresses the
     half-torus charge at the given filter width (default l^{-1/2}),
     threads one flux quantum, and reports the ground-patch trace of the
-    transported charge with its distance to the nearest integer.
+    transported charge with its distance to the nearest integer.  The
+    first point also takes the Z(phi) diagnostics on `phi_grid`.
     """
     geometry = ChargeGeometry(l, strip_width=strip_width)
     beta = float(l) ** -0.5 if beta is None else float(beta)
     rule = lowest_k(1) if rule is None else rule
 
-    def one(j):
+    def one(j, grid):
         phi = xy_charge(geometry.graph, j, h)
-        return qhe_point(geometry, phi, beta, rule, coupling=j, min_gap=min_gap)
+        return qhe_point(geometry, phi, beta, rule, coupling=j, min_gap=min_gap,
+                         phi_grid=grid)
 
-    return list(mapper(one, j_values))
+    grids = [phi_grid] + [()] * (len(j_values) - 1)
+    return list(mapper(one, j_values, grids))

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .algebra import LocalOperator, is_hermitian, site_index
+from .algebra import LocalOperator, is_hermitian, singular_value_norm, site_index
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -188,6 +189,19 @@ class SpectralSplit:
 
     def patch_vectors(self):
         return self.spectral_data.vectors[:, self.idx0]
+
+    def commutator_norm(self, X, p=np.inf):
+        """Schatten p-norm of [X, P], for any X, from the patch vectors V0.
+
+        [X, P] = Pperp X P - P X Pperp maps the patch into its complement
+        and back, so its singular values are those of Pperp X V0 (dim x p)
+        and V0^dagger X Pperp (p x dim) together.
+        """
+        V0 = self.patch_vectors()
+        XV, VX = X @ V0, V0.conj().T @ X
+        into = XV - V0 @ (V0.conj().T @ XV)
+        back = VX - (VX @ V0) @ V0.conj().T
+        return singular_value_norm(np.concatenate((svdvals(into), svdvals(back))), p)
 
 
 def split_spectrum(sd, rule, min_gap=1e-8, tol=DEGENERACY_TOL):

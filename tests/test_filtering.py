@@ -230,7 +230,7 @@ def test_erf_step_kernel_monotone_and_centered():
 def test_inverse_kernel_vanishes_inside_patches():
     w = np.array([[0.0, -1.0], [1.0, 0.0]])
     mask = np.array([True, False])
-    K = inverse_kernel(w, mask, mask)
+    K = inverse_kernel(w, mask)
     assert K[0, 0] == 0.0 and K[1, 1] == 0.0
     assert K[0, 1] == pytest.approx(1j / -1.0)
     assert K[1, 0] == pytest.approx(1j / 1.0)

@@ -317,6 +317,19 @@ def test_run_qhe_phase_grid_is_trivial_at_zero_flux(tmp_path):
     assert full["det_residual"] < 0.05
 
 
+def test_run_qhe_phase_grid_diagonalizes_three_times(tmp_path, monkeypatch):
+    # H, the upper and the right dressed charge: one eigh each, however
+    # many angles the grid holds
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+    cfg = validate_config({"experiment": "qhe", "L": 3, "J": [0.2],
+                           "phi_grid": [0.0, 1.0, 2 * math.pi]})
+    res = run(cfg, out_dir=str(tmp_path / "qhe"))
+    assert len(res.summary["z_phase"]) == 3
+    assert calls == [(512, 512)] * 3
+
+
 def test_failed_verdict_still_writes_files(tmp_path, monkeypatch):
     def stub(params, rng, mapper):
         rows = [(0.0, 1.0), (1.0, 2.0)]
@@ -378,7 +391,7 @@ def test_cli_refuses_config_larger_than_memory(tmp_path, capsys):
         "experiment": "lppl",
         "graph": {"kind": "chain", "n": 20},
         "model": {"kind": "tfim", "j": 1.0, "g": 2.0},
-        "split": {"rule": "lowest_k", "k": 1},
+        "split": {"rule": "window", "lo": -30.0, "hi": -20.0},
         "perturbation": {"site": 0, "strength": 0.3},
         "distances": [2, 3],
     })
@@ -437,6 +450,31 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
     for params in (_flow_config(9, 200), _flow_config(6, 400)):
         harness._refuse_oversized("flow", validate_config(params).params)
     harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
+
+
+def test_lppl_under_lowest_k_is_sized_by_its_sparse_route(monkeypatch):
+    sysconf = os.sysconf
+    pages = 7 * 2**30 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+
+    def lppl(n, split):
+        return validate_config({
+            "experiment": "lppl", "graph": {"kind": "chain", "n": n},
+            "model": {"kind": "tfim", "j": 1.0, "g": 2.0}, "split": split,
+            "perturbation": {"site": 0, "strength": 0.3}, "distances": [2, 3],
+        }).params
+
+    # a chain of 15: 30 terms of 2^15 sparse entries, 120 MiB at 128 B each
+    harness._refuse_oversized("lppl", lppl(15, {"rule": "lowest_k", "k": 1}))
+    # the dense rules hold a 16 GiB matrix there, and a chain of 30 overflows
+    # the sparse route too
+    for n, split in ((15, {"rule": "window", "lo": -30.0, "hi": -20.0}),
+                     (15, {"rule": "largest_gap_below", "energy": 0.0}),
+                     (30, {"rule": "lowest_k", "k": 1})):
+        with pytest.raises(SchemaError, match="GiB"):
+            harness._refuse_oversized("lppl", lppl(n, split))
 
 
 def test_cli_assumption_error_exits_3(tmp_path, capsys):

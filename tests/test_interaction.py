@@ -126,6 +126,27 @@ def test_sparse_hamiltonian_matches_dense(phi):
         assert np.abs(S.toarray() - H).max() <= 1e-14 * operator_norm(H)
 
 
+def test_assembly_reuses_the_term_layout(monkeypatch):
+    # the first assembly lays out each term's entries; later dense, derivative
+    # and sparse builds only scale and scatter them, with the same bits as
+    # a fresh interaction gives
+    import smearlab.interaction as interaction
+
+    phi = tfim(build_chain(5), PolyPath([1.0, 0.5]), TrigRampPath(2.0, 3.0))
+    fresh = [Interaction(phi.graph, phi.terms) for _ in range(3)]
+    expect = [fresh[0].hamiltonian(0.3), fresh[1].hamiltonian_derivative(0.3),
+              fresh[2].sparse_hamiltonian(0.3).toarray()]
+    phi.hamiltonian(0.0)
+    calls, site_index = [], interaction.site_index
+    monkeypatch.setattr(interaction, "site_index",
+                        lambda *a, **kw: calls.append(a) or site_index(*a, **kw))
+    got = [phi.hamiltonian(0.3), phi.hamiltonian_derivative(0.3),
+           phi.sparse_hamiltonian(0.3).toarray()]
+    assert calls == []
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+
+
 def test_hamiltonian_assembly_holds_one_matrix():
     phi = tfim(build_chain(10), 1.0, 0.7)
     tracemalloc.start()

@@ -179,7 +179,7 @@ def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
         dressed_charge(sd, region_charge(geo.graph, geo.upper_half), beta=beta), geo)
     z_phase_operator(fact.lower,
                      dressed_charge(sd, region_charge(geo.graph, geo.right_half), beta=beta),
-                     geo, 2 * math.pi, det_split=split)
+                     geo, [2 * math.pi], split)
     assert shapes == [(64, 64)] * 3
     # oracle: the polar part of the re-embedded conditional expectation
     dense, sv = qhe._polar_unitary(
@@ -266,18 +266,13 @@ def test_z_phase_operator_diagnostics(torus3):
     beta = 3**-0.5
     fact = flux_unitary(dressed_charge(sd, Q_up, beta=beta), geo)
     Qbar_r = dressed_charge(sd, Q_r, beta=beta)
+    z0, z1 = z_phase_operator(fact.lower, Qbar_r, geo, [0.0, 2 * math.pi], split)
     # phi = 0 gives the identity exactly
-    z0 = z_phase_operator(
-        fact.lower, Qbar_r, geo, 0.0, det_split=split
-    )
+    assert z0.phi == 0.0
     assert z0.patch_commutator < 1e-12
     assert z0.det_residual < 1e-12
     # one flux quantum: Z almost commutes with P and the left-strip
     # determinant returns to one
-    z1 = z_phase_operator(
-        fact.lower, Qbar_r, geo, 2 * math.pi, det_split=split
-    )
+    assert z1.phi == 2 * math.pi
     assert z1.patch_commutator < 1e-8
     assert z1.det_residual < 0.05
-    with pytest.raises(ValueError):
-        z_phase_operator(fact.lower, Qbar_r, geo, 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smearlab.algebra import LocalOperator, pauli_string, random_hermitian
+from smearlab.algebra import LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
 from smearlab.interaction import custom_model, tfim
 from smearlab.lattice import build_chain
@@ -126,6 +126,22 @@ def test_distinct_count_groups_degeneracies():
     split = split_spectrum(sd, lowest_k(5))
     assert split.p == 5
     assert split.distinct_count() == 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_commutator_norm_with_the_patch_projector(k):
+    # ||[X, P]||_p from the patch vectors against the dense commutator with
+    # the assembled projector, for Hermitian and non-Hermitian X
+    sd = diagonalize(tfim(build_chain(5), 1.0, 2.0).hamiltonian())
+    split = split_spectrum(sd, lowest_k(k))
+    assert (split.p == 1) == (k == 1)
+    P = split.projector
+    rng = np.random.default_rng(k)
+    general = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    for X in (random_hermitian(32, rng), general):
+        for p in (1, 2, np.inf):
+            expect = schatten_norm(X @ P - P @ X, p)
+            assert split.commutator_norm(X, p) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_patch_expectation_matches_projector_trace():
