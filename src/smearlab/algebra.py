@@ -29,6 +29,7 @@ __all__ = [
     "liouvillian",
     "commutator",
     "commutator_norm",
+    "involution_isometries",
     "random_hermitian",
     "is_hermitian",
 ]
@@ -70,10 +71,6 @@ class LocalOperator:
                 f"matrix shape {mat.shape} does not match {len(sites)} sites"
             )
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def support_size(self):
-        return len(self.sites)
 
     @property
     def is_diagonal(self):
@@ -190,10 +187,11 @@ def is_hermitian(A, tol=1e-12):
 def schatten_norm(A, p=np.inf):
     """Schatten p-norm from singular values; p may be any real >= 1 or inf.
 
-    Hermitian inputs take the eigenvalue fast path.
+    Hermitian inputs, judged relative to max |A| (`eigvalsh` reads one
+    triangle only), take the eigenvalue fast path.
     """
     A = np.asarray(A)
-    if A.shape[0] == A.shape[1] and is_hermitian(A):
+    if A.shape[0] == A.shape[1] and is_hermitian(A, 1e-12 * np.abs(A).max(initial=0.0)):
         return singular_value_norm(np.abs(np.linalg.eigvalsh(A)), p)
     return singular_value_norm(svdvals(A), p)
 
@@ -220,15 +218,45 @@ def commutator(A, B):
 
 
 def commutator_norm(A, B):
-    """||[A, B]||_inf for Hermitian A and B, from one product C = A B:
-    [A, B] = C - C^dagger, and i (C - C^dagger) is exactly Hermitian, so
-    its norm is the largest |eigenvalue|.  Other input raises ValueError,
-    since C - C^dagger is then not the commutator and could read too low.
+    """||[A, B]||_inf for Hermitian A and B; other input raises ValueError,
+    since the routes below could then read too low.
+
+    B may come as its eigen-isometries (W+, W-), B = W+ W+^dagger -
+    W- W-^dagger (see `involution_isometries`).  [A, B] then has the
+    blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2 sqrt
+    of the top eigenvalue of the smaller Gram matrix of M.  A dense B is
+    taken from C = A B, as i [A, B] = i (C - C^dagger) is exactly Hermitian.
     """
-    if not (is_hermitian(A) and is_hermitian(B)):
+    pair = isinstance(B, tuple)
+    if not (is_hermitian(A) and (pair or is_hermitian(B))):
         raise ValueError("commutator_norm needs Hermitian A and B")
+    if pair:
+        W_plus, W_minus = B
+        if W_plus.shape[1] + W_minus.shape[1] != A.shape[0]:
+            raise ValueError("the isometries of B must have dim columns together")
+        M = W_plus.conj().T @ A @ W_minus
+        G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
+        return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
     C = A @ B
     return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
+
+
+def involution_isometries(op, n_sites, frame=None):
+    """(W+, W-) with frame^dagger B frame = W+ W+^dagger - W- W-^dagger, for
+    B the embedded LocalOperator `op` and `frame` None for the product basis.
+
+    B^2 = 1 is certified by `eigh` of the local matrix, whose eigenvalues
+    must be +1 or -1 within 1e-12, else ValueError.  Column (j, r) of W is
+    sum_a u_j[a] frame[idx[a, r]]^* over the local eigenvectors u_j and
+    idx from `site_index`, so no dense B is built.
+    """
+    values, vectors = np.linalg.eigh(op.matrix)
+    if not is_hermitian(op.matrix) or np.abs(np.abs(values) - 1.0).max() > 1e-12:
+        raise ValueError(f"the matrix on sites {op.sites} is not a Hermitian involution")
+    dim = op.q**n_sites
+    rows = (np.eye(dim) if frame is None else frame)[site_index(op.sites, n_sites, op.q)]
+    return tuple(np.einsum("arm,aj->mjr", rows.conj(), vectors[:, sel], optimize=True)
+                 .reshape(dim, -1) for sel in (values > 0, values < 0))
 
 
 def liouvillian(H, A):

@@ -155,8 +155,7 @@ class ClusterPlacement:
 
     @property
     def max_measured(self):
-        vals = [abs(d.correlation) for d in self.sampled]
-        return max([self.measured] + vals)
+        return max([self.measured] + [abs(d.correlation) for d in self.sampled])
 
 
 def _random_patch_states(split, count, rng):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .algebra import commutator_norm
+from .algebra import commutator_norm, involution_isometries
 
 __all__ = [
     "EvolutionSpec",
@@ -218,19 +218,22 @@ class LRExperimentResult:
 
 
 def measured_commutator_curve(spec, A, B, times):
-    """||[tau_{0,t}(A), B]||_inf on a time grid for local A and B.
+    """||[tau_{0,t}(A), B]||_inf on a time grid for a local A and a local
+    involution B (a Pauli word, say).
 
-    Taken in the eigenbasis, where the norm is the same: A and B are
-    transformed once, and tau_{0,t} multiplies entry (mu, nu) of A by
-    e^{i w t}.  An ODE spec raises ValueError.
+    Taken as ||[A, tau_{0,-t}(B)]|| in the eigenbasis, where the norm is
+    the same: A is transformed once, B is held as its eigen-isometries in
+    that basis, and tau_{0,-t} multiplies their row mu by e^{-i E_mu t}.
+    An ODE spec or a B that is not an involution raises ValueError.
     """
     if spec.kind != "spectral":
         raise ValueError("measured_commutator_curve needs a spectral spec")
     sd = spec.spectral_data
     n = round(math.log(sd.dim, A.q))
-    A_t, B_t = (sd.to_eigenbasis(X.embed(n)) for X in (A, B))
-    omega = sd.frequency_table()
-    return np.array([commutator_norm(np.exp(1j * omega * t) * A_t, B_t) for t in times])
+    A_t = sd.to_eigenbasis(A.embed(n))
+    W_plus, W_minus = involution_isometries(B, n, sd.vectors)
+    phases = (np.exp(-1j * sd.energies * t)[:, None] for t in times)
+    return np.array([commutator_norm(A_t, (ph * W_plus, ph * W_minus)) for ph in phases])
 
 
 def lr_experiment(spec, params, A, B, X, Y, times):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -187,10 +188,7 @@ class LocalizedGenerator:
     reference: np.ndarray = field(repr=False)
 
     def assemble(self):
-        total = np.zeros_like(self.reference)
-        for mat in self.terms.values():
-            total = total + mat
-        return total
+        return sum(self.terms.values(), np.zeros_like(self.reference))
 
     @property
     def resummation_residual(self):
@@ -199,12 +197,7 @@ class LocalizedGenerator:
     @property
     def max_shell_norms(self):
         """Per-shell max over terms of ||Delta_k||."""
-        depth = max(len(row) for row in self.shell_norms)
-        out = np.zeros(depth)
-        for row in self.shell_norms:
-            for k, v in enumerate(row):
-                out[k] = max(out[k], v)
-        return out
+        return np.array([max(col) for col in zip_longest(*self.shell_norms, fillvalue=0.0)])
 
 
 def localize_generator(sd, beta, phi_dot, graph=None):
@@ -240,11 +233,7 @@ def localize_generator(sd, beta, phi_dot, graph=None):
             previous = current
         norms = []
         for reg, delta in shells:
-            key = reg.sites
-            if key in psi:
-                psi[key] = psi[key] + delta
-            else:
-                psi[key] = delta.copy()
+            psi[reg.sites] = psi[reg.sites] + delta if reg.sites in psi else delta.copy()
             norms.append(schatten_norm(delta, np.inf))
         shell_norms.append(norms)
     return LocalizedGenerator(psi, shell_norms, reference)

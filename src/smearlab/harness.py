@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import commutator_norm, pauli_string, random_hermitian, schatten_norm
+from .algebra import (commutator_norm, involution_isometries, pauli_string,
+                      random_hermitian, schatten_norm)
 from .clustering import cluster_experiment
 from .config import ExperimentConfig, load_config
 from .dynamics import EvolutionSpec, lr_experiment, make_lr_params
@@ -79,14 +80,6 @@ class ExpFit:
     r_squared: float
     n_used: int
 
-    def as_dict(self):
-        return {
-            "rate": self.rate,
-            "prefactor": self.prefactor,
-            "r_squared": self.r_squared,
-            "n_used": self.n_used,
-        }
-
 
 def fit_exponential(curve, min_points=3):
     """Least-squares fit of value = C e^{-c x} using points above the floor.
@@ -105,10 +98,7 @@ def fit_exponential(curve, min_points=3):
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 1e-300:
-        r2 = 1.0
-    else:
-        r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    r2 = 1.0 if ss_tot <= 1e-300 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return ExpFit(rate=-float(slope), prefactor=float(np.exp(intercept)),
                   r_squared=r2, n_used=n_used)
 
@@ -206,6 +196,9 @@ def _refuse_oversized(kind, params):
     memory.
 
     Most experiments are sized by one dense complex matrix, 16 * 4^n bytes.
+    lr holds H, its eigenvectors, A in their basis and the isometries of
+    B; its peak, traced on chains of 8 to 10 sites, is 81 (real B) to 89
+    (complex B) bytes per entry of a 4^n matrix, taken as 112.
     A flow keeps a real H and its real eigenvectors (8 * 4^n bytes each) at
     each of the 2 s_steps + 1 points its RK4 steps visit, plus the
     s_steps + 1 complex unitaries (16 * 4^n bytes each) of one integration.
@@ -218,8 +211,10 @@ def _refuse_oversized(kind, params):
     n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
         need = 128 * 2**n * (len(_build_graph(g).edges) + n + 1)
+    elif kind == "flow":
+        need = 16 * 4**n * (3 * params["s_steps"] + 2)
     else:
-        need = 16 * 4**n * (3 * params["s_steps"] + 2 if kind == "flow" else 1)
+        need = (112 if kind == "lr" else 16) * 4**n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of "
@@ -267,11 +262,6 @@ def _site_at_distance(graph, origin, d):
     if not candidates:
         raise SchemaError(f"no site at distance {d} from site {origin}")
     return min(candidates)
-
-
-def _embed_observable(label, site, n):
-    op = pauli_string(label, (site,))
-    return op.embed(n)
 
 
 def _run_lr(params, rng, mapper):
@@ -348,11 +338,12 @@ def _run_locality(params, rng, mapper):
     site_a = _check_site(params["site_a"], n, "site_a")
     phi = _build_model(params["model"], graph)
     sd = diagonalize(phi.hamiltonian(0.0))
-    A = _embed_observable(params["op_a"], site_a, n)
+    A = pauli_string(params["op_a"], (site_a,)).embed(n)
     lrp = make_lr_params(phi, params["b"], params["b_prime"])
 
     pairs = [(d, _site_at_distance(graph, site_a, d)) for d in params["distances"]]
-    Bs = [(d, _embed_observable(params["op_b"], site_b, n)) for d, site_b in pairs]
+    Bs = [(d, involution_isometries(pauli_string(params["op_b"], (site_b,)), n))
+          for d, site_b in pairs]
     rows, margins = [], []
     for beta in params["betas"]:
         filtered = almost_inverse_liouvillian(sd, beta, A)
@@ -381,7 +372,7 @@ def _run_flow(params, rng, mapper):
     rule = _build_rule(params["split"])
     min_gap = params["split"]["min_gap"]
     obs = params["observable"]
-    A = _embed_observable(obs["op"], _check_site(obs["site"], n, "observable.site"), n)
+    A = pauli_string(obs["op"], (_check_site(obs["site"], n, "observable.site"),)).embed(n)
 
     xs, values, path_gap = automorphic_equivalence_experiment(
         phi, rule, A, params["betas"], s_steps=params["s_steps"], min_gap=min_gap
@@ -395,7 +386,7 @@ def _run_flow(params, rng, mapper):
     monotone = bool(np.all(np.diff(above) < 0))
 
     summary = {
-        "fit": fit.as_dict(),
+        "fit": asdict(fit),
         "floor": _FLOW_FLOOR,
         "min_gap_along_path": path_gap,
         "monotone_decreasing_above_floor": monotone,
@@ -430,7 +421,7 @@ def _run_lppl(params, rng, mapper):
     fit = fit_exponential(DecayCurve(xs, values))
     rows = [(int(d), float(v)) for d, v in zip(params["distances"], values)]
     summary = {
-        "fit": fit.as_dict(),
+        "fit": asdict(fit),
         "floor": 1e-14,
         "max_patch_residual": residual,
         "min_gap_along_path": path_gap,
@@ -480,11 +471,16 @@ def _run_cluster(params, rng, mapper):
     summary = {
         "gap": split.gap,
         "betas": {str(r.distance): r.beta for r in records},
-        "fit": fit.as_dict(),
+        "fit": asdict(fit),
         "max_identity_defect": worst_defect,
         "verdict": {"holds": holds, "min_margin": worst_margin},
     }
     return ("x", "value", "bound", "margin"), rows, summary
+
+
+_QHE_POINT_KEYS = ("coupling", "gap", "trace", "nearest_integer", "residual",
+                   "factorization_residual", "split_residual", "dressing_defect",
+                   "bare_defect")
 
 
 def _run_qhe(params, rng, mapper):
@@ -507,20 +503,7 @@ def _run_qhe(params, rng, mapper):
     summary = {
         "beta": beta,
         "strips_disjoint": points[0].strips_disjoint if points else None,
-        "points": [
-            {
-                "coupling": p.coupling,
-                "gap": p.gap,
-                "trace": p.trace,
-                "nearest_integer": p.nearest_integer,
-                "residual": p.residual,
-                "factorization_residual": p.factorization_residual,
-                "split_residual": p.split_residual,
-                "dressing_defect": p.dressing_defect,
-                "bare_defect": p.bare_defect,
-            }
-            for p in points
-        ],
+        "points": [{k: getattr(p, k) for k in _QHE_POINT_KEYS} for p in points],
         "monotone_residual_decreasing": monotone,
     }
 

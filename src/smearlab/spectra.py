@@ -164,10 +164,6 @@ class SpectralSplit:
         return np.nonzero(mask)[0]
 
     @property
-    def patch_energies(self):
-        return self.spectral_data.energies[self.idx0]
-
-    @property
     def projector(self):
         """Assembled P = sum over sigma_0 of |v><v| (cached)."""
         if self._projector is None:
@@ -182,7 +178,7 @@ class SpectralSplit:
 
     def distinct_count(self, tol=DEGENERACY_TOL):
         """Number of distinct eigenvalues inside sigma_0."""
-        e = np.sort(self.patch_energies)
+        e = np.sort(self.spectral_data.energies[self.idx0])
         if e.size == 0:
             return 0
         return 1 + int((np.diff(e) > tol).sum())

@@ -13,6 +13,7 @@ from smearlab.algebra import (
     commutator_norm,
     conditional_expectation,
     embed,
+    involution_isometries,
     is_hermitian,
     liouvillian,
     operator_norm,
@@ -181,6 +182,65 @@ def test_commutator_norm_matches_svd_of_the_commutator(dim):
     # the explicit commutator is anti-Hermitian, so its norm is taken by SVD
     explicit = schatten_norm(A @ B - B @ A, np.inf)
     assert commutator_norm(A, B) == pytest.approx(explicit, rel=1e-12, abs=0.0)
+
+
+_INVOLUTIONS = {
+    "y-complex": pauli_string("y", (2,)),
+    "word-xz": pauli_string("xz", (1, 3)),
+    "one-minus-two-00": LocalOperator((1, 2), np.diag([-1.0, 1.0, 1.0, 1.0])),
+    "x-first-site": pauli_string("x", (0,)),
+    "z-last-site": pauli_string("z", (4,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVOLUTIONS))
+def test_commutator_norm_with_an_involution_matches_the_explicit_commutator(
+        name, monkeypatch):
+    op, n = _INVOLUTIONS[name], 5
+    rng = np.random.default_rng(sorted(_INVOLUTIONS).index(name))
+    A = random_hermitian(2**n, rng)
+    B = op.embed(n)
+    explicit = schatten_norm(A @ B - B @ A, np.inf)
+    pair = involution_isometries(op, n)
+    assert sum(W.shape[1] for W in pair) == 2**n
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda G: sizes.append(G.shape[0]) or eigvalsh(G))
+    assert commutator_norm(A, pair) == pytest.approx(explicit, rel=1e-12, abs=0.0)
+    # one Gram matrix, the smaller one: 8 x 8 for the 24 + 8 split of 1 - 2|00><00|
+    assert sizes == [min(W.shape[1] for W in pair)]
+    monkeypatch.undo()
+    # in an eigenbasis of a random H: frame^dagger B frame from the frame's rows
+    V = np.linalg.eigh(random_hermitian(2**n, rng))[1]
+    framed = involution_isometries(op, n, V)
+    W_plus, W_minus = framed
+    assert np.abs(W_plus @ W_plus.conj().T - W_minus @ W_minus.conj().T
+                  - V.conj().T @ B @ V).max() < 1e-13
+    value = commutator_norm(V.conj().T @ A @ V, framed)
+    assert value == pytest.approx(explicit, rel=1e-12, abs=0.0)
+
+
+def test_involution_isometries_refuse_other_operators():
+    A = random_hermitian(8, np.random.default_rng(3))
+    for matrix in (np.diag([1.0, 0.5]),  # Hermitian, not an involution
+                   np.array([[1.0, 1.0], [0.0, -1.0]]),  # squares to 1, not Hermitian
+                   np.diag([1.0, -1.0 + 2e-12])):
+        with pytest.raises(ValueError):
+            involution_isometries(LocalOperator((1,), matrix), 3)
+    W_plus, W_minus = involution_isometries(pauli_string("x", (1,)), 3)
+    with pytest.raises(ValueError):
+        commutator_norm(A, (W_plus, W_minus[:, 1:]))
+    with pytest.raises(ValueError):
+        commutator_norm(A + 0.5j * np.eye(8), (W_plus, W_minus))
+
+
+def test_schatten_norm_of_a_small_non_hermitian_matrix():
+    # max |A - A^dagger| = 1e-13 is tiny in absolute terms, yet A is far
+    # from Hermitian; one triangle of it would read as the zero matrix
+    A = 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    for p in (1, np.inf):
+        assert schatten_norm(A, p) == pytest.approx(1e-13, rel=1e-12, abs=0.0)
+    assert schatten_norm(np.zeros((3, 3)), np.inf) == 0.0
 
 
 def test_is_hermitian_edge_cases():

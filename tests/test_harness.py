@@ -477,6 +477,51 @@ def test_lppl_under_lowest_k_is_sized_by_its_sparse_route(monkeypatch):
             harness._refuse_oversized("lppl", lppl(n, split))
 
 
+def test_lr_is_sized_by_its_isometry_route(monkeypatch):
+    sysconf = os.sysconf
+    pages = 7 * 2**30 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+
+    def lr(n):
+        return validate_config({
+            "experiment": "lr", "graph": {"kind": "chain", "n": n},
+            "model": {"kind": "tfim", "j": 1.0, "g": 2.0}, "site_a": 0, "site_b": 4,
+            "times": {"start": 0.0, "stop": 1.0, "num": 5},
+        }).params
+
+    # 112 B per entry of a 4^n matrix: 1.75 GiB on 12 sites, 28 GiB on 14;
+    # one dense complex matrix (4 GiB) would let the 14 sites through
+    harness._refuse_oversized("lr", lr(12))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("lr", lr(14))
+
+
+def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypatch):
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        wrapped = getattr(np.linalg, name)
+
+        def counted(a, *args, _wrapped=wrapped, _name=name, **kwargs):
+            sizes.append((_name, a.shape[0]))
+            return _wrapped(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = validate_config({
+        "experiment": "locality",
+        "graph": {"kind": "chain", "n": 6},
+        "model": {"kind": "tfim", "j": 1.0, "g": 2.0},
+        "site_a": 0, "op_b": "y", "distances": [2, 3], "betas": [0.5, 0.7],
+    })
+    res = run(cfg, out_dir=str(tmp_path / "loc"))
+    assert res.summary["verdict"]["holds"] is True
+    # the diagonalization of H is the only solve at dimension 64; each of
+    # the four norms is one Gram matrix of dimension 32
+    assert [s for s in sizes if s[1] == 64] == [("eigh", 64)]
+    assert sizes.count(("eigvalsh", 32)) == 4
+
+
 def test_cli_assumption_error_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "thin.json", {
         "experiment": "flow",
