@@ -30,6 +30,7 @@ __all__ = [
     "commutator",
     "commutator_norm",
     "involution_isometries",
+    "real_matmul",
     "random_hermitian",
     "is_hermitian",
 ]
@@ -217,9 +218,10 @@ def commutator(A, B):
     return A @ B - B @ A
 
 
-def commutator_norm(A, B):
+def commutator_norm(A, B, *, check_a=True):
     """||[A, B]||_inf for Hermitian A and B; other input raises ValueError,
-    since the routes below could then read too low.
+    since the routes below could then read too low.  `check_a=False` skips
+    the check of A, for a caller that has checked it once for many B.
 
     B may come as its eigen-isometries (W+, W-), B = W+ W+^dagger -
     W- W-^dagger (see `involution_isometries`).  [A, B] then has the
@@ -228,17 +230,32 @@ def commutator_norm(A, B):
     taken from C = A B, as i [A, B] = i (C - C^dagger) is exactly Hermitian.
     """
     pair = isinstance(B, tuple)
-    if not (is_hermitian(A) and (pair or is_hermitian(B))):
+    if not ((not check_a or is_hermitian(A)) and (pair or is_hermitian(B))):
         raise ValueError("commutator_norm needs Hermitian A and B")
     if pair:
         W_plus, W_minus = B
         if W_plus.shape[1] + W_minus.shape[1] != A.shape[0]:
             raise ValueError("the isometries of B must have dim columns together")
-        M = W_plus.conj().T @ A @ W_minus
+        M = W_plus.conj().T @ real_matmul(A, W_minus)
         G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
         return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
     C = A @ B
     return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
+
+
+def real_matmul(M, X):
+    """M @ X for a 2-D X; a real float64 M with a complex X is not promoted.
+
+    numpy would copy M to complex and run a complex GEMM.  Here the real
+    and imaginary parts of X go through one real GEMM, as the interleaved
+    columns of the float64 view of a C-contiguous complex128 copy of X.
+    Any other dtype pair is plain M @ X.  A left product W^dagger M is
+    real_matmul(M.T, W.conj()).T.
+    """
+    if M.dtype != np.float64 or not np.iscomplexobj(X):
+        return M @ X
+    X = np.ascontiguousarray(X, dtype=np.complex128)
+    return (M @ X.view(np.float64)).view(np.complex128)
 
 
 def involution_isometries(op, n_sites, frame=None):

@@ -11,8 +11,8 @@ rest (gap gamma, Delta < gamma/4), the off-patch part of a correlation
 where J_beta is the erf-step filter.  Terms II and III are exponentially
 small in (gamma/beta)^2, so at beta = gamma/(2 sqrt(d)) the measured
 correlation inherits the Lieb-Robinson decay of the commutator term I.
-All contractions run in the eigenbasis with chunked kernel matvecs, so
-the filtered operator is never materialized.
+The states lie in the patch P, so the contractions need only thin blocks:
+the patch columns and rows of K o A-tilde, K[m, n] = ghat_beta(E_n - E_m).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import real_matmul
 from .errors import AssumptionError
 from .filtering import erf_step_kernel
 from .spectra import diagonalize, split_spectrum
@@ -32,22 +33,6 @@ __all__ = [
     "ClusterPlacement",
     "cluster_experiment",
 ]
-
-_CHUNK = 256
-
-
-def _kernel_matvec(energies, beta, gamma, A_tilde, vecs):
-    """(K o A_tilde) @ vecs with K[m, n] = ghat_beta(E_n - E_m), computed
-    in row chunks so the kernel matrix is never stored."""
-    dim = energies.size
-    out = np.empty(vecs.shape, dtype=np.result_type(A_tilde, vecs))
-    for start in range(0, dim, _CHUNK):
-        stop = min(start + _CHUNK, dim)
-        block = erf_step_kernel(
-            energies[None, :] - energies[start:stop, None], beta, gamma
-        )
-        out[start:stop] = (block * A_tilde[start:stop]) @ vecs
-    return out
 
 
 @dataclass
@@ -88,38 +73,51 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
 
     Omega must lie in the range of the patch projector (checked to 1e-10).
     A 2-D `omega_vec` holds one state per column and gives a list of
-    decompositions, one per column, from a single transform of A and B.
-    `norm_a`/`norm_b` default to 1 (Pauli observables); they only scale
-    the diagnostic bounds.
+    decompositions, one per column, from one set of thin blocks.  A and B
+    are Hermitian, dense or 1-D (diagonal).  `norm_a`/`norm_b` default to 1
+    (Pauli observables); they only scale the diagnostic bounds.
     """
     _require_bottom_patch(split)
     gamma = split.gap
     e = sd.energies
+    P = split.idx0
     mask = split.patch_mask()
+    V = sd.vectors
+
+    def apply(X, Y):
+        return X[:, None] * Y if np.ndim(X) == 1 else real_matmul(X, Y)
+
+    def adjoint(Y):  # V^dagger Y, with no full-size copy of V
+        if np.iscomplexobj(V):
+            return (Y.conj().T @ V).conj().T
+        return real_matmul(V.T, Y)
 
     states = np.asarray(omega_vec)
-    W = sd.vectors.conj().T @ states.reshape(e.size, -1)
+    W = adjoint(states.reshape(e.size, -1))
     if np.any(np.abs(np.linalg.norm(W, axis=0) - 1.0) > 1e-10):
         raise AssumptionError("state vector is not normalized")
     if np.any(np.linalg.norm(W[~mask], axis=0) > 1e-10):
         raise AssumptionError("state vector is not in the patch range")
+    W_P = W[P]
 
-    A_t = sd.to_eigenbasis(A)
-    B_t = sd.to_eigenbasis(B)
+    # A-tilde[:, P] and its patch rows A-tilde[P, :] = A-tilde[:, P]^dagger
+    A_cols = adjoint(apply(A, V[:, P]))
+    A_rows = A_cols.conj().T
+    BW = adjoint(apply(B, real_matmul(V[:, P], W_P)))
+    freq = e[P][None, :] - e[:, None]  # E_n - E_m for n in P
+    JW = real_matmul(erf_step_kernel(freq, beta, gamma) * A_cols, W_P)
+    # patch rows of J(A) B w, and of A Pperp B w (shared by III and the correlation)
+    JBW = real_matmul(erf_step_kernel(-freq.T, beta, gamma) * A_rows, BW)
+    ABW = real_matmul(A_rows, BW * (~mask)[:, None])
 
-    BW = B_t @ W
-    JW, JBW = np.hsplit(_kernel_matvec(e, beta, gamma, A_t, np.hstack([W, BW])), 2)
-    # A Pperp B w, shared by term III and the correlation
-    ABW = A_t @ (BW * (~mask)[:, None])
+    def dots(X, Y):
+        return np.einsum("ij,ij->j", X.conj(), Y)
 
-    def dots(X):
-        return np.einsum("ij,ij->j", W.conj(), X)
-
-    term_ii = dots(B_t @ JW)
-    term_i = dots(JBW) - term_ii
+    term_ii = dots(BW, JW)
+    term_i = dots(W_P, JBW) - term_ii
     # III = <w, (P A Pperp - P J(A)) B w>   (P w = w)
-    term_iii = dots((ABW - JBW) * mask[:, None])
-    correlation = dots(ABW)
+    term_iii = dots(W_P, ABW - JBW)
+    correlation = dots(W_P, ABW)
     defect = np.abs(correlation - (term_i + term_ii + term_iii))
 
     na = 1.0 if norm_a is None else float(norm_a)

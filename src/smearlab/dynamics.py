@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .algebra import commutator_norm, involution_isometries
+from .algebra import commutator_norm, involution_isometries, is_hermitian
 
 __all__ = [
     "EvolutionSpec",
@@ -224,16 +224,20 @@ def measured_commutator_curve(spec, A, B, times):
     Taken as ||[A, tau_{0,-t}(B)]|| in the eigenbasis, where the norm is
     the same: A is transformed once, B is held as its eigen-isometries in
     that basis, and tau_{0,-t} multiplies their row mu by e^{-i E_mu t}.
-    An ODE spec or a B that is not an involution raises ValueError.
+    A is checked Hermitian once, before the time loop.  An ODE spec, a
+    non-Hermitian A or a B that is not an involution raises ValueError.
     """
     if spec.kind != "spectral":
         raise ValueError("measured_commutator_curve needs a spectral spec")
     sd = spec.spectral_data
     n = round(math.log(sd.dim, A.q))
     A_t = sd.to_eigenbasis(A.embed(n))
+    if not is_hermitian(A_t):
+        raise ValueError("measured_commutator_curve needs a Hermitian A")
     W_plus, W_minus = involution_isometries(B, n, sd.vectors)
     phases = (np.exp(-1j * sd.energies * t)[:, None] for t in times)
-    return np.array([commutator_norm(A_t, (ph * W_plus, ph * W_minus)) for ph in phases])
+    return np.array([commutator_norm(A_t, (ph * W_plus, ph * W_minus), check_a=False)
+                     for ph in phases])
 
 
 def lr_experiment(spec, params, A, B, X, Y, times):

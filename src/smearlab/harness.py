@@ -195,10 +195,21 @@ def _refuse_oversized(kind, params):
     """SchemaError when the matrices a run holds at once exceed physical
     memory.
 
-    Most experiments are sized by one dense complex matrix, 16 * 4^n bytes.
-    lr holds H, its eigenvectors, A in their basis and the isometries of
-    B; its peak, traced on chains of 8 to 10 sites, is 81 (real B) to 89
-    (complex B) bytes per entry of a 4^n matrix, taken as 112.
+    qhe, liouvillian and lppl under a dense split rule are sized by one
+    dense complex matrix, 16 * 4^n bytes.  lr, cluster and locality are
+    sized by their peaks per entry of a 4^n matrix, traced with tracemalloc
+    on three sizes; for cluster and locality also by the growth of the peak
+    RSS, which counts the LAPACK workspace of `eigh`:
+    - lr holds H, its eigenvectors, A in their basis and the isometries of
+      B: 81 (real B) to 89 (complex B) bytes on chains of 8 to 10, taken
+      as 112;
+    - cluster holds H, its eigenvectors and the embedded A and B: traced at
+      25 bytes for z, 41 for x and 66 for y on rings of 8 to 10, with 40
+      to 71 bytes of RSS growth on rings of 10 to 12, taken as 80;
+    - locality holds the filtered A beside H, its eigenvectors and the
+      kernel: traced at 121 (real A and B) to 145 (complex A and B) bytes
+      on chains of 8 to 10, with up to 154 bytes of RSS growth on chains
+      of 10 and 11, taken as 176.
     A flow keeps a real H and its real eigenvectors (8 * 4^n bytes each) at
     each of the 2 s_steps + 1 points its RK4 steps visit, plus the
     s_steps + 1 complex unitaries (16 * 4^n bytes each) of one integration.
@@ -214,7 +225,7 @@ def _refuse_oversized(kind, params):
     elif kind == "flow":
         need = 16 * 4**n * (3 * params["s_steps"] + 2)
     else:
-        need = (112 if kind == "lr" else 16) * 4**n
+        need = {"lr": 112, "cluster": 80, "locality": 176}.get(kind, 16) * 4**n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of "

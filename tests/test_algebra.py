@@ -19,6 +19,7 @@ from smearlab.algebra import (
     operator_norm,
     pauli_string,
     random_hermitian,
+    real_matmul,
     schatten_norm,
     trace_sites,
 )
@@ -294,3 +295,28 @@ def test_random_hermitian_normalization():
     H = random_hermitian(12, rng, norm=2.5)
     assert is_hermitian(H)
     assert operator_norm(H) == pytest.approx(2.5)
+
+
+def test_real_matmul_matches_numpy_product():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((7, 9))
+    Z = rng.standard_normal((9, 10)) + 1j * rng.standard_normal((9, 10))
+    blocks = {
+        "c-ordered": Z[:, :4].copy(),
+        "f-ordered": np.asfortranarray(Z[:, :4]),
+        "sliced": Z[:, 1:8:2],
+        "complex64": Z[:, :3].astype(np.complex64),
+    }
+    for name, X in blocks.items():
+        got = real_matmul(M, X)
+        assert got.shape == (7, X.shape[1]), name
+        assert np.abs(got - M @ X).max() < 1e-13, name
+    # a left product W^dagger M is the transpose of M^T times conj(W)
+    W = Z[:7, :3]
+    assert np.abs(real_matmul(M.T, W.conj()).T - W.conj().T @ M).max() < 1e-13
+    # every other dtype pair is plain M @ X
+    R = rng.standard_normal((9, 4))
+    for A, X in ((M, R), (M + 0j, Z), (M + 1j, R), (M.astype(np.float32), Z)):
+        got = real_matmul(A, X)
+        assert got.dtype == (A @ X).dtype
+        assert np.abs(got - A @ X).max() < 1e-13

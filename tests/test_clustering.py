@@ -1,5 +1,7 @@
 """Correlation decomposition I + II + III on the ground patch."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from smearlab.clustering import (
     decompose_correlation,
 )
 from smearlab.errors import AssumptionError
-from smearlab.interaction import tfim
+from smearlab.filtering import erf_step_kernel
+from smearlab.interaction import custom_model, tfim
 from smearlab.lattice import build_chain, build_ring
 from smearlab.spectra import (
     SpectralData,
@@ -137,7 +140,7 @@ def _count_calls(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_experiment_decomposes_and_transforms_once_per_placement(monkeypatch):
+def test_experiment_decomposes_once_per_placement_and_transforms_nothing(monkeypatch):
     phi = tfim(build_ring(8), 1.0, 2.0)
     log = []
     _count_calls(monkeypatch, smearlab.clustering, "decompose_correlation", log)
@@ -152,7 +155,7 @@ def test_experiment_decomposes_and_transforms_once_per_placement(monkeypatch):
     )
     assert [len(r.sampled) for r in records] == [5] * 4
     assert log.count("decompose_correlation") == 4
-    assert log.count("to_eigenbasis") == 8
+    assert log.count("to_eigenbasis") == 0
 
 
 def test_stacked_states_match_single_state_calls():
@@ -176,3 +179,88 @@ def test_stacked_states_match_single_state_calls():
         for name in ("term_i", "term_ii", "term_iii", "correlation",
                      "bound_ii", "bound_iii", "identity_defect"):
             assert abs(getattr(dec, name) - getattr(single, name)) < 1e-12
+
+
+def dense_decomposition(sd, split, beta, A, B, states, norm_a=1.0, norm_b=1.0):
+    """Oracle: every contraction on the full eigenbasis transforms of A and
+    B and the full kernel matrix K[m, n] = ghat_beta(E_n - E_m)."""
+    e = sd.energies
+    mask = split.patch_mask()
+    W = sd.vectors.conj().T @ states
+    A_t = sd.to_eigenbasis(A)
+    B_t = sd.to_eigenbasis(B)
+    J = erf_step_kernel(e[None, :] - e[:, None], beta, split.gap) * A_t
+    BW = B_t @ W
+    JBW = J @ BW
+    ABW = A_t @ (BW * (~mask)[:, None])
+
+    def dots(X):
+        return np.einsum("ij,ij->j", W.conj(), X)
+
+    term_ii = dots(B_t @ (J @ W))
+    term_i = dots(JBW) - term_ii
+    term_iii = dots((ABW - JBW) * mask[:, None])
+    correlation = dots(ABW)
+    defect = np.abs(correlation - (term_i + term_ii + term_iii))
+    gamma = split.gap
+    envelope = (split.distinct_count() / math.sqrt(math.pi) * (beta / gamma)
+                * math.exp(-((gamma / beta) ** 2) / 64.0) * norm_a * norm_b)
+    return [
+        ClusterDecomposition(*map(complex, terms), 4.0 * envelope, 6.0 * envelope,
+                             float(f))
+        for *terms, f in zip(term_i, term_ii, term_iii, correlation, defect)
+    ]
+
+
+def _patch_states(split, count, rng):
+    C = rng.standard_normal((split.p, count)) + 1j * rng.standard_normal((split.p, count))
+    return split.patch_vectors() @ (C / np.linalg.norm(C, axis=0))
+
+
+def _assert_matches_oracle(sd, split, A, B, states):
+    gamma = split.gap
+    for beta in (gamma / 2.0, gamma / (2.0 * math.sqrt(3.0))):
+        got = decompose_correlation(sd, split, beta, A, B, states, 1.0, 2.0)
+        want = dense_decomposition(sd, split, beta, A, B, states, 1.0, 2.0)
+        assert len(got) == len(want) == states.shape[1]
+        for g, w in zip(got, want):
+            for name in ("term_i", "term_ii", "term_iii", "correlation",
+                         "bound_ii", "bound_iii", "identity_defect"):
+                assert abs(getattr(g, name) - getattr(w, name)) < 1e-12, name
+
+
+def test_patch_columns_match_dense_oracle_on_a_ring_with_diagonal_observables():
+    n = 8
+    sd = diagonalize(tfim(build_ring(n), 1.0, 2.0).hamiltonian(0.0))
+    split = split_spectrum(sd, lowest_k(1))
+    states = np.column_stack([sd.vectors[:, 0], _patch_states(split, 3, np.random.default_rng(1))])
+    A = pauli_string("z", (0,)).embed_diagonal(n)
+    for site_b in (2, 4):
+        B = pauli_string("z", (site_b,)).embed_diagonal(n)
+        _assert_matches_oracle(sd, split, A, B, states)
+
+
+def test_patch_columns_match_dense_oracle_for_a_dense_a_on_a_doublet():
+    n = 6
+    sd = diagonalize(tfim(build_chain(n), 1.0, 0.5).hamiltonian(0.0))
+    split = split_spectrum(sd, lowest_k(2))
+    assert split.p == 2
+    states = _patch_states(split, 4, np.random.default_rng(2))
+    A = pauli_string("x", (1,)).embed(n)
+    for B in (pauli_string("z", (4,)).embed_diagonal(n), pauli_string("x", (4,)).embed(n)):
+        _assert_matches_oracle(sd, split, A, B, states)
+
+
+def test_patch_columns_match_dense_oracle_with_complex_eigenvectors():
+    n = 6
+    chain = build_chain(n)
+    phi = custom_model(chain, [("zz", edge, -1.0) for edge in chain.edges]
+                       + [(label, (x,), h) for x in range(n)
+                          for label, h in (("x", -1.5), ("y", -0.7))])
+    sd = diagonalize(phi.hamiltonian(0.0))
+    assert np.iscomplexobj(sd.vectors)
+    split = split_spectrum(sd, lowest_k(1))
+    states = np.column_stack([sd.vectors[:, 0], _patch_states(split, 2, np.random.default_rng(3))])
+    A = pauli_string("y", (0,)).embed(n)
+    for B in (pauli_string("z", (3,)).embed_diagonal(n), pauli_string("x", (3,)).embed(n)):
+        _assert_matches_oracle(sd, split, A, B, states)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import smearlab.algebra
+import smearlab.dynamics
 from smearlab.algebra import (
     PAULI_X,
     PAULI_Y,
@@ -285,3 +286,28 @@ def test_commutator_curve_stays_in_the_eigenbasis(monkeypatch):
         assert abs(value - operator_norm(At @ Bf - Bf @ At)) < 1e-12
     with pytest.raises(ValueError):
         measured_commutator_curve(EvolutionSpec.ode(phi), A, B, times)
+
+
+def test_commutator_curve_checks_a_once(monkeypatch):
+    n = 6
+    sd = diagonalize(tfim(build_chain(n), 1.0, 1.2).hamiltonian(0.0))
+    spec = EvolutionSpec.spectral(sd)
+    shapes = []
+    wrapped = smearlab.algebra.is_hermitian
+
+    def counted(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return wrapped(A, *args, **kwargs)
+
+    for module in (smearlab.algebra, smearlab.dynamics):
+        monkeypatch.setattr(module, "is_hermitian", counted)
+    curve = measured_commutator_curve(
+        spec, pauli_string("x", (0,)), pauli_string("z", (3,)), np.linspace(0.0, 2.0, 20))
+    assert curve.shape == (20,)
+    # A in the eigenbasis once, and B's local matrix once
+    assert shapes.count((2**n, 2**n)) == 1
+    assert shapes.count((2, 2)) == 1
+    with pytest.raises(ValueError):
+        measured_commutator_curve(
+            spec, smearlab.algebra.LocalOperator((0,), [[0.0, 1.0], [0.0, 0.0]]),
+            pauli_string("z", (3,)), [0.0, 1.0])

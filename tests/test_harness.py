@@ -498,6 +498,38 @@ def test_lr_is_sized_by_its_isometry_route(monkeypatch):
         harness._refuse_oversized("lr", lr(14))
 
 
+def test_cluster_and_locality_are_sized_by_their_routes(monkeypatch):
+    sysconf = os.sysconf
+    pages = 7 * 2**30 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    tfim_model = {"kind": "tfim", "j": 1.0, "g": 2.0}
+
+    def cluster(n):
+        return validate_config({
+            "experiment": "cluster", "graph": {"kind": "ring", "n": n},
+            "model": tfim_model, "split": {"rule": "lowest_k", "k": 1},
+            "site_a": 0, "distances": [2, 3],
+        }).params
+
+    def locality(n):
+        return validate_config({
+            "experiment": "locality", "graph": {"kind": "chain", "n": n},
+            "model": tfim_model, "site_a": 0, "distances": [2, 3], "betas": [0.5],
+        }).params
+
+    # 80 B per entry: 5 GiB on a ring of 13, 20 GiB on 14; one dense complex
+    # matrix (4 GiB) would let the 14 sites through
+    harness._refuse_oversized("cluster", cluster(13))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("cluster", cluster(14))
+    # 176 B per entry: 2.75 GiB on a chain of 12, 11 GiB on 13 (1 GiB before)
+    harness._refuse_oversized("locality", locality(12))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("locality", locality(13))
+
+
 def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypatch):
     sizes = []
     for name in ("eigvalsh", "eigh"):
