@@ -1,10 +1,11 @@
 """Spectral flow along interaction paths.
 
-For a smooth gapped path H(s), the transport unitaries V(s) solve
+For a smooth gapped path H(s), the transport V'(s) = i K(s) V(s),
+V(0) = 1, acts on the patch state through alpha_{0,s}(A) = V^dagger A V
+only via the transported patch vectors W(s) = V(s) W_0, a dim x p block:
 
-    V'(s) = i K(s) V(s),        V(0) = 1,
+    W'(s) = i K(s) W(s),    omega_0(alpha_{0,s}(A)) = tr(W^dagger A W) / p.
 
-and the transported observable is alpha_{0,s}(A) = V(s)^dagger A V(s).
 With the exact generator K(s) = I_{H(s)}(dH/ds) the flow intertwines the
 patch states exactly: omega_s(A) = omega_0(alpha_{0,s}(A)); the sign of
 the propagator equation is pinned by that identity.  The almost generator
@@ -32,7 +33,8 @@ from .filtering import (
 )
 from .interaction import local_perturbation
 from .lattice import Region
-from .spectra import diagonalize, lowest_levels, patch_expectation, split_spectrum
+from .spectra import (block_expectation, diagonalize, lowest_levels, patch_expectation,
+                      split_spectrum)
 
 __all__ = [
     "FlowGenerator",
@@ -101,14 +103,11 @@ class FlowGenerator:
         self.ell = ell
         self.cache = cache if cache is not None else EigenCache(phi)
 
-    def spectral_data(self, s):
-        return self.cache.at(s)
-
     def split(self, s):
-        return split_spectrum(self.spectral_data(s), self.split_rule, self.min_gap)
+        return split_spectrum(self.cache.at(s), self.split_rule, self.min_gap)
 
     def __call__(self, s):
-        sd = self.spectral_data(s)
+        sd = self.cache.at(s)
         if self.kind == "exact":
             return exact_inverse_liouvillian(
                 sd, self.split(s), self.phi.hamiltonian_derivative(s)
@@ -134,42 +133,43 @@ class FlowGenerator:
 
 @dataclass
 class FlowResult:
-    """Transport unitaries on the parameter grid."""
+    """Transported blocks W(s) = V(s) W(0) on the parameter grid."""
 
     s_grid: np.ndarray
-    unitaries: list
+    blocks: list
 
-    def transported(self, A, index=-1):
-        """alpha_{0,s}(A) at the grid point with the given index."""
-        V = self.unitaries[index]
-        return V.conj().T @ A @ V
+    def expectation(self, A, index=-1):
+        """tr(W^dagger A W) / p at the grid point with the given index; for
+        W(0) the patch vectors of H(0) this is omega_0(alpha_{0,s}(A))."""
+        return block_expectation(self.blocks[index], A)
 
     @property
-    def final_unitarity_defect(self):
-        V = self.unitaries[-1]
-        return schatten_norm(V.conj().T @ V - np.eye(V.shape[0]), np.inf)
+    def transport_defect(self):
+        """||W^dagger W - 1|| at s = 1, a p x p matrix."""
+        W = self.blocks[-1]
+        return schatten_norm(W.conj().T @ W - np.eye(W.shape[1]), np.inf)
 
 
-def integrate_flow(generator, s_grid):
-    """RK4 integration of V' = i K(s) V over the given grid, one step per
-    grid interval.
+def integrate_flow(generator, s_grid, block):
+    """RK4 integration of W' = i K(s) W from W(0) = `block` (dim x p) over
+    the given grid, one step per grid interval.
 
-    Returns the transport unitary at every grid point.
+    Returns the block at every grid point; the identity block gives the
+    transport unitaries.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    dim = generator.phi.dim
-    V = np.eye(dim, dtype=complex)
-    unitaries = [V]
+    W = np.asarray(block, dtype=complex)
+    blocks = [W]
     for s, b in zip(s_grid[:-1], s_grid[1:]):
         h = b - s
-        k1 = 1j * generator(s) @ V
+        k1 = 1j * generator(s) @ W
         K_mid = generator(s + 0.5 * h)
-        k2 = 1j * K_mid @ (V + 0.5 * h * k1)
-        k3 = 1j * K_mid @ (V + 0.5 * h * k2)
-        k4 = 1j * generator(s + h) @ (V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        unitaries.append(V)
-    return FlowResult(s_grid, unitaries)
+        k2 = 1j * K_mid @ (W + 0.5 * h * k1)
+        k3 = 1j * K_mid @ (W + 0.5 * h * k2)
+        k4 = 1j * generator(s + h) @ (W + h * k3)
+        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        blocks.append(W)
+    return FlowResult(s_grid, blocks)
 
 
 @dataclass
@@ -262,15 +262,13 @@ def exact_flow_intertwining(phi, split_rule, observables, s_steps=200, min_gap=1
     """
     gen = FlowGenerator(phi, "exact", split_rule=split_rule, min_gap=min_gap)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    result = integrate_flow(gen, s_grid)
-    split0 = gen.split(0.0)
+    result = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors())
     errors = np.zeros(len(observables))
     for i, s in enumerate(s_grid):
         split_s = gen.split(s)
         for j, A in enumerate(observables):
             lhs = patch_expectation(split_s, A)
-            rhs = patch_expectation(split0, result.transported(A, i))
-            errors[j] = max(errors[j], abs(lhs - rhs))
+            errors[j] = max(errors[j], abs(lhs - result.expectation(A, i)))
     return errors, result
 
 
@@ -290,7 +288,7 @@ def automorphic_equivalence_experiment(
     """
     cache = EigenCache(phi)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    split0 = split_spectrum(cache.at(0.0), split_rule, min_gap)
+    W0 = split_spectrum(cache.at(0.0), split_rule, min_gap).patch_vectors()
     split1 = split_spectrum(cache.at(1.0), split_rule, min_gap)
     target = patch_expectation(split1, A)
 
@@ -298,9 +296,8 @@ def automorphic_equivalence_experiment(
     errors = {}
     for beta in betas:
         gen = FlowGenerator(phi, "almost", beta=beta, cache=cache)
-        # no FlowResult outlives its beta, so one set of unitaries is held at a time
-        transported = integrate_flow(gen, s_grid).transported(A)
-        errors[beta] = abs(target - patch_expectation(split0, transported))
+        # each beta transports the dim x p patch block, never the unitary
+        errors[beta] = abs(target - integrate_flow(gen, s_grid, W0).expectation(A))
     path_gap = min(
         split_spectrum(sd, split_rule, min_gap).gap for sd in cache._store.values()
     )

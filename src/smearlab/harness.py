@@ -211,8 +211,11 @@ def _refuse_oversized(kind, params):
       on chains of 8 to 10, with up to 154 bytes of RSS growth on chains
       of 10 and 11, taken as 176.
     A flow keeps a real H and its real eigenvectors (8 * 4^n bytes each) at
-    each of the 2 s_steps + 1 points its RK4 steps visit, plus the
-    s_steps + 1 complex unitaries (16 * 4^n bytes each) of one integration.
+    each of the 2 s_steps + 1 points its RK4 steps visit; its transported
+    blocks are dim x p.  Above that cache, the generator's temporaries and
+    the `eigh` workspace were traced at 109 to 122 bytes per entry, with
+    150 to 203 bytes of RSS growth (chains of 8 and 9 at 40 and 100
+    steps), taken as 256.
     lppl under `lowest_k` holds no dense matrix: each of its terms (one per
     edge and per site, and the perturbation) puts 2^n entries into the
     sparse H, and the run peaks near 106 bytes per entry (traced on TFIM
@@ -223,7 +226,7 @@ def _refuse_oversized(kind, params):
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
         need = 128 * 2**n * (len(_build_graph(g).edges) + n + 1)
     elif kind == "flow":
-        need = 16 * 4**n * (3 * params["s_steps"] + 2)
+        need = 16 * 4**n * (2 * params["s_steps"] + 17)
     else:
         need = {"lr": 112, "cluster": 80, "locality": 176}.get(kind, 16) * 4**n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -403,10 +406,11 @@ def _run_flow(params, rng, mapper):
         "monotone_decreasing_above_floor": monotone,
     }
     if params["exact_control"]:
-        errors, _ = exact_flow_intertwining(
+        errors, control = exact_flow_intertwining(
             phi, rule, [A], s_steps=params["s_steps"], min_gap=min_gap
         )
         summary["exact_control_error"] = float(errors.max())
+        summary["transport_defect"] = control.transport_defect
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     return ("x", "value"), rows, summary
 

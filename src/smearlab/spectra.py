@@ -16,7 +16,8 @@ import numpy as np
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .algebra import LocalOperator, is_hermitian, singular_value_norm, site_index
+from .algebra import (LocalOperator, is_hermitian, real_matmul, singular_value_norm,
+                      site_index)
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "lowest_levels",
     "split_spectrum",
     "patch_expectation",
+    "block_expectation",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -55,7 +57,10 @@ class SpectralData:
         return V.conj().T @ A @ V
 
     def from_eigenbasis(self, A_tilde):
-        return self.vectors @ A_tilde @ self.vectors.conj().T
+        """V A_tilde V^dagger, as (conj(V) (V A_tilde)^T)^T so that a real V
+        meets a complex A_tilde through `real_matmul`, unpromoted."""
+        V = self.vectors
+        return real_matmul(V.conj(), real_matmul(V, A_tilde).T).T
 
     def frequency_table(self):
         """omega[i, j] = E_i - E_j."""
@@ -262,15 +267,19 @@ def split_spectrum(sd, rule, min_gap=1e-8, tol=DEGENERACY_TOL):
 
 
 def patch_expectation(split, A):
-    """Normalized patch state omega(A) = tr(P A) / p.
+    """Normalized patch state omega(A) = tr(P A) / p."""
+    return block_expectation(split.patch_vectors(), A)
 
-    A LocalOperator is applied to the patch vectors on its support only:
-    W[a, r] = V0[idx[a, r]], contracted with its matrix.
+
+def block_expectation(W, A):
+    """tr(W^dagger A W) / p for a dim x p block W.
+
+    A LocalOperator is applied to W on its support only:
+    W[idx[a, r]], contracted with its matrix.
     """
-    V0 = split.patch_vectors()
     if isinstance(A, LocalOperator):
-        W = V0[site_index(A.sites, round(math.log(V0.shape[0], A.q)), A.q)]
-        vals = np.einsum("ari,ab,bri->i", W.conj(), A.matrix, W, optimize=True)
+        Wl = W[site_index(A.sites, round(math.log(W.shape[0], A.q)), A.q)]
+        vals = np.einsum("ari,ab,bri->i", Wl.conj(), A.matrix, Wl, optimize=True)
     else:
-        vals = np.einsum("ij,jk,ki->i", V0.conj().T, A, V0, optimize=True)
-    return complex(vals.sum() / split.p)
+        vals = np.einsum("ij,jk,ki->i", W.conj().T, A, W, optimize=True)
+    return complex(vals.sum() / W.shape[1])

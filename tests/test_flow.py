@@ -69,9 +69,8 @@ def test_constant_path_gives_zero_generator():
     gen = FlowGenerator(phi, "almost", beta=0.7)
     assert operator_norm(gen(0.3)) < 1e-14
     # and the flow is the identity map
-    res = integrate_flow(gen, np.linspace(0, 1, 11))
-    A = pauli_string("z", (1,)).embed(3)
-    assert operator_norm(res.transported(A) - A) < 1e-12
+    res = integrate_flow(gen, np.linspace(0, 1, 11), np.eye(8))
+    assert operator_norm(res.blocks[-1] - np.eye(8)) < 1e-12
 
 
 def test_commuting_derivative_gives_zero_almost_generator():
@@ -120,9 +119,9 @@ def test_integrate_flow_unitarity_and_phase_oracle():
             return K
 
     grid = np.linspace(0, 1, 51)
-    res = integrate_flow(_const(phi), grid)
-    assert operator_norm(res.unitaries[-1] - expm(1j * K)) < 1e-10
-    assert res.final_unitarity_defect < 1e-12
+    res = integrate_flow(_const(phi), grid, np.eye(2))
+    assert operator_norm(res.blocks[-1] - expm(1j * K)) < 1e-10
+    assert res.transport_defect < 1e-12
 
 
 def test_exact_flow_intertwines_patch_states():
@@ -135,7 +134,23 @@ def test_exact_flow_intertwines_patch_states():
         obs.append(LocalOperator((site,), M).embed(4))
     errors, result = exact_flow_intertwining(phi, lowest_k(1), obs, s_steps=100)
     assert errors.max() < 1e-8
-    assert result.final_unitarity_defect < 1e-8
+    assert result.transport_defect < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["almost", "exact"])
+def test_patch_block_flow_is_the_unitary_flow_on_the_patch(kind):
+    # RK4 is linear in its state: the block route from W0 is the unitary
+    # route applied to W0, up to rounding
+    phi = tfim(build_chain(5), 1.0, TrigRampPath(1.2, 2.0))
+    gen = FlowGenerator(phi, kind, beta=0.7, split_rule=lowest_k(1))
+    grid = np.linspace(0.0, 1.0, 21)
+    W0 = gen.split(0.0).patch_vectors()
+    full = integrate_flow(gen, grid, np.eye(phi.dim))
+    patch = integrate_flow(gen, grid, W0)
+    assert len(patch.blocks) == grid.size
+    for W, V in zip(patch.blocks, full.blocks):
+        assert W.shape == W0.shape == (phi.dim, 1)
+        assert np.abs(W - V @ W0).max() < 1e-12
 
 
 def test_automorphic_error_decreases_with_filter_sharpness():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from smearlab import harness
+from smearlab.algebra import pauli_string
 from smearlab.cli import main as cli_main
 from smearlab.config import ExperimentConfig, validate_config
 from smearlab.errors import (
@@ -20,8 +21,9 @@ from smearlab.errors import (
     FitError,
     SchemaError,
 )
+from smearlab.flow import exact_flow_intertwining
 from smearlab.harness import DecayCurve, fit_exponential, run, write_csv, write_summary
-from smearlab.interaction import tfim
+from smearlab.interaction import TrigRampPath, tfim
 from smearlab.lattice import build_chain
 from smearlab.spectra import diagonalize, lowest_k, split_spectrum
 
@@ -204,12 +206,27 @@ def test_run_flow_fits_decay(tmp_path):
     assert res.summary["floor"] == 1e-12
     assert res.summary["monotone_decreasing_above_floor"] is True
     assert "exact_control_error" not in res.summary
+    assert "transport_defect" not in res.summary
     # the field ramps up from g = 2, so the gap is smallest at s = 0
     sd0 = diagonalize(tfim(build_chain(4), 1.0, 2.0).hamiltonian())
     assert res.summary["min_gap_along_path"] == split_spectrum(sd0, lowest_k(1)).gap
     rows = open(res.csv_path, encoding="utf-8").read().strip().split("\n")[1:]
     xs = [float(r.split(",")[0]) for r in rows]
     assert xs == sorted(xs) and abs(xs[0] - 0.9**-2) < 1e-12
+
+
+def test_run_flow_reports_the_exact_control_transport_defect(tmp_path):
+    params = dict(_flow_config(4, 40), betas=[0.9, 0.7])
+    cfg = validate_config(params)
+    a = run(cfg, out_dir=str(tmp_path / "a"))
+    b = run(cfg, out_dir=str(tmp_path / "b"), threads=2)
+    assert filecmp.cmp(a.summary_path, b.summary_path, shallow=False)
+    errors, control = exact_flow_intertwining(
+        tfim(build_chain(4), 1.0, TrigRampPath(2.0, 3.0)), lowest_k(1),
+        [pauli_string("x", (1,)).embed(4)], s_steps=40)
+    assert a.summary["exact_control_error"] == float(errors.max())
+    assert a.summary["transport_defect"] == control.transport_defect
+    assert 0.0 < a.summary["transport_defect"] < 1e-8
 
 
 def test_run_flow_too_few_points_above_floor(tmp_path):
@@ -432,9 +449,8 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
         raise AssertionError("the flow started instead of being refused")
 
     monkeypatch.setitem(harness._DRIVERS, "flow", must_not_run)
-    # 401 cached real (H, V) pairs of 16 MiB plus 201 complex unitaries of
-    # 16 MiB: 9.4 GiB
-    cfg = write_config(tmp_path, "flow10.json", _flow_config(10, 200))
+    # 801 cached real (H, V) pairs of 16 MiB: 12.8 GiB
+    cfg = write_config(tmp_path, "flow10.json", _flow_config(10, 400))
     tracemalloc.start()
     try:
         code = cli_main(["run", cfg, "--out", str(tmp_path / "o")])
@@ -445,11 +461,31 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
     assert "config error" in capsys.readouterr().err
     assert peak < 10e6
     assert not (tmp_path / "o").exists()
-    # a chain of 9 needs 2.4 GiB, a chain of 6 with 400 steps 75 MiB, and
+    # a chain of 9 needs 1.6 GiB, a chain of 6 with 400 steps 51 MiB, and
     # other experiments one dense operator: all are accepted
     for params in (_flow_config(9, 200), _flow_config(6, 400)):
         harness._refuse_oversized("flow", validate_config(params).params)
     harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
+
+
+def test_flow_is_sized_by_its_eigenvalue_cache(monkeypatch):
+    sysconf = os.sysconf
+    pages = 7 * 2**30 // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+
+    def flow(n, s_steps):
+        return validate_config(_flow_config(n, s_steps)).params
+
+    # 16 B per entry at each of the 2 s_steps + 1 cached points plus 256 B:
+    # 3.2 GiB on a chain of 9 at 400 steps, 12.8 GiB on a chain of 10
+    harness._refuse_oversized("flow", flow(9, 400))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("flow", flow(10, 400))
+    # no unitaries are counted: 6.5 GiB on a chain of 10 at 200 steps,
+    # where 201 complex unitaries beside the cache made 9.4 GiB
+    harness._refuse_oversized("flow", flow(10, 200))
 
 
 def test_lppl_under_lowest_k_is_sized_by_its_sparse_route(monkeypatch):

@@ -65,6 +65,23 @@ def test_frequency_table_and_diagonal_input():
     assert np.allclose(sd.to_eigenbasis(a), np.diag(a))
 
 
+def test_from_eigenbasis_matches_plain_matmul_for_each_dtype_pair():
+    rng = np.random.default_rng(8)
+    real = diagonalize(tfim(build_chain(4), 1.0, 2.0).hamiltonian())
+    cplx = diagonalize(random_hermitian(16, rng))
+    assert real.vectors.dtype == np.float64 and cplx.vectors.dtype == np.complex128
+    A_c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    A_r = rng.standard_normal((16, 16))
+    V = real.vectors
+    assert np.abs(real.from_eigenbasis(A_c) - V @ A_c @ V.T).max() < 1e-13
+    got = real.from_eigenbasis(A_r)
+    assert got.dtype == np.float64
+    assert np.abs(got - V @ A_r @ V.T).max() < 1e-13
+    V = cplx.vectors
+    for A in (A_c, A_r):
+        assert np.abs(cplx.from_eigenbasis(A) - V @ A @ V.conj().T).max() < 1e-13
+
+
 def test_lowest_k_split_tfim():
     g = build_chain(4)
     sd = diagonalize(tfim(g, 1.0, 2.0).hamiltonian())
