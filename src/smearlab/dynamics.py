@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .algebra import commutator_norm, involution_isometries, is_hermitian
 
@@ -140,12 +139,16 @@ def smear(spec, filt, A):
     Spectral route: entry (mu, nu) of A in the eigenbasis is multiplied by
     int f(t) e^{i w t} dt = sqrt(2 pi) f^(w) at w = E_mu - E_nu, in closed
     form.  ODE route: composite Simpson quadrature of RK4-propagated
-    tau_{0,t}(A) on the filter's time grid.
+    tau_{0,t}(A) on the filter's time grid, importing scipy.integrate on
+    first use.
     """
     if spec.kind == "spectral":
         sd = spec.spectral_data
         kernel = math.sqrt(2.0 * math.pi) * filt.fourier(sd.frequency_table())
         return sd.from_eigenbasis(kernel * sd.to_eigenbasis(A))
+    # imported here: scipy.integrate loads scipy.optimize, which no other route needs
+    from scipy.integrate import simpson
+
     ts = filt.grid()
     values = heisenberg_samples(_ham_at(spec.interaction), A, ts, spec.step)
     return simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 from scipy.special import erf, erfc
 
 from .algebra import liouvillian, schatten_norm
@@ -121,13 +120,15 @@ def almost_inverse_liouvillian(sd, beta, A, method="spectral"):
     The quadrature route never touches the eigendecomposition: unitaries
     are RK4-propagated from the stored Hamiltonian, the inner integral is
     a cumulative Simpson rule and the outer one a composite Simpson rule
-    on the filter's grid.
+    on the filter's grid.  It imports scipy.integrate on first use.
     """
     if method == "spectral":
         K = gaussian_kernel(sd.frequency_table(), beta)
         return apply_spectral_kernel(sd, K, A)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+    # imported here: scipy.integrate loads scipy.optimize, which no other route needs
+    from scipy.integrate import cumulative_simpson, simpson
 
     filt = GaussianFilter(beta)
     H = np.asarray(sd.hamiltonian, dtype=complex)

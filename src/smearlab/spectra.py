@@ -50,10 +50,13 @@ class SpectralData:
         return self.energies.size
 
     def to_eigenbasis(self, A):
-        """V^dagger A V; a 1-D input is read as a diagonal operator."""
+        """V^dagger A V; a 1-D input is read as a diagonal operator.  A real
+        V meets a complex A as (V^T (V^T A)^T)^T through `real_matmul`."""
         V = self.vectors
         if np.ndim(A) == 1:
             return (V.conj().T * np.asarray(A)) @ V
+        if V.dtype == np.float64 and np.iscomplexobj(A):
+            return real_matmul(V.T, real_matmul(V.T, A).T).T
         return V.conj().T @ A @ V
 
     def from_eigenbasis(self, A_tilde):

@@ -82,6 +82,25 @@ def test_from_eigenbasis_matches_plain_matmul_for_each_dtype_pair():
         assert np.abs(cplx.from_eigenbasis(A) - V @ A @ V.conj().T).max() < 1e-13
 
 
+def test_to_eigenbasis_matches_plain_matmul_for_each_dtype_pair():
+    rng = np.random.default_rng(9)
+    real = diagonalize(tfim(build_chain(4), 1.0, 2.0).hamiltonian())
+    cplx = diagonalize(random_hermitian(16, rng))
+    A_c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    A_r = rng.standard_normal((16, 16))
+    V = real.vectors
+    got = real.to_eigenbasis(A_c)
+    assert got.dtype == np.complex128
+    assert np.abs(got - V.T @ A_c @ V).max() < 1e-13
+    # a real A keeps the plain product, bit for bit
+    got = real.to_eigenbasis(A_r)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, V.T @ A_r @ V)
+    V = cplx.vectors
+    for A in (A_c, A_r):
+        assert np.array_equal(cplx.to_eigenbasis(A), V.conj().T @ A @ V)
+
+
 def test_lowest_k_split_tfim():
     g = build_chain(4)
     sd = diagonalize(tfim(g, 1.0, 2.0).hamiltonian())
