@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Usage: ``smearlab run <config.json> [--out DIR] [--seed N] [--threads K]``,
+Usage: ``smearlab run <config.json> [--out DIR] [--seed N]``,
 or ``python -m smearlab run <config.json> ...`` without the console script.
 
 Both forms share the exit codes: 0 success, 2 configuration rejected, 3 an assumption failed on
@@ -32,16 +32,13 @@ def _build_parser():
                         help="output directory (default: from config)")
     runner.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the RNG seed")
-    runner.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker threads for independent grid points")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        result = run(args.config, out_dir=args.out, seed=args.seed,
-                     threads=args.threads)
+        result = run(args.config, out_dir=args.out, seed=args.seed)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -9,11 +9,13 @@ builds graphs, models, and split rules from it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import SchemaError
 
-__all__ = ["ExperimentConfig", "load_config", "validate_config", "EXPERIMENT_KINDS"]
+__all__ = ["ExperimentConfig", "load_config", "validate_config", "seed_value",
+           "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = ("lr", "liouvillian", "locality", "flow", "lppl", "cluster", "qhe")
 
@@ -24,7 +26,6 @@ _PAULI_LABELS = ("x", "y", "z")
 class ExperimentConfig:
     kind: str
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     params: dict = field(default_factory=dict)
 
@@ -60,6 +61,8 @@ def _number(value, where, minimum=None, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
     value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"{where} must be finite (got {value})")
     if positive and value <= 0:
         raise SchemaError(f"{where} must be positive (got {value})")
     if minimum is not None and value < minimum:
@@ -67,11 +70,13 @@ def _number(value, where, minimum=None, positive=False):
     return value
 
 
-def _integer(value, where, minimum=None):
+def _integer(value, where, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{where} must be >= {minimum} (got {value})")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{where} must be <= {maximum} (got {value})")
     return value
 
 
@@ -107,7 +112,7 @@ def _integer_list(value, where, minimum=None, strictly_increasing=False):
 def _parse_path_value(value, where):
     """A coefficient is a number, a polynomial in s, or a smooth ramp."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, where)
     obj = _require_mapping(value, where)
     kind = _string(obj.get("kind"), f"{where}.kind", ("poly", "trig_ramp"))
     if kind == "poly":
@@ -203,20 +208,27 @@ def _lr_velocity_pair(obj, where):
 _COMMON_OPTIONAL = ("seed", "out", "threads")
 
 
+def seed_value(value):
+    """The RNG seed, from a config or an override: an integer >= 0."""
+    return _integer(value, "seed", minimum=0)
+
+
 def validate_config(data):
     data = _require_mapping(data, "config")
     if "experiment" not in data:
         raise SchemaError("config: missing required keys ['experiment']")
     kind = _string(data["experiment"], "experiment", EXPERIMENT_KINDS)
 
-    seed = _integer(data.get("seed", 0), "seed", minimum=0)
-    threads = _integer(data.get("threads", 1), "threads", minimum=1)
+    seed = seed_value(data.get("seed", 0))
+    # Old configs carry `threads`; runs are serial, so only 1 is legal.
+    threads = data.get("threads", 1)
+    if type(threads) is not int or threads != 1:
+        raise SchemaError(f"threads must be 1, runs are serial (got {threads!r})")
     out = None if "out" not in data else _string(data["out"], "out")
 
     parser = _KIND_PARSERS[kind]
     params = parser(data)
-    return ExperimentConfig(kind=kind, seed=seed, threads=threads, out=out,
-                            params=params)
+    return ExperimentConfig(kind=kind, seed=seed, out=out, params=params)
 
 
 def _parse_lr(data):
@@ -242,7 +254,8 @@ def _parse_liouvillian(data):
     _check_keys(data, "config", ("experiment",),
                 _COMMON_OPTIONAL + ("n_qubits", "n_samples", "betas"))
     return {
-        "n_qubits": _integer(data.get("n_qubits", 3), "n_qubits", minimum=1),
+        "n_qubits": _integer(data.get("n_qubits", 3), "n_qubits", minimum=1,
+                             maximum=6),
         "n_samples": _integer(data.get("n_samples", 10), "n_samples", minimum=1),
         "betas": _number_list(data.get("betas", [0.5, 1.0, 2.0]), "betas",
                               positive=True),

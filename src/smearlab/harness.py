@@ -7,17 +7,16 @@ Every run emits two files into the output directory:
   floats carry 17 significant digits.
 * ``summary.json`` with fits, verdicts, and echoed parameters.
 
-Runs are deterministic for a fixed seed: random draws happen in a fixed
-order before any concurrent work, results are keyed by grid index, and
-output assembly is single-threaded.  A failed inequality check still
-writes both files, then surfaces as BoundViolationError.
+Runs are serial and deterministic: for a fixed config and seed the random
+draws, the grid order and so the output bytes are fixed.  A failed
+inequality check still writes both files, then surfaces as
+BoundViolationError.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .algebra import (commutator_norm, involution_isometries, pauli_string,
                       random_hermitian, schatten_norm)
 from .clustering import cluster_experiment
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, seed_value
 from .dynamics import EvolutionSpec, lr_experiment, make_lr_params
 from .errors import BoundViolationError, FitError, SchemaError
 from .filtering import almost_inverse_liouvillian, locality_bound
@@ -151,7 +150,7 @@ class RunResult:
     summary: dict
 
 
-def run(config, out_dir=None, seed=None, threads=None):
+def run(config, out_dir=None, seed=None):
     """Execute one configured experiment and write curve.csv + summary.json.
 
     `config` is an ExperimentConfig or a path to a JSON file.  Explicit
@@ -159,21 +158,13 @@ def run(config, out_dir=None, seed=None, threads=None):
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
-    seed = config.seed if seed is None else int(seed)
-    threads = config.threads if threads is None else int(threads)
-    if threads < 1:
-        raise SchemaError("threads must be >= 1")
+    seed = config.seed if seed is None else seed_value(seed)
     _refuse_oversized(config.kind, config.params)
     out = out_dir or config.out or f"{config.kind}-results"
     os.makedirs(out, exist_ok=True)
 
     rng = np.random.default_rng(seed)
-    driver = _DRIVERS[config.kind]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            header, rows, summary = driver(config.params, rng, ex.map)
-    else:
-        header, rows, summary = driver(config.params, rng, map)
+    header, rows, summary = _DRIVERS[config.kind](config.params, rng)
 
     summary = {"experiment": config.kind, "seed": seed,
                "params": config.params, **summary}
@@ -278,7 +269,7 @@ def _site_at_distance(graph, origin, d):
     return min(candidates)
 
 
-def _run_lr(params, rng, mapper):
+def _run_lr(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     site_a = _check_site(params["site_a"], n, "site_a")
@@ -311,28 +302,22 @@ def _run_lr(params, rng, mapper):
 _ORACLE_TOL = 1e-6
 
 
-def _run_liouvillian(params, rng, mapper):
+def _run_liouvillian(params, rng):
     n = params["n_qubits"]
-    if n > 6:
-        raise SchemaError("n_qubits must be <= 6 for the dense oracle")
     dim = 2**n
     draws = [
         (random_hermitian(dim, rng, norm=1.0), random_hermitian(dim, rng, norm=1.0))
         for _ in range(params["n_samples"])
     ]
     betas = params["betas"]
-    tasks = [(i, beta) for i in range(len(draws)) for beta in betas]
-
-    def one(task):
-        i, beta = task
-        H, A = draws[i]
+    rels = []
+    for H, A in draws:
         sd = diagonalize(H)
-        ref = almost_inverse_liouvillian(sd, beta, A)
-        quad = almost_inverse_liouvillian(sd, beta, A, method="quadrature")
-        scale = max(schatten_norm(ref, np.inf), 1e-30)
-        return schatten_norm(ref - quad, np.inf) / scale
-
-    rels = list(mapper(one, tasks))
+        for beta in betas:
+            ref = almost_inverse_liouvillian(sd, beta, A)
+            quad = almost_inverse_liouvillian(sd, beta, A, method="quadrature")
+            scale = max(schatten_norm(ref, np.inf), 1e-30)
+            rels.append(schatten_norm(ref - quad, np.inf) / scale)
     rows = list(enumerate(rels))
     worst = max(rels)
     summary = {
@@ -346,7 +331,7 @@ def _run_liouvillian(params, rng, mapper):
     return ("x", "value"), rows, summary
 
 
-def _run_locality(params, rng, mapper):
+def _run_locality(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     site_a = _check_site(params["site_a"], n, "site_a")
@@ -379,7 +364,7 @@ def _run_locality(params, rng, mapper):
 _FLOW_FLOOR = 1e-12
 
 
-def _run_flow(params, rng, mapper):
+def _run_flow(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     phi = _build_model(params["model"], graph)
@@ -415,7 +400,7 @@ def _run_flow(params, rng, mapper):
     return ("x", "value"), rows, summary
 
 
-def _run_lppl(params, rng, mapper):
+def _run_lppl(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     base = _build_model(params["model"], graph)
@@ -445,7 +430,7 @@ def _run_lppl(params, rng, mapper):
     return ("x", "value"), rows, summary
 
 
-def _run_cluster(params, rng, mapper):
+def _run_cluster(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     site_a = _check_site(params["site_a"], n, "site_a")
@@ -498,7 +483,7 @@ _QHE_POINT_KEYS = ("coupling", "gap", "trace", "nearest_integer", "residual",
                    "bare_defect")
 
 
-def _run_qhe(params, rng, mapper):
+def _run_qhe(params, rng):
     L = params["L"]
     rule = _build_rule(params["split"])
     min_gap = params["split"]["min_gap"]
@@ -507,7 +492,7 @@ def _run_qhe(params, rng, mapper):
     points = qhe_experiment(
         L, params["j_values"], h=params["h"], beta=beta,
         strip_width=params["strip_width"], rule=rule, min_gap=min_gap,
-        phi_grid=params["phi_grid"], mapper=mapper,
+        phi_grid=params["phi_grid"],
     )
     rows = [(float(p.coupling), float(p.residual)) for p in points]
 

@@ -346,7 +346,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
 
 
 def qhe_experiment(l, j_values, h=1.0, beta=None, strip_width=None, rule=None,
-                   min_gap=1e-8, phi_grid=(), mapper=map):
+                   min_gap=1e-8, phi_grid=()):
     """Transport sweep over hopping strengths on an l x l torus.
 
     Each point builds the charge-conserving hopping model, dresses the
@@ -359,10 +359,7 @@ def qhe_experiment(l, j_values, h=1.0, beta=None, strip_width=None, rule=None,
     beta = float(l) ** -0.5 if beta is None else float(beta)
     rule = lowest_k(1) if rule is None else rule
 
-    def one(j, grid):
-        phi = xy_charge(geometry.graph, j, h)
-        return qhe_point(geometry, phi, beta, rule, coupling=j, min_gap=min_gap,
-                         phi_grid=grid)
-
-    grids = [phi_grid] + [()] * (len(j_values) - 1)
-    return list(mapper(one, j_values, grids))
+    return [qhe_point(geometry, xy_charge(geometry.graph, j, h), beta, rule,
+                      coupling=j, min_gap=min_gap,
+                      phi_grid=phi_grid if i == 0 else ())
+            for i, j in enumerate(j_values)]

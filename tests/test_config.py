@@ -41,7 +41,6 @@ def test_minimal_lr_defaults():
     cfg = validate_config(lr_config())
     assert cfg.kind == "lr"
     assert cfg.seed == 0
-    assert cfg.threads == 1
     assert cfg.out is None
     assert cfg.params["b"] == 0.5
     assert cfg.params["b_prime"] == 1.0
@@ -84,12 +83,15 @@ def test_booleans_are_not_numbers():
 
 
 def test_seed_threads_out():
-    cfg = validate_config(lr_config(seed=11, threads=4, out="results"))
-    assert (cfg.seed, cfg.threads, cfg.out) == (11, 4, "results")
+    # old configs carry threads: 1, which is accepted and kept nowhere
+    cfg = validate_config(lr_config(seed=11, threads=1, out="results"))
+    assert (cfg.seed, cfg.out) == (11, "results")
+    assert not hasattr(cfg, "threads")
     with pytest.raises(SchemaError, match="seed must be >= 0"):
         validate_config(lr_config(seed=-1))
-    with pytest.raises(SchemaError, match="threads must be >= 1"):
-        validate_config(lr_config(threads=0))
+    for threads in (2, 0, True, 1.0):
+        with pytest.raises(SchemaError, match="threads must be 1, runs are serial"):
+            validate_config(lr_config(threads=threads))
     with pytest.raises(SchemaError, match="out must be a string"):
         validate_config(lr_config(out=3))
 
@@ -193,6 +195,20 @@ def test_number_lists():
         validate_config(flow_config(betas=[0.5, -0.7]))
 
 
+@pytest.mark.parametrize("config, key", [
+    (flow_config(betas=[float("nan")]), r"betas\[0\]"),
+    (flow_config(betas=[0.5, float("inf")]), r"betas\[1\]"),
+    ({"experiment": "qhe", "L": 3, "J": float("nan")}, "J"),
+    ({"experiment": "qhe", "L": 3, "J": [0.1, float("nan")]}, r"J\[1\]"),
+    (lr_config(times={"start": 0.0, "stop": float("inf"), "num": 5}), "times.stop"),
+    (lr_config(model={"kind": "tfim", "j": float("-inf"), "g": 2.0}), "model.j"),
+    (flow_config(split={"rule": "window", "lo": float("nan"), "hi": 1.0}), "split.lo"),
+])
+def test_non_finite_numbers_are_refused(config, key):
+    with pytest.raises(SchemaError, match=f"^{key} must be finite"):
+        validate_config(config)
+
+
 def test_distances_strictly_increasing():
     base = {
         "experiment": "locality",
@@ -217,6 +233,11 @@ def test_liouvillian_defaults():
                           "betas": [0.5, 1.0, 2.0]}
     with pytest.raises(SchemaError, match="n_qubits must be >= 1"):
         validate_config({"experiment": "liouvillian", "n_qubits": 0})
+    # the dense quadrature oracle stops at 6 qubits
+    assert validate_config({"experiment": "liouvillian",
+                            "n_qubits": 6}).params["n_qubits"] == 6
+    with pytest.raises(SchemaError, match=r"n_qubits must be <= 6 \(got 7\)"):
+        validate_config({"experiment": "liouvillian", "n_qubits": 7})
 
 
 def test_flow_defaults_and_exact_control():

@@ -153,19 +153,13 @@ def test_run_is_byte_deterministic(tmp_path):
                            "n_samples": 3, "betas": [0.5, 1.0], "seed": 7})
     a = run(cfg, out_dir=str(tmp_path / "a"))
     b = run(cfg, out_dir=str(tmp_path / "b"))
-    c = run(cfg, out_dir=str(tmp_path / "c"), threads=2)
     assert filecmp.cmp(a.csv_path, b.csv_path, shallow=False)
     assert filecmp.cmp(a.summary_path, b.summary_path, shallow=False)
-    # worker threads must not change the output bytes
-    assert filecmp.cmp(a.csv_path, c.csv_path, shallow=False)
-    assert filecmp.cmp(a.summary_path, c.summary_path, shallow=False)
 
 
-def test_run_rejects_bad_sites_and_threads(tmp_path):
+def test_run_rejects_bad_sites(tmp_path):
     with pytest.raises(SchemaError, match="site_b must be < 4 sites"):
         run(lr_config(site_b=9), out_dir=str(tmp_path / "x"))
-    with pytest.raises(SchemaError, match="threads must be >= 1"):
-        run(lr_config(), out_dir=str(tmp_path / "y"), threads=0)
     loc = validate_config({
         "experiment": "locality",
         "graph": {"kind": "chain", "n": 5},
@@ -219,8 +213,6 @@ def test_run_flow_reports_the_exact_control_transport_defect(tmp_path):
     params = dict(_flow_config(4, 40), betas=[0.9, 0.7])
     cfg = validate_config(params)
     a = run(cfg, out_dir=str(tmp_path / "a"))
-    b = run(cfg, out_dir=str(tmp_path / "b"), threads=2)
-    assert filecmp.cmp(a.summary_path, b.summary_path, shallow=False)
     errors, control = exact_flow_intertwining(
         tfim(build_chain(4), 1.0, TrigRampPath(2.0, 3.0)), lowest_k(1),
         [pauli_string("x", (1,)).embed(4)], s_steps=40)
@@ -348,7 +340,7 @@ def test_run_qhe_phase_grid_diagonalizes_three_times(tmp_path, monkeypatch):
 
 
 def test_failed_verdict_still_writes_files(tmp_path, monkeypatch):
-    def stub(params, rng, mapper):
+    def stub(params, rng):
         rows = [(0.0, 1.0), (1.0, 2.0)]
         return ("x", "value"), rows, {"verdict": {"holds": False,
                                                   "min_margin": -0.5}}
@@ -399,6 +391,25 @@ def test_cli_schema_error_exits_2(tmp_path, capsys):
     assert cli_main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    # json reads the NaN literal; the schema refuses it before the run
+    nan = write_config(tmp_path, "nan.json", {
+        "experiment": "liouvillian", "n_qubits": 2, "betas": [float("nan")],
+    })
+    assert cli_main(["run", nan, "--out", str(tmp_path / "o")]) == 2
+    assert "betas[0] must be finite" in capsys.readouterr().err
+    ok = write_config(tmp_path, "ok.json", {"experiment": "liouvillian"})
+    assert cli_main(["run", ok, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_has_no_threads_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ok.json", {"experiment": "liouvillian"})
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cli_refuses_config_larger_than_memory(tmp_path, capsys):
@@ -445,7 +456,7 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
         os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
     )
 
-    def must_not_run(params, rng, mapper):
+    def must_not_run(params, rng):
         raise AssertionError("the flow started instead of being refused")
 
     monkeypatch.setitem(harness._DRIVERS, "flow", must_not_run)
@@ -607,7 +618,7 @@ def test_cli_assumption_error_exits_3(tmp_path, capsys):
 
 
 def test_cli_bound_violation_exits_4(tmp_path, capsys, monkeypatch):
-    def stub(params, rng, mapper):
+    def stub(params, rng):
         return ("x", "value"), [(0.0, 1.0)], {"verdict": {"holds": False,
                                                           "min_margin": -1.0}}
 
