@@ -226,8 +226,9 @@ def commutator_norm(A, B, *, check_a=True):
     B may come as its eigen-isometries (W+, W-), B = W+ W+^dagger -
     W- W-^dagger (see `involution_isometries`).  [A, B] then has the
     blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2 sqrt
-    of the top eigenvalue of the smaller Gram matrix of M.  A dense B is
-    taken from C = A B, as i [A, B] = i (C - C^dagger) is exactly Hermitian.
+    of the top eigenvalue of the smaller Gram matrix of M.  A 1-D B is a
+    real diagonal b: [A, B]_ij = (b_j - b_i) A_ij, 0.0 if all vanish.  A
+    dense B goes through C = A B: i (C - C^dagger) is exactly Hermitian.
     """
     pair = isinstance(B, tuple)
     if not ((not check_a or is_hermitian(A)) and (pair or is_hermitian(B))):
@@ -239,6 +240,9 @@ def commutator_norm(A, B, *, check_a=True):
         M = W_plus.conj().T @ real_matmul(A, W_minus)
         G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
         return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
+    if np.ndim(B) == 1:
+        D = (B[None, :] - B[:, None]) * A
+        return float(np.abs(np.linalg.eigvalsh(1j * D)).max()) if D.any() else 0.0
     C = A @ B
     return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
 

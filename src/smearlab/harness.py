@@ -186,31 +186,28 @@ def _refuse_oversized(kind, params):
     """SchemaError when the matrices a run holds at once exceed physical
     memory.
 
-    qhe, liouvillian and lppl under a dense split rule are sized by one
-    dense complex matrix, 16 * 4^n bytes.  lr, cluster and locality are
-    sized by their peaks per entry of a 4^n matrix, traced with tracemalloc
-    on three sizes; for cluster and locality also by the growth of the peak
-    RSS, which counts the LAPACK workspace of `eigh`:
-    - lr holds H, its eigenvectors, A in their basis and the isometries of
-      B: 81 (real B) to 89 (complex B) bytes on chains of 8 to 10, taken
-      as 112;
-    - cluster holds H, its eigenvectors and the embedded A and B: traced at
-      25 bytes for z, 41 for x and 66 for y on rings of 8 to 10, with 40
-      to 71 bytes of RSS growth on rings of 10 to 12, taken as 80;
-    - locality holds the filtered A beside H, its eigenvectors and the
-      kernel: traced at 121 (real A and B) to 145 (complex A and B) bytes
-      on chains of 8 to 10, with up to 154 bytes of RSS growth on chains
-      of 10 and 11, taken as 176.
-    A flow keeps a real H and its real eigenvectors (8 * 4^n bytes each) at
-    each of the 2 s_steps + 1 points its RK4 steps visit; its transported
-    blocks are dim x p.  Above that cache, the generator's temporaries and
-    the `eigh` workspace were traced at 109 to 122 bytes per entry, with
-    150 to 203 bytes of RSS growth (chains of 8 and 9 at 40 and 100
-    steps), taken as 256.
-    lppl under `lowest_k` holds no dense matrix: each of its terms (one per
-    edge and per site, and the perturbation) puts 2^n entries into the
-    sparse H, and the run peaks near 106 bytes per entry (traced on TFIM
-    chains of 10 to 14 sites, Krylov vectors included), taken as 128.
+    liouvillian, and lppl under a dense split rule, count one dense complex
+    matrix, 16 * 4^n bytes.  The others count bytes per entry of a 4^n
+    matrix from their traced peaks (tracemalloc, and the growth of the peak
+    RSS, which also sees the LAPACK workspace of `eigh`):
+    - lr, 112: H, its eigenvectors, A in their basis and the isometries of
+      B; 81 to 89 traced on chains of 8 to 10.
+    - cluster, 80: H, its eigenvectors and the embedded A and B; 25 (z) to
+      66 (y) traced on rings of 8 to 10, 40 to 71 of RSS growth on 10 to 12.
+    - locality, 176: the filtered A beside H, its eigenvectors and the
+      kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
+      growth on chains of 10 and 11.
+    - qhe, 256: H, its eigenvectors, the dressed charge and its
+      eigenvectors, the flux unitary, its strip factors and the transport
+      defect; 169 traced and 205 of RSS growth on the 3 x 3 torus.
+    - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
+      the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
+      generator's temporaries and the `eigh` workspace (109 to 122 traced,
+      150 to 203 of RSS growth, chains of 8 and 9 at 40 and 100 steps).
+    - lppl under `lowest_k` holds no dense matrix: 128 per entry of the
+      sparse H, whose terms (one per edge, one per site and the
+      perturbation) hold 2^n entries each; 106 traced on TFIM chains of 10
+      to 14 sites, Krylov vectors included.
     """
     g = params.get("graph", {})
     n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
@@ -219,7 +216,7 @@ def _refuse_oversized(kind, params):
     elif kind == "flow":
         need = 16 * 4**n * (2 * params["s_steps"] + 17)
     else:
-        need = {"lr": 112, "cluster": 80, "locality": 176}.get(kind, 16) * 4**n
+        need = {"lr": 112, "cluster": 80, "locality": 176, "qhe": 256}.get(kind, 16) * 4**n
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of "

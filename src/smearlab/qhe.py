@@ -1,12 +1,13 @@
 """Charge transport diagnostics on small tori.
 
 For a charge-conserving model on an L x L torus, the dressed half-torus
-charge Qbar = Q - I_beta(L_H(Q)) almost commutes with the ground patch.
-The flux unitary W = e^{2 pi i Qbar_U} approximately factorizes into
-unitaries supported near the two boundary circles of the upper half; the
-lower factor U, extracted by conditional expectation onto a boundary
-strip and re-unitarized by polar decomposition, pumps charge across the
-cut.  The transported charge operator
+charge Qbar = Q - I_beta(L_H(Q)) = tau_{phi_beta}(Q), as 1 - (-i w)
+k_beta(w) = e^{-w^2/4 beta^2}, almost commutes with the ground patch
+(charges are held as diagonals).  The flux unitary W = e^{2 pi i Qbar_U}
+nearly factorizes into unitaries near the two boundary circles of the
+upper half; the lower factor U, the conditional expectation of W onto a
+boundary strip re-unitarized by polar decomposition, pumps charge across
+the cut.  The transported charge operator
 
     T = (U^dagger Q_R U - Q_R)_left
 
@@ -26,12 +27,13 @@ from .algebra import (
     commutator_norm,
     conditional_expectation,
     embed,
-    liouvillian,
+    real_matmul,
     schatten_norm,
     trace_sites,
 )
+from .dynamics import EvolutionSpec, smear
 from .errors import AssumptionError, DegenerateFactorError
-from .filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
+from .filtering import GaussianFilter, _check_split_consistency
 from .interaction import xy_charge
 from .lattice import Region, build_torus
 from .spectra import diagonalize, lowest_k, split_spectrum
@@ -55,21 +57,15 @@ __all__ = [
     "qhe_experiment",
 ]
 
-_CHARGE_1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-
-
 def local_charge(site):
     """q_x = (1 - sigma_z)/2, with spectrum {0, 1}."""
-    return LocalOperator((int(site),), _CHARGE_1)
+    return LocalOperator((int(site),), np.diag([0.0, 1.0]))
 
 
 def region_charge(graph, region):
-    """Q_X = sum over the region of the local charges (dense)."""
+    """Diagonal of Q_X = sum over the region of the local charges."""
     n = graph.n_sites
-    Q = np.zeros((2**n, 2**n))
-    for x in region:
-        Q += local_charge(x).embed(n)
-    return Q
+    return sum((local_charge(x).embed_diagonal(n) for x in region), np.zeros(2**n))
 
 
 def charge_conservation_defect(phi, Q, t_samples=5):
@@ -152,17 +148,17 @@ class ChargeGeometry:
 
 
 def dressed_charge(sd, Q, beta=None, split=None):
-    """Qbar = Q - I(L_H(Q)) with the filtered (beta) or exact (split)
-    inverse.  The exact variant commutes with the patch projector
-    identically."""
-    LQ = liouvillian(sd.hamiltonian, Q)
+    """Qbar = Q - I(L_H(Q)), Q a matrix or a diagonal, with the filtered
+    (beta) inverse, the smearing tau_{phi_beta}(Q), or the exact (split)
+    one, the eigenbasis blocks of Q within sigma_0 and within sigma_1."""
     if (beta is None) == (split is None):
         raise ValueError("pass exactly one of beta or split")
     if beta is not None:
-        correction = almost_inverse_liouvillian(sd, beta, LQ)
+        Qbar = smear(EvolutionSpec.spectral(sd), GaussianFilter(beta), Q)
     else:
-        correction = exact_inverse_liouvillian(sd, split, LQ)
-    Qbar = Q - correction
+        _check_split_consistency(sd, split)
+        mask = split.patch_mask()
+        Qbar = sd.from_eigenbasis((mask[:, None] == mask[None, :]) * sd.to_eigenbasis(Q))
     return (Qbar + Qbar.conj().T) / 2.0
 
 
@@ -170,7 +166,8 @@ def _unitary_exponentials(Hermitian, angles):
     """e^{i angle H} for each angle, one at a time, from one
     eigendecomposition of H."""
     vals, vecs = np.linalg.eigh(Hermitian)
-    return ((vecs * np.exp(1j * angle * vals)) @ vecs.conj().T for angle in angles)
+    return (real_matmul(vecs, np.exp(1j * angle * vals)[:, None] * vecs.conj().T)
+            for angle in angles)
 
 
 def _polar_unitary(M, min_sv=1e-6):
@@ -226,14 +223,15 @@ class TransportResult:
     split_residual: float
 
 
-def transport_operator(U, Q_right, geometry):
-    """T = Hermitian part of E_left(U^dagger Q_R U - Q_R).
+def transport_operator(U, q_right, geometry):
+    """T = Hermitian part of E_left(U^dagger Q_R U - Q_R), Q_R = diag(q_right).
 
     The defect U^dagger Q_R U - Q_R concentrates near the two vertical
     cuts; `split_residual` measures what the two column strips miss.
     """
     n = geometry.graph.n_sites
-    delta = U.conj().T @ Q_right @ U - Q_right
+    delta = (U.conj().T * q_right) @ U
+    delta[np.diag_indices_from(delta)] -= q_right
     left = conditional_expectation(delta, geometry.left_strip.sites, n)
     right = conditional_expectation(delta, geometry.right_strip.sites, n)
     residual = schatten_norm(delta - left - right, np.inf)
@@ -305,8 +303,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
     """Run the full transport pipeline for one model instance, with the
     Z(phi) diagnostics at each angle of `phi_grid`."""
     graph = geometry.graph
-    Q_total = region_charge(graph, graph.sites())
-    defect = charge_conservation_defect(phi, Q_total)
+    defect = charge_conservation_defect(phi, region_charge(graph, graph.sites()))
     if defect > 1e-10:
         raise AssumptionError(f"model is not charge conserving ({defect:.3e})")
     geometry.split_boundary_terms(
@@ -318,16 +315,16 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
 
     sd = diagonalize(phi.hamiltonian(0.0))
     split = split_spectrum(sd, rule, min_gap=min_gap)
-    Q_upper = region_charge(graph, geometry.upper_half)
-    Q_right = region_charge(graph, geometry.right_half)
+    q_upper = region_charge(graph, geometry.upper_half)
+    q_right = region_charge(graph, geometry.right_half)
 
-    Qbar = dressed_charge(sd, Q_upper, beta=beta)
+    Qbar = dressed_charge(sd, q_upper, beta=beta)
     fact = flux_unitary(Qbar, geometry)
-    trans = transport_operator(fact.lower, Q_right, geometry)
+    trans = transport_operator(fact.lower, q_right, geometry)
     quant = quantization_check(split, trans.operator)
     z_phase = []
     if phi_grid:
-        Qbar_right = dressed_charge(sd, Q_right, beta=beta)
+        Qbar_right = dressed_charge(sd, q_right, beta=beta)
         z_phase = z_phase_operator(fact.lower, Qbar_right, geometry, phi_grid, split)
     return QHEPoint(
         coupling=float(coupling),
@@ -338,7 +335,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
         factorization_residual=fact.residual,
         split_residual=trans.split_residual,
         dressing_defect=split.commutator_norm(Qbar),
-        bare_defect=split.commutator_norm(Q_upper),
+        bare_defect=split.commutator_norm(q_upper),
         conservation_defect=defect,
         strips_disjoint=geometry.strips_disjoint,
         z_phase=z_phase,

@@ -195,14 +195,15 @@ class SpectralSplit:
         return self.spectral_data.vectors[:, self.idx0]
 
     def commutator_norm(self, X, p=np.inf):
-        """Schatten p-norm of [X, P], for any X, from the patch vectors V0.
+        """Schatten p-norm of [X, P], for any X (1-D: a diagonal), from V0.
 
         [X, P] = Pperp X P - P X Pperp maps the patch into its complement
         and back, so its singular values are those of Pperp X V0 (dim x p)
         and V0^dagger X Pperp (p x dim) together.
         """
         V0 = self.patch_vectors()
-        XV, VX = X @ V0, V0.conj().T @ X
+        XV, VX = ((X[:, None] * V0, V0.conj().T * X) if np.ndim(X) == 1
+                  else (X @ V0, V0.conj().T @ X))
         into = XV - V0 @ (V0.conj().T @ XV)
         back = VX - (VX @ V0) @ V0.conj().T
         return singular_value_norm(np.concatenate((svdvals(into), svdvals(back))), p)

@@ -183,6 +183,14 @@ def test_commutator_norm_matches_svd_of_the_commutator(dim):
     # the explicit commutator is anti-Hermitian, so its norm is taken by SVD
     explicit = schatten_norm(A @ B - B @ A, np.inf)
     assert commutator_norm(A, B) == pytest.approx(explicit, rel=1e-12, abs=0.0)
+    # a 1-D real b is the diagonal operator diag(b); a complex b is refused
+    b = rng.standard_normal(dim)
+    dense = commutator_norm(A, np.diag(b))
+    assert commutator_norm(A, b) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError):
+        commutator_norm(A + 0.5j * np.eye(dim), b)
+    with pytest.raises(ValueError):
+        commutator_norm(A, b + 0.5j)
 
 
 _INVOLUTIONS = {

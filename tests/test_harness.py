@@ -577,6 +577,28 @@ def test_cluster_and_locality_are_sized_by_their_routes(monkeypatch):
         harness._refuse_oversized("locality", locality(13))
 
 
+def test_qhe_is_sized_by_what_it_holds(monkeypatch):
+    sysconf = os.sysconf
+    memory = {"bytes": 7 * 2**30}
+    monkeypatch.setattr(os, "sysconf", lambda name: (
+        memory["bytes"] // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+        else sysconf(name)))
+
+    def qhe(L):
+        return validate_config({"experiment": "qhe", "L": L, "J": [0.2]}).params
+
+    # 256 B per entry of a 4^n matrix, n = L^2: 64 MiB on the 3 x 3 torus,
+    # 1 TiB on the 4 x 4 one
+    harness._refuse_oversized("qhe", qhe(3))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("qhe", qhe(4))
+    # with 32 MiB the 3 x 3 torus is refused; one dense complex matrix
+    # (4 MiB) would let it through
+    memory["bytes"] = 32 * 2**20
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("qhe", qhe(3))
+
+
 def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypatch):
     sizes = []
     for name in ("eigvalsh", "eigh"):

@@ -9,10 +9,13 @@ from smearlab.algebra import (
     commutator,
     commutator_norm,
     conditional_expectation,
+    liouvillian,
     operator_norm,
+    random_hermitian,
     schatten_norm,
 )
 from smearlab.errors import AssumptionError, DegenerateFactorError
+from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
 from smearlab.interaction import tfim, xy_charge
 from smearlab.qhe import (
     ChargeGeometry,
@@ -42,11 +45,21 @@ def test_local_and_region_charge_spectra():
     q = local_charge(0)
     assert np.allclose(np.linalg.eigvalsh(q.matrix), [0.0, 1.0])
     geo = ChargeGeometry(3)
-    Q = region_charge(geo.graph, geo.upper_half)
+    Q = np.diag(region_charge(geo.graph, geo.upper_half))
     evals = np.linalg.eigvalsh(Q)
     assert np.allclose(np.round(evals), evals, atol=1e-12)
     assert evals.min() == pytest.approx(0.0)
     assert evals.max() == pytest.approx(len(geo.upper_half))
+
+
+def test_region_charge_is_the_diagonal_of_the_embedded_local_charges():
+    geo = ChargeGeometry(3)
+    n = geo.graph.n_sites
+    for region in (geo.upper_half, geo.right_half, geo.graph.sites(), [0, 4, 8], []):
+        q = region_charge(geo.graph, region)
+        dense = sum((local_charge(x).embed(n) for x in region), np.zeros((2**n, 2**n)))
+        assert q.shape == (2**n,) and q.dtype == np.float64
+        assert np.array_equal(np.diag(q), dense)
 
 
 def test_hopping_model_conserves_charge(torus3):
@@ -61,12 +74,30 @@ def test_hopping_model_conserves_charge(torus3):
 def test_commutator_norm_of_conserved_charge_is_exactly_zero(torus3):
     geo, phi, _ = torus3
     H = phi.hamiltonian(0.0)
-    Q = region_charge(geo.graph, geo.graph.sites())
+    q = region_charge(geo.graph, geo.graph.sites())
+    Q = np.diag(q)
+    assert commutator_norm(H, q) == 0.0
     assert commutator_norm(H, Q) == 0.0
+    with pytest.raises(ValueError):
+        commutator_norm(H + 0.5j * np.eye(H.shape[0]), q)
     with pytest.raises(ValueError):
         commutator_norm(H + 0.5j * np.eye(H.shape[0]), Q)
     with pytest.raises(ValueError):
         commutator_norm(H, np.triu(Q + H))
+
+
+def test_charge_commutator_takes_no_eigensolver_when_conserved(torus3, monkeypatch):
+    # the diagonal route of commutator_norm: exactly 0.0 with no eigvalsh
+    # on a charge-conserving H, one eigvalsh on the transverse-field model
+    geo, phi, _ = torus3
+    q = region_charge(geo.graph, geo.graph.sites())
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    assert commutator_norm(phi.hamiltonian(0.0), q) == 0.0
+    assert charge_conservation_defect(phi, q) == 0.0
+    assert calls == []
+    assert commutator_norm(tfim(geo.graph, 1.0, 1.0).hamiltonian(), q) > 0.1
+    assert calls == [(512, 512)]
 
 
 def test_charge_defect_samples_a_constant_hamiltonian_once(torus3):
@@ -115,7 +146,7 @@ def test_boundary_terms_assign_to_unique_strips(torus3):
 
 def test_dressed_charge_variants(torus3):
     geo, phi, sd = torus3
-    Q = region_charge(geo.graph, geo.upper_half)
+    Q = np.diag(region_charge(geo.graph, geo.upper_half))
     with pytest.raises(ValueError):
         dressed_charge(sd, Q)
     split = split_spectrum(sd, lowest_k(1))
@@ -134,6 +165,42 @@ def test_dressed_charge_variants(torus3):
     dressed = schatten_norm(commutator(Qb, P5), np.inf)
     bare = schatten_norm(commutator(Q, P5), np.inf)
     assert 0 < dressed < bare
+
+
+def _dressed_by_the_liouvillian(sd, Q, beta=None, split=None):
+    """The dressed charge Q - I(L_H(Q)) as the two kernels build it."""
+    LQ = liouvillian(sd.hamiltonian, Q)
+    if beta is not None:
+        Qbar = Q - almost_inverse_liouvillian(sd, beta, LQ)
+    else:
+        Qbar = Q - exact_inverse_liouvillian(sd, split, LQ)
+    return (Qbar + Qbar.conj().T) / 2.0
+
+
+def test_dressed_charge_matches_the_liouvillian_route(torus3):
+    # Q - I_beta(L_H Q) is the smearing tau_{phi_beta}(Q), and
+    # Q - I_H(L_H Q) the part of Q within sigma_0 and within sigma_1
+    geo, phi, sd = torus3
+    split = split_spectrum(sd, lowest_k(5))
+    beta = 3**-0.5
+    for region in (geo.upper_half, geo.right_half):
+        q = region_charge(geo.graph, region)
+        for kwargs in ({"beta": beta}, {"split": split}):
+            got = dressed_charge(sd, q, **kwargs)
+            assert got.dtype == np.float64
+            oracle = _dressed_by_the_liouvillian(sd, np.diag(q), **kwargs)
+            assert np.abs(got - oracle).max() < 1e-12
+    # a complex Hermitian H, for the filtered variant
+    rng = np.random.default_rng(64)
+    sd64 = diagonalize(random_hermitian(64, rng))
+    q64 = rng.integers(0, 4, 64).astype(float)
+    got = dressed_charge(sd64, q64, beta=beta)
+    oracle = _dressed_by_the_liouvillian(sd64, np.diag(q64), beta=beta)
+    assert np.abs(got - oracle).max() < 1e-12
+    # a split of another spectrum is refused
+    other = split_spectrum(diagonalize(np.diag(np.arange(512.0))), lowest_k(1))
+    with pytest.raises(AssumptionError):
+        dressed_charge(sd, region_charge(geo.graph, geo.upper_half), split=other)
 
 
 def test_single_particle_spectrum_and_gap(torus3):
@@ -199,9 +266,10 @@ def test_polar_factor_rejects_singular_input():
 def test_transport_operator_properties(torus3):
     geo, phi, sd = torus3
     Q_up = region_charge(geo.graph, geo.upper_half)
-    Q_r = region_charge(geo.graph, geo.right_half)
+    q_r = region_charge(geo.graph, geo.right_half)
+    Q_r = np.diag(q_r)
     fact = flux_unitary(dressed_charge(sd, Q_up, beta=3**-0.5), geo)
-    res = transport_operator(fact.lower, Q_r, geo)
+    res = transport_operator(fact.lower, q_r, geo)
     T = res.operator
     assert np.allclose(T, T.conj().T)
     # the full defect is traceless, so the strip split must be too

@@ -5,8 +5,9 @@ import pytest
 
 from smearlab.algebra import LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
-from smearlab.interaction import custom_model, tfim
+from smearlab.interaction import custom_model, tfim, xy_charge
 from smearlab.lattice import build_chain
+from smearlab.qhe import ChargeGeometry, region_charge
 from smearlab.spectra import (
     diagonalize,
     largest_gap_below,
@@ -178,6 +179,23 @@ def test_commutator_norm_with_the_patch_projector(k):
         for p in (1, 2, np.inf):
             expect = schatten_norm(X @ P - P @ X, p)
             assert split.commutator_norm(X, p) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_commutator_norm_with_the_patch_projector_reads_1d_as_diagonal():
+    # the charges of the 3 x 3 torus and a random real diagonal, against
+    # the same operators passed as dense matrices
+    geo = ChargeGeometry(3)
+    sd = diagonalize(xy_charge(geo.graph, 0.2, 1.0).hamiltonian())
+    rng = np.random.default_rng(9)
+    xs = [region_charge(geo.graph, geo.upper_half),
+          region_charge(geo.graph, geo.right_half), rng.standard_normal(512)]
+    for k in (1, 5):
+        split = split_spectrum(sd, lowest_k(k))
+        for x in xs:
+            for p in (1, 2, np.inf):
+                expect = split.commutator_norm(np.diag(x), p)
+                assert split.commutator_norm(x, p) == pytest.approx(expect, rel=1e-14,
+                                                                    abs=1e-14)
 
 
 def test_patch_expectation_matches_projector_trace():
