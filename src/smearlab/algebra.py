@@ -7,6 +7,7 @@ their support and are promoted with identity on the rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,25 +74,26 @@ class LocalOperator:
             )
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def is_diagonal(self):
-        return not np.any(self.matrix - np.diag(np.diagonal(self.matrix)))
-
     def embed(self, n_sites):
         """Dense global operator acting as `matrix` on `sites`."""
         return embed(self.matrix, self.sites, n_sites, self.q)
 
-    def embed_diagonal(self, n_sites):
-        """Diagonal of the embedded operator, for diagonal local matrices.
+    @property
+    def dagger(self):
+        return LocalOperator(self.sites, self.matrix.conj().T, self.q)
 
-        Returned as a 1-D array of length q^n in the matrix's dtype, which
-        the spectral transforms accept in place of a full matrix.
-        """
-        if not self.is_diagonal:
-            raise ValueError("operator is not diagonal in the product basis")
-        full = np.empty(self.q**n_sites, dtype=self.matrix.dtype)
-        full[site_index(self.sites, n_sites, self.q)] = self.matrix.diagonal()[:, None]
-        return full
+    def apply(self, X):
+        """(matrix (x) 1) X for a vector or block X with q^n rows, computed
+        on the support: the rows X[idx[a, r]] (`site_index`) are contracted
+        with the matrix over the local index a."""
+        X = np.asarray(X)
+        n = round(math.log(X.shape[0], self.q))
+        if self.q**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
+            raise ValueError(f"{X.shape[0]} rows do not hold the sites {self.sites}")
+        idx = site_index(self.sites, n, self.q)
+        out = np.empty(X.shape, dtype=np.result_type(self.matrix, X))
+        out[idx] = np.tensordot(self.matrix, X[idx], axes=1)
+        return out
 
     def norm(self, p=np.inf):
         return schatten_norm(self.matrix, p)

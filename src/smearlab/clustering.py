@@ -68,14 +68,14 @@ def _require_bottom_patch(split):
         )
 
 
-def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=None):
+def decompose_correlation(sd, split, beta, A, B, omega_vec):
     """Three-term decomposition of <Omega, A Pperp B Omega>.
 
     Omega must lie in the range of the patch projector (checked to 1e-10).
     A 2-D `omega_vec` holds one state per column and gives a list of
     decompositions, one per column, from one set of thin blocks.  A and B
-    are Hermitian, dense or 1-D (diagonal).  `norm_a`/`norm_b` default to 1
-    (Pauli observables); they only scale the diagnostic bounds.
+    are Hermitian LocalOperators, applied on their supports; their norms
+    scale the diagnostic bounds.
     """
     _require_bottom_patch(split)
     gamma = split.gap
@@ -83,9 +83,6 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     P = split.idx0
     mask = split.patch_mask()
     V = sd.vectors
-
-    def apply(X, Y):
-        return X[:, None] * Y if np.ndim(X) == 1 else real_matmul(X, Y)
 
     def adjoint(Y):  # V^dagger Y, with no full-size copy of V
         if np.iscomplexobj(V):
@@ -101,9 +98,9 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     W_P = W[P]
 
     # A-tilde[:, P] and its patch rows A-tilde[P, :] = A-tilde[:, P]^dagger
-    A_cols = adjoint(apply(A, V[:, P]))
+    A_cols = adjoint(A.apply(V[:, P]))
     A_rows = A_cols.conj().T
-    BW = adjoint(apply(B, real_matmul(V[:, P], W_P)))
+    BW = adjoint(B.apply(real_matmul(V[:, P], W_P)))
     freq = e[P][None, :] - e[:, None]  # E_n - E_m for n in P
     JW = real_matmul(erf_step_kernel(freq, beta, gamma) * A_cols, W_P)
     # patch rows of J(A) B w, and of A Pperp B w (shared by III and the correlation)
@@ -120,11 +117,9 @@ def decompose_correlation(sd, split, beta, A, B, omega_vec, norm_a=None, norm_b=
     correlation = dots(W_P, ABW)
     defect = np.abs(correlation - (term_i + term_ii + term_iii))
 
-    na = 1.0 if norm_a is None else float(norm_a)
-    nb = 1.0 if norm_b is None else float(norm_b)
     n0 = split.distinct_count()
     envelope = (n0 / math.sqrt(math.pi) * (beta / gamma)
-                * math.exp(-((gamma / beta) ** 2) / 64.0) * na * nb)
+                * math.exp(-((gamma / beta) ** 2) / 64.0) * A.norm() * B.norm())
     bound_ii = 4.0 * envelope
     bound_iii = 6.0 * envelope
 
@@ -189,24 +184,17 @@ def cluster_experiment(
     split = split_spectrum(sd, split_rule, min_gap)
     _require_bottom_patch(split)
     gamma = split.gap
-    n = phi.n_sites
 
     rng = rng or np.random.default_rng(0)
     ground = sd.vectors[:, split.idx0[0]]
     samples = _random_patch_states(split, n_state_samples, rng)
     states = np.column_stack([ground] + samples)
 
-    A_op = observable_builder(site_a)
-    A = A_op.embed_diagonal(n) if A_op.is_diagonal else A_op.embed(n)
-    na = A_op.norm(np.inf)
-
+    A = observable_builder(site_a)
     records = []
     for d, site_b in sorted(placements.items()):
         beta = gamma / (2.0 * math.sqrt(d))
-        B_op = observable_builder(site_b)
-        B = B_op.embed_diagonal(n) if B_op.is_diagonal else B_op.embed(n)
-        nb = B_op.norm(np.inf)
-        decs = decompose_correlation(sd, split, beta, A, B, states, na, nb)
+        decs = decompose_correlation(sd, split, beta, A, observable_builder(site_b), states)
         records.append(
             ClusterPlacement(int(d), beta, site_a, site_b, decs[0], decs[1:])
         )

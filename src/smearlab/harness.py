@@ -27,7 +27,7 @@ from .clustering import cluster_experiment
 from .config import ExperimentConfig, load_config, seed_value
 from .dynamics import EvolutionSpec, lr_experiment, make_lr_params
 from .errors import BoundViolationError, FitError, SchemaError
-from .filtering import almost_inverse_liouvillian, locality_bound
+from .filtering import _GRID_NODES, almost_inverse_liouvillian, locality_bound
 from .flow import (
     automorphic_equivalence_experiment,
     exact_flow_intertwining,
@@ -183,44 +183,61 @@ def run(config, out_dir=None, seed=None):
 
 
 def _refuse_oversized(kind, params):
-    """SchemaError when the matrices a run holds at once exceed physical
-    memory.
+    """SchemaError when `_needed_bytes` exceeds physical memory."""
+    need = _needed_bytes(kind, params)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SchemaError(f"{kind} on {_site_count(params)} sites needs {need / 2**30:.3g} "
+                          f"GiB of matrices; physical memory is {have / 2**30:.3g} GiB")
 
-    liouvillian, and lppl under a dense split rule, count one dense complex
-    matrix, 16 * 4^n bytes.  The others count bytes per entry of a 4^n
-    matrix from their traced peaks (tracemalloc, and the growth of the peak
-    RSS, which also sees the LAPACK workspace of `eigh`):
+
+def _site_count(params):
+    g = params.get("graph", {})
+    return (g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
+            or params.get("n_qubits", 0))
+
+
+def _needed_bytes(kind, params):
+    """Bytes of the matrices a run holds at once, counted from its config
+    as bytes per entry of a 4^n matrix.  Each count comes from traced peaks
+    (tracemalloc, and the growth of the peak RSS, which also sees the
+    LAPACK workspace of `eigh`):
+    - liouvillian, 96 at each of the 641 nodes of the quadrature oracle:
+      the complex samples, their cumulative integral and the temporaries
+      of the Simpson rules; 84 to 89 traced on 3 to 5 qubits, 84 of RSS
+      growth on 6.
     - lr, 112: H, its eigenvectors, A in their basis and the isometries of
       B; 81 to 89 traced on chains of 8 to 10.
-    - cluster, 80: H, its eigenvectors and the embedded A and B; 25 (z) to
-      66 (y) traced on rings of 8 to 10, 40 to 71 of RSS growth on 10 to 12.
+    - cluster, 48: H and its eigenvectors; A and B act on their supports.
+      24.5 to 26.4 traced for x, y and z on rings of 8 to 10, 41 to 43.5
+      of RSS growth on 10 and 11.
     - locality, 176: the filtered A beside H, its eigenvectors and the
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
-    - qhe, 256: H, its eigenvectors, the dressed charge and its
-      eigenvectors, the flux unitary, its strip factors and the transport
-      defect; 169 traced and 205 of RSS growth on the 3 x 3 torus.
+    - qhe, 160: H, its eigenvectors, the dressed charge and its
+      eigenvectors, the flux unitary, lower^dagger W and the factorization
+      defect; the transport runs on a strip.  106 traced and 145 of RSS
+      growth on the 3 x 3 torus.
     - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
       the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
       generator's temporaries and the `eigh` workspace (109 to 122 traced,
       150 to 203 of RSS growth, chains of 8 and 9 at 40 and 100 steps).
+    - lppl under a dense split rule, 96: H(s), its eigenvectors and the
+      two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
+      to 79 of RSS growth on 10 and 11.
     - lppl under `lowest_k` holds no dense matrix: 128 per entry of the
       sparse H, whose terms (one per edge, one per site and the
       perturbation) hold 2^n entries each; 106 traced on TFIM chains of 10
       to 14 sites, Krylov vectors included.
     """
-    g = params.get("graph", {})
-    n = g.get("n") or g.get("lx", 0) * g.get("ly", 0) or params.get("L", 0) ** 2
+    n = _site_count(params)
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
-        need = 128 * 2**n * (len(_build_graph(g).edges) + n + 1)
-    elif kind == "flow":
-        need = 16 * 4**n * (2 * params["s_steps"] + 17)
-    else:
-        need = {"lr": 112, "cluster": 80, "locality": 176, "qhe": 256}.get(kind, 16) * 4**n
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise SchemaError(f"{kind} on {n} sites needs {need / 2**30:.3g} GiB of "
-                          f"matrices; physical memory is {have / 2**30:.3g} GiB")
+        return 128 * 2**n * (len(_build_graph(params["graph"]).edges) + n + 1)
+    if kind == "flow":
+        return 16 * 4**n * (2 * params["s_steps"] + 17)
+    if kind == "liouvillian":
+        return 96 * _GRID_NODES * 4**n
+    return {"lr": 112, "cluster": 48, "locality": 176, "qhe": 160, "lppl": 96}[kind] * 4**n
 
 
 def _build_graph(spec):
@@ -368,7 +385,7 @@ def _run_flow(params, rng):
     rule = _build_rule(params["split"])
     min_gap = params["split"]["min_gap"]
     obs = params["observable"]
-    A = pauli_string(obs["op"], (_check_site(obs["site"], n, "observable.site"),)).embed(n)
+    A = pauli_string(obs["op"], (_check_site(obs["site"], n, "observable.site"),))
 
     xs, values, path_gap = automorphic_equivalence_experiment(
         phi, rule, A, params["betas"], s_steps=params["s_steps"], min_gap=min_gap

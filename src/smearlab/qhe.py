@@ -5,13 +5,14 @@ charge Qbar = Q - I_beta(L_H(Q)) = tau_{phi_beta}(Q), as 1 - (-i w)
 k_beta(w) = e^{-w^2/4 beta^2}, almost commutes with the ground patch
 (charges are held as diagonals).  The flux unitary W = e^{2 pi i Qbar_U}
 nearly factorizes into unitaries near the two boundary circles of the
-upper half; the lower factor U, the conditional expectation of W onto a
-boundary strip re-unitarized by polar decomposition, pumps charge across
-the cut.  The transported charge operator
+upper half; the lower factor U = u (x) 1, the conditional expectation of
+W onto a boundary strip S re-unitarized by polar decomposition, pumps
+charge across the cut.  The transported charge operator
 
-    T = (U^dagger Q_R U - Q_R)_left
+    T = (U^dagger Q_R U - Q_R)_left = ((u^dagger q u - q)_left) (x) 1,
 
-has ground-patch trace near an integer.
+q the charge of R inside S, lives on the left strip inside S.  Its
+ground-patch trace is near an integer.
 """
 
 from __future__ import annotations
@@ -22,40 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svd
 
-from .algebra import (
-    LocalOperator,
-    commutator_norm,
-    conditional_expectation,
-    embed,
-    real_matmul,
-    schatten_norm,
-    trace_sites,
-)
+from .algebra import (LocalOperator, commutator_norm, conditional_expectation, real_matmul,
+                      schatten_norm, site_index, trace_sites)
 from .dynamics import EvolutionSpec, smear
 from .errors import AssumptionError, DegenerateFactorError
 from .filtering import GaussianFilter, _check_split_consistency
 from .interaction import xy_charge
 from .lattice import Region, build_torus
-from .spectra import diagonalize, lowest_k, split_spectrum
+from .spectra import diagonalize, lowest_k, patch_expectation, split_spectrum
 
 __all__ = [
-    "local_charge",
-    "region_charge",
-    "charge_conservation_defect",
-    "ChargeGeometry",
-    "dressed_charge",
-    "FluxFactorization",
-    "flux_unitary",
-    "TransportResult",
-    "transport_operator",
-    "QuantizationResult",
-    "quantization_check",
-    "ZPhaseResult",
-    "z_phase_operator",
-    "QHEPoint",
-    "qhe_point",
-    "qhe_experiment",
+    "local_charge", "region_charge", "charge_conservation_defect", "ChargeGeometry",
+    "dressed_charge", "FluxFactorization", "flux_unitary", "TransportResult",
+    "transport_operator", "QuantizationResult", "quantization_check", "ZPhaseResult",
+    "z_phase_operator", "QHEPoint", "qhe_point", "qhe_experiment",
 ]
+
 
 def local_charge(site):
     """q_x = (1 - sigma_z)/2, with spectrum {0, 1}."""
@@ -63,15 +46,19 @@ def local_charge(site):
 
 
 def region_charge(graph, region):
-    """Diagonal of Q_X = sum over the region of the local charges."""
-    n = graph.n_sites
-    return sum((local_charge(x).embed_diagonal(n) for x in region), np.zeros(2**n))
+    """Diagonal of Q_X = sum over the region of the local charges, each
+    applied to the all-ones vector."""
+    ones = np.ones(2**graph.n_sites)
+    return sum((local_charge(x).apply(ones) for x in region), np.zeros(ones.size))
 
 
 def charge_conservation_defect(phi, Q, t_samples=5):
-    """max over a parameter grid of ||[H(t), Q]||_inf (one point if H is constant)."""
+    """max over a parameter grid of ||[H(t), Q]||_inf (one point if H is
+    constant), and the H(t) built at the first grid point."""
     ts = np.linspace(*phi.interval, 1 if phi.is_constant else t_samples)
-    return max(commutator_norm(phi.hamiltonian(t), Q) for t in ts)
+    H = phi.hamiltonian(ts[0])
+    defects = [commutator_norm(phi.hamiltonian(t), Q) for t in ts[1:]]
+    return max([commutator_norm(H, Q)] + defects), H
 
 
 class ChargeGeometry:
@@ -173,27 +160,26 @@ def _unitary_exponentials(Hermitian, angles):
 def _polar_unitary(M, min_sv=1e-6):
     u, s, vh = svd(M)
     if s.min() < min_sv:
-        raise DegenerateFactorError(
-            f"conditional expectation nearly singular (min sv {s.min():.3e})"
-        )
+        raise DegenerateFactorError("conditional expectation nearly singular "
+                                    f"(min sv {s.min():.3e})")
     return u @ vh, float(s.min())
 
 
 def _strip_unitary(M, strip, n):
     """Polar part of E_strip(M) = m (x) 1, taken on the strip: polar(m (x) 1)
     is polar(m) (x) 1 with the same singular values, so only m is
-    decomposed.  Returns the embedded unitary and the smallest singular
+    decomposed.  Returns the strip operator and the smallest singular
     value."""
     rest = [s for s in range(n) if s not in strip.sites]
     u, sv = _polar_unitary(trace_sites(M, rest, n) / 2 ** len(rest))
-    return embed(u, strip.sites, n), sv
+    return LocalOperator(strip.sites, u), sv
 
 
 @dataclass
 class FluxFactorization:
     flux: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: LocalOperator
+    upper: LocalOperator
     residual: float
     min_singular_value: float
 
@@ -205,38 +191,45 @@ def flux_unitary(Qbar_upper, geometry, angle=2.0 * math.pi):
     onto the lower boundary strip; the upper factor is then peeled off
     as the re-unitarized restriction of lower^dagger W to the upper
     strip, so the reported ||W - lower * upper||_inf residual measures
-    only what no strip product can represent.  On very small tori the
-    residual is O(1); it shrinks with the coupling and with growing
-    separation between the cuts.
+    only what no strip product can represent.  Both factors are unitary,
+    so the residual is taken as ||upper^dagger lower^dagger W - 1||_inf.
+    On very small tori it is O(1); it shrinks with the coupling and with
+    growing separation between the cuts.
     """
     n = geometry.graph.n_sites
     (W,) = _unitary_exponentials(Qbar_upper, [angle])
     lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
-    upper, _ = _strip_unitary(lower.conj().T @ W, geometry.upper_strip, n)
-    residual = schatten_norm(W - lower @ upper, np.inf)
-    return FluxFactorization(W, lower, upper, residual, sv_low)
+    lower_w = lower.dagger.apply(W)
+    upper, _ = _strip_unitary(lower_w, geometry.upper_strip, n)
+    defect = upper.dagger.apply(lower_w)
+    defect[np.diag_indices_from(defect)] -= 1.0
+    return FluxFactorization(W, lower, upper, schatten_norm(defect, np.inf), sv_low)
 
 
 @dataclass
 class TransportResult:
-    operator: np.ndarray
+    operator: LocalOperator
     split_residual: float
 
 
-def transport_operator(U, q_right, geometry):
-    """T = Hermitian part of E_left(U^dagger Q_R U - Q_R), Q_R = diag(q_right).
+def transport_operator(lower, q_right, geometry):
+    """T = Hermitian part of E_left(U^dagger Q_R U - Q_R), Q_R = diag(q_right),
+    for U = u (x) 1 on S = lower.sites, formed on S and returned there.
 
-    The defect U^dagger Q_R U - Q_R concentrates near the two vertical
-    cuts; `split_residual` measures what the two column strips miss.
+    The terms of Q_R off S commute with U, so the defect is d (x) 1 with
+    d = u^dagger q u - q, q the entries of q_right with every site off S
+    empty: the charge of R inside S.  d concentrates near the two vertical
+    cuts; `split_residual` ||d - left - right||_inf, with the conditional
+    expectations onto the column strips, measures what the strips miss.
     """
-    n = geometry.graph.n_sites
-    delta = (U.conj().T * q_right) @ U
-    delta[np.diag_indices_from(delta)] -= q_right
-    left = conditional_expectation(delta, geometry.left_strip.sites, n)
-    right = conditional_expectation(delta, geometry.right_strip.sites, n)
-    residual = schatten_norm(delta - left - right, np.inf)
-    T = (left + left.conj().T) / 2.0
-    return TransportResult(T, residual)
+    S = lower.sites
+    q = q_right[site_index(S, geometry.graph.n_sites)[:, 0]]
+    d = (lower.matrix.conj().T * q) @ lower.matrix
+    d[np.diag_indices_from(d)] -= q
+    left, right = (conditional_expectation(d, [S.index(x) for x in cols.sites if x in S], len(S))
+                   for cols in (geometry.left_strip, geometry.right_strip))
+    residual = schatten_norm(d - left - right, np.inf)
+    return TransportResult(LocalOperator(S, (left + left.conj().T) / 2.0), residual)
 
 
 @dataclass
@@ -248,9 +241,9 @@ class QuantizationResult:
 
 
 def quantization_check(split, T):
-    """tr(P T) with its distance to the nearest integer."""
-    V0 = split.patch_vectors()
-    raw = complex(np.einsum("ij,jk,ki->", V0.conj().T, T, V0, optimize=True))
+    """tr(P T) = p omega(T), T dense or a LocalOperator, with its distance
+    to the nearest integer."""
+    raw = split.p * patch_expectation(split, T)
     trace = raw.real
     nearest = int(round(trace))
     return QuantizationResult(trace, abs(raw.imag), nearest, abs(trace - nearest))
@@ -263,9 +256,9 @@ class ZPhaseResult:
     det_residual: float
 
 
-def z_phase_operator(U, Qbar_right, geometry, phis, split):
+def z_phase_operator(lower, Qbar_right, geometry, phis, split):
     """Z(phi) = U^dagger e^{i phi Qbar_R} U e^{-i phi Qbar_R} at each angle,
-    from one eigendecomposition of Qbar_R.
+    for the strip factor U = `lower`, from one eigendecomposition of Qbar_R.
 
     Reports ||[Z, P]||_inf and, using the left-strip factor of Z, the
     distance of its patch determinant from 1 (meaningful at phi = 2 pi).
@@ -274,9 +267,9 @@ def z_phase_operator(U, Qbar_right, geometry, phis, split):
     V0 = split.patch_vectors()
     results = []
     for phi, E in zip(phis, _unitary_exponentials(Qbar_right, phis)):
-        Z = U.conj().T @ E @ U @ E.conj().T
+        Z = lower.dagger.apply(E @ lower.apply(E.conj().T))
         z_left, _ = _strip_unitary(Z, geometry.left_strip, n)
-        det_res = abs(np.linalg.det(V0.conj().T @ z_left @ V0) - 1.0)
+        det_res = abs(np.linalg.det(V0.conj().T @ z_left.apply(V0)) - 1.0)
         results.append(ZPhaseResult(phi, split.commutator_norm(Z), det_res))
     return results
 
@@ -303,7 +296,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
     """Run the full transport pipeline for one model instance, with the
     Z(phi) diagnostics at each angle of `phi_grid`."""
     graph = geometry.graph
-    defect = charge_conservation_defect(phi, region_charge(graph, graph.sites()))
+    defect, H = charge_conservation_defect(phi, region_charge(graph, graph.sites()))
     if defect > 1e-10:
         raise AssumptionError(f"model is not charge conserving ({defect:.3e})")
     geometry.split_boundary_terms(
@@ -313,7 +306,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
         phi, geometry.right_half, geometry.left_strip, geometry.right_strip
     )
 
-    sd = diagonalize(phi.hamiltonian(0.0))
+    sd = diagonalize(H if phi.is_constant else phi.hamiltonian(0.0))
     split = split_spectrum(sd, rule, min_gap=min_gap)
     q_upper = region_charge(graph, geometry.upper_half)
     q_right = region_charge(graph, geometry.right_half)

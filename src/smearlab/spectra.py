@@ -9,15 +9,13 @@ through a degenerate level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .algebra import (LocalOperator, is_hermitian, real_matmul, singular_value_norm,
-                      site_index)
+from .algebra import LocalOperator, is_hermitian, real_matmul, singular_value_norm
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -276,14 +274,7 @@ def patch_expectation(split, A):
 
 
 def block_expectation(W, A):
-    """tr(W^dagger A W) / p for a dim x p block W.
-
-    A LocalOperator is applied to W on its support only:
-    W[idx[a, r]], contracted with its matrix.
-    """
-    if isinstance(A, LocalOperator):
-        Wl = W[site_index(A.sites, round(math.log(W.shape[0], A.q)), A.q)]
-        vals = np.einsum("ari,ab,bri->i", Wl.conj(), A.matrix, Wl, optimize=True)
-    else:
-        vals = np.einsum("ij,jk,ki->i", W.conj().T, A, W, optimize=True)
-    return complex(vals.sum() / W.shape[1])
+    """tr(W^dagger A W) / p for a dim x p block W.  A LocalOperator meets W
+    on its support only, as W^dagger A = (A^dagger W)^dagger."""
+    WA = A.dagger.apply(W).conj().T if isinstance(A, LocalOperator) else W.conj().T @ A
+    return complex(np.einsum("ik,ki->i", WA, W, optimize=True).sum() / W.shape[1])

@@ -266,26 +266,51 @@ def test_is_hermitian_edge_cases():
 
 
 def test_local_operator_diagonal_fast_path():
+    # the diagonal of a diagonal operator is its action on the all-ones
+    # vector, exact and in the dtype of the matrix
+    ones = np.ones(16)
     op = pauli_string("zz", (0, 2))
-    assert op.is_diagonal
-    diag = op.embed_diagonal(4)
+    diag = op.apply(ones)
     assert diag.dtype == np.float64
-    assert np.allclose(np.diag(diag), op.embed(4))
+    assert np.array_equal(np.diag(diag), op.embed(4))
     # complex entries stay complex; site 1 is the high bit of the pair
     phase = LocalOperator((1, 3), np.diag([1.0, 1j, -1.0, -1j]))
-    cdiag = phase.embed_diagonal(4)
+    cdiag = phase.apply(ones)
     assert cdiag.dtype == np.complex128
     assert np.array_equal(cdiag, np.diagonal(phase.embed(4)))
     # integer entries become float
     counts = LocalOperator((2,), np.diag([0, 2]))
     assert counts.matrix.dtype == np.float64
-    idiag = counts.embed_diagonal(4)
+    idiag = counts.apply(ones)
     assert idiag.dtype == np.float64
     assert np.array_equal(idiag, np.diagonal(counts.embed(4)))
-    xop = pauli_string("x", (1,))
-    assert not xop.is_diagonal
+
+
+@pytest.mark.parametrize("sites", [(0,), (1, 3), (0, 2, 4), (0, 1, 2, 3, 4)])
+def test_local_operator_apply_matches_the_embedded_product(sites):
+    # (op (x) 1) X on the support, against embed(n) @ X, for real and
+    # complex operators and blocks of 1 and dim columns
+    rng = np.random.default_rng(len(sites))
+    n, k = 5, len(sites)
+    real = rng.standard_normal((2**k, 2**k))
+    for matrix in (real, real + 1j * rng.standard_normal((2**k, 2**k))):
+        op = LocalOperator(sites, matrix)
+        dense = op.embed(n)
+        for cols in (1, 2**n):
+            X = rng.standard_normal((2**n, cols))
+            for block in (X, X + 1j * rng.standard_normal(X.shape)):
+                got = op.apply(block)
+                assert got.shape == block.shape
+                assert got.dtype == np.result_type(matrix, block)
+                assert np.abs(got - dense @ block).max() <= 1e-14
+        vec = rng.standard_normal(2**n)
+        assert np.abs(op.apply(vec) - dense @ vec).max() <= 1e-14
+        assert np.array_equal(op.dagger.matrix, matrix.conj().T)
+    # the rows must hold the support
     with pytest.raises(ValueError):
-        xop.embed_diagonal(3)
+        op.apply(np.ones((2**n + 1, 2)))
+    with pytest.raises(ValueError):
+        op.apply(np.ones((2 ** sites[-1], 2)))
 
 
 def test_local_operator_validation_and_shift():

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import smearlab.clustering
-from smearlab.algebra import pauli_string
+from smearlab.algebra import PAULI_X, PAULI_Z, LocalOperator, pauli_string
 from smearlab.clustering import (
     ClusterDecomposition,
     cluster_experiment,
     decompose_correlation,
 )
+from smearlab.config import validate_config
 from smearlab.errors import AssumptionError
 from smearlab.filtering import erf_step_kernel
+from smearlab.harness import run
 from smearlab.interaction import custom_model, tfim
 from smearlab.lattice import build_chain, build_ring
 from smearlab.spectra import (
@@ -35,15 +37,15 @@ def setup_chain(n=6, g=2.0):
 def test_sum_identity_is_exact():
     phi, sd, split = setup_chain()
     ground = np.asarray(sd.vectors[:, 0], dtype=complex)
-    A = pauli_string("z", (1,)).embed(6)
-    B = pauli_string("z", (4,)).embed(6)
+    A = pauli_string("z", (1,))
+    B = pauli_string("z", (4,))
     dec = decompose_correlation(sd, split, 0.6, A, B, ground)
     assert dec.identity_defect < 1e-10
     assert abs(dec.correlation - dec.terms_sum) < 1e-10
     # the correlation here is the off-patch part of <A B>
     P = split.projector
     Pp = np.eye(64) - P
-    direct = ground.conj() @ (A @ (Pp @ (B @ ground)))
+    direct = ground.conj() @ (A.embed(6) @ (Pp @ (B.embed(6) @ ground)))
     assert dec.correlation == pytest.approx(direct, abs=1e-12)
 
 
@@ -53,8 +55,8 @@ def test_diagnostic_bounds_hold_with_stated_prefactors():
     gamma = split.gap
     for d in (2, 3, 4):
         beta = gamma / (2.0 * np.sqrt(d))
-        A = pauli_string("z", (0,)).embed(6)
-        B = pauli_string("z", (d,)).embed(6)
+        A = pauli_string("z", (0,))
+        B = pauli_string("z", (d,))
         dec = decompose_correlation(sd, split, beta, A, B, ground)
         assert dec.bounds_hold()
         assert abs(dec.term_ii) <= dec.bound_ii
@@ -63,8 +65,8 @@ def test_diagnostic_bounds_hold_with_stated_prefactors():
 
 def test_decomposition_rejects_bad_states():
     phi, sd, split = setup_chain(4)
-    A = pauli_string("z", (0,)).embed(4)
-    B = pauli_string("z", (3,)).embed(4)
+    A = pauli_string("z", (0,))
+    B = pauli_string("z", (3,))
     # not normalized
     with pytest.raises(AssumptionError):
         decompose_correlation(sd, split, 0.5, A, B, 2.0 * sd.vectors[:, 0])
@@ -78,7 +80,7 @@ def test_patch_must_sit_at_the_bottom():
     sd = diagonalize(phi.hamiltonian(0.0))
     e = sd.energies
     mid = split_spectrum(sd, window(e[2] - 1e-9, e[3] + 1e-9))
-    A = pauli_string("z", (0,)).embed(4)
+    A = pauli_string("z", (0,))
     with pytest.raises(AssumptionError):
         decompose_correlation(sd, mid, 0.5, A, A, sd.vectors[:, 2])
 
@@ -121,8 +123,8 @@ def test_experiment_matches_direct_decomposition():
     )
     sd = split.spectral_data
     ground = np.asarray(sd.vectors[:, 0], dtype=complex)
-    A = pauli_string("z", (0,)).embed(5)
-    B = pauli_string("z", (3,)).embed(5)
+    A = pauli_string("z", (0,))
+    B = pauli_string("z", (3,))
     direct = decompose_correlation(
         sd, split, records[0].beta, A, B, ground
     )
@@ -168,13 +170,13 @@ def test_stacked_states_match_single_state_calls():
     rng = np.random.default_rng(3)
     C = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     states = split.patch_vectors() @ (C / np.linalg.norm(C, axis=0))
-    A = pauli_string("x", (1,)).embed(6)
-    B = pauli_string("z", (4,)).embed_diagonal(6)
+    A = pauli_string("x", (1,))
+    B = LocalOperator((4,), 2.0 * PAULI_Z)
     beta = split.gap / 3.0
-    stacked = decompose_correlation(sd, split, beta, A, B, states, 1.0, 2.0)
+    stacked = decompose_correlation(sd, split, beta, A, B, states)
     assert len(stacked) == 6
     for j, dec in enumerate(stacked):
-        single = decompose_correlation(sd, split, beta, A, B, states[:, j], 1.0, 2.0)
+        single = decompose_correlation(sd, split, beta, A, B, states[:, j])
         assert isinstance(single, ClusterDecomposition)
         for name in ("term_i", "term_ii", "term_iii", "correlation",
                      "bound_ii", "bound_iii", "identity_defect"):
@@ -217,11 +219,20 @@ def _patch_states(split, count, rng):
     return split.patch_vectors() @ (C / np.linalg.norm(C, axis=0))
 
 
+def _observables(site_a, site_b):
+    """(A, B) pairs covering x, y and z, one B scaled to norm 2."""
+    pairs = [(pauli_string(a, (site_a,)), pauli_string(b, (site_b,)))
+             for a, b in ("zz", "xx", "yy", "xz", "yx")]
+    return pairs + [(pauli_string("y", (site_a,)), LocalOperator((site_b,), 2.0 * PAULI_X))]
+
+
 def _assert_matches_oracle(sd, split, A, B, states):
     gamma = split.gap
+    n = round(math.log2(sd.dim))
     for beta in (gamma / 2.0, gamma / (2.0 * math.sqrt(3.0))):
-        got = decompose_correlation(sd, split, beta, A, B, states, 1.0, 2.0)
-        want = dense_decomposition(sd, split, beta, A, B, states, 1.0, 2.0)
+        got = decompose_correlation(sd, split, beta, A, B, states)
+        want = dense_decomposition(sd, split, beta, A.embed(n), B.embed(n), states,
+                                   A.norm(), B.norm())
         assert len(got) == len(want) == states.shape[1]
         for g, w in zip(got, want):
             for name in ("term_i", "term_ii", "term_iii", "correlation",
@@ -234,10 +245,9 @@ def test_patch_columns_match_dense_oracle_on_a_ring_with_diagonal_observables():
     sd = diagonalize(tfim(build_ring(n), 1.0, 2.0).hamiltonian(0.0))
     split = split_spectrum(sd, lowest_k(1))
     states = np.column_stack([sd.vectors[:, 0], _patch_states(split, 3, np.random.default_rng(1))])
-    A = pauli_string("z", (0,)).embed_diagonal(n)
     for site_b in (2, 4):
-        B = pauli_string("z", (site_b,)).embed_diagonal(n)
-        _assert_matches_oracle(sd, split, A, B, states)
+        for A, B in _observables(0, site_b):
+            _assert_matches_oracle(sd, split, A, B, states)
 
 
 def test_patch_columns_match_dense_oracle_for_a_dense_a_on_a_doublet():
@@ -246,8 +256,7 @@ def test_patch_columns_match_dense_oracle_for_a_dense_a_on_a_doublet():
     split = split_spectrum(sd, lowest_k(2))
     assert split.p == 2
     states = _patch_states(split, 4, np.random.default_rng(2))
-    A = pauli_string("x", (1,)).embed(n)
-    for B in (pauli_string("z", (4,)).embed_diagonal(n), pauli_string("x", (4,)).embed(n)):
+    for A, B in _observables(1, 4):
         _assert_matches_oracle(sd, split, A, B, states)
 
 
@@ -261,6 +270,25 @@ def test_patch_columns_match_dense_oracle_with_complex_eigenvectors():
     assert np.iscomplexobj(sd.vectors)
     split = split_spectrum(sd, lowest_k(1))
     states = np.column_stack([sd.vectors[:, 0], _patch_states(split, 2, np.random.default_rng(3))])
-    A = pauli_string("y", (0,)).embed(n)
-    for B in (pauli_string("z", (3,)).embed_diagonal(n), pauli_string("x", (3,)).embed(n)):
+    for A, B in _observables(0, 3):
         _assert_matches_oracle(sd, split, A, B, states)
+
+
+@pytest.mark.parametrize("label", ["x", "y"])
+def test_cluster_run_with_x_and_y_observables_embeds_nothing(tmp_path, monkeypatch, label):
+    # A and B meet the eigenvectors only through LocalOperator.apply
+    import smearlab.algebra
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an observable was embedded")
+
+    for owner, name in ((smearlab.algebra, "embed"), (LocalOperator, "embed")):
+        monkeypatch.setattr(owner, name, refused)
+    cfg = validate_config({
+        "experiment": "cluster", "graph": {"kind": "ring", "n": 6},
+        "model": {"kind": "tfim", "j": 1.0, "g": 2.0},
+        "split": {"rule": "lowest_k", "k": 1}, "site_a": 0, "op_a": label, "op_b": label,
+        "distances": [1, 2, 3], "n_state_samples": 2,
+    })
+    res = run(cfg, out_dir=str(tmp_path / "cl"), seed=3)
+    assert res.summary["verdict"]["holds"] is True

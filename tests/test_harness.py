@@ -473,7 +473,7 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
     assert peak < 10e6
     assert not (tmp_path / "o").exists()
     # a chain of 9 needs 1.6 GiB, a chain of 6 with 400 steps 51 MiB, and
-    # other experiments one dense operator: all are accepted
+    # a dense lppl on a chain of 12 1.5 GiB: all are accepted
     for params in (_flow_config(9, 200), _flow_config(6, 400)):
         harness._refuse_oversized("flow", validate_config(params).params)
     harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
@@ -566,7 +566,7 @@ def test_cluster_and_locality_are_sized_by_their_routes(monkeypatch):
             "model": tfim_model, "site_a": 0, "distances": [2, 3], "betas": [0.5],
         }).params
 
-    # 80 B per entry: 5 GiB on a ring of 13, 20 GiB on 14; one dense complex
+    # 48 B per entry: 3 GiB on a ring of 13, 12 GiB on 14; one dense complex
     # matrix (4 GiB) would let the 14 sites through
     harness._refuse_oversized("cluster", cluster(13))
     with pytest.raises(SchemaError, match="GiB"):
@@ -587,8 +587,8 @@ def test_qhe_is_sized_by_what_it_holds(monkeypatch):
     def qhe(L):
         return validate_config({"experiment": "qhe", "L": L, "J": [0.2]}).params
 
-    # 256 B per entry of a 4^n matrix, n = L^2: 64 MiB on the 3 x 3 torus,
-    # 1 TiB on the 4 x 4 one
+    # 160 B per entry of a 4^n matrix, n = L^2: 40 MiB on the 3 x 3 torus,
+    # 640 GiB on the 4 x 4 one
     harness._refuse_oversized("qhe", qhe(3))
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(4))
@@ -597,6 +597,46 @@ def test_qhe_is_sized_by_what_it_holds(monkeypatch):
     memory["bytes"] = 32 * 2**20
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(3))
+
+
+_TFIM = {"kind": "tfim", "j": 1.0, "g": 2.0}
+_BOTTOM = {"rule": "lowest_k", "k": 1}
+_SMALL_RUNS = {
+    "lr": {"experiment": "lr", "graph": {"kind": "chain", "n": 8}, "model": _TFIM,
+           "site_a": 0, "site_b": 4, "times": {"start": 0.0, "stop": 1.0, "num": 5}},
+    "cluster": {"experiment": "cluster", "graph": {"kind": "ring", "n": 8}, "model": _TFIM,
+                "split": _BOTTOM, "site_a": 0, "op_a": "y", "op_b": "y",
+                "distances": [2, 3, 4], "n_state_samples": 3},
+    "locality": {"experiment": "locality", "graph": {"kind": "chain", "n": 8},
+                 "model": _TFIM, "site_a": 0, "distances": [2, 3], "betas": [0.5]},
+    "lppl": {"experiment": "lppl", "graph": {"kind": "chain", "n": 10}, "model": _TFIM,
+             "split": _BOTTOM, "perturbation": {"site": 0, "strength": 0.3},
+             "distances": [2, 3, 4]},
+    "lppl-dense": {"experiment": "lppl", "graph": {"kind": "chain", "n": 8}, "model": _TFIM,
+                   "split": {"rule": "largest_gap_below", "energy": -8.0},
+                   "perturbation": {"site": 0, "strength": 0.3}, "distances": [2, 3, 4]},
+    "flow": {**_flow_config(7, 40), "betas": [0.9, 0.7]},
+    "qhe": {"experiment": "qhe", "L": 3, "J": [0.2]},
+    "liouvillian": {"experiment": "liouvillian", "n_qubits": 3, "n_samples": 1,
+                    "betas": [0.5]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_traced_peak_stays_within_the_counted_bytes(tmp_path, name):
+    # tracemalloc sees every numpy array but not the LAPACK workspace, so
+    # this is a floor under the count: it catches an array a count forgot.
+    # The quadrature oracle's lazy import is module code, not matrices.
+    import scipy.integrate  # noqa: F401
+
+    cfg = validate_config(_SMALL_RUNS[name])
+    tracemalloc.start()
+    try:
+        run(cfg, out_dir=str(tmp_path / name))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._needed_bytes(cfg.kind, cfg.params)
 
 
 def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypatch):

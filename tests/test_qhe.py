@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smearlab.algebra import (
+    LocalOperator,
     commutator,
     commutator_norm,
     conditional_expectation,
@@ -65,10 +66,10 @@ def test_region_charge_is_the_diagonal_of_the_embedded_local_charges():
 def test_hopping_model_conserves_charge(torus3):
     geo, phi, _ = torus3
     Q = region_charge(geo.graph, geo.graph.sites())
-    assert charge_conservation_defect(phi, Q) < 1e-12
+    assert charge_conservation_defect(phi, Q)[0] < 1e-12
     # the transverse-field model does not conserve the charge
     bad = tfim(geo.graph, 1.0, 1.0)
-    assert charge_conservation_defect(bad, Q) > 0.1
+    assert charge_conservation_defect(bad, Q)[0] > 0.1
 
 
 def test_commutator_norm_of_conserved_charge_is_exactly_zero(torus3):
@@ -94,7 +95,7 @@ def test_charge_commutator_takes_no_eigensolver_when_conserved(torus3, monkeypat
     calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
     assert commutator_norm(phi.hamiltonian(0.0), q) == 0.0
-    assert charge_conservation_defect(phi, q) == 0.0
+    assert charge_conservation_defect(phi, q)[0] == 0.0
     assert calls == []
     assert commutator_norm(tfim(geo.graph, 1.0, 1.0).hamiltonian(), q) > 0.1
     assert calls == [(512, 512)]
@@ -109,7 +110,19 @@ def test_charge_defect_samples_a_constant_hamiltonian_once(torus3):
     fresh = xy_charge(geo.graph, 0.2, 1.0)
     build, calls = fresh.hamiltonian, []
     fresh.hamiltonian = lambda t=0.0: calls.append(t) or build(t)
-    assert charge_conservation_defect(fresh, Q) == expect
+    defect, H = charge_conservation_defect(fresh, Q)
+    assert defect == expect
+    assert calls == [0.0]
+    assert np.array_equal(H, phi.hamiltonian(0.0))
+
+
+def test_qhe_point_builds_its_hamiltonian_once(torus3):
+    # the H of the conservation check is the one diagonalized
+    geo, _, _ = torus3
+    phi = xy_charge(geo.graph, 0.2, 1.0)
+    build, calls = phi.hamiltonian, []
+    phi.hamiltonian = lambda t=0.0: calls.append(t) or build(t)
+    qhe_point(geo, phi, 3**-0.5, lowest_k(1))
     assert calls == [0.0]
 
 
@@ -224,11 +237,15 @@ def test_flux_unitary_factorization(torus3):
     geo, phi, sd = torus3
     Q = region_charge(geo.graph, geo.upper_half)
     fact = flux_unitary(dressed_charge(sd, Q, beta=3**-0.5), geo)
-    for U in (fact.flux, fact.lower, fact.upper):
-        assert operator_norm(U.conj().T @ U - np.eye(512)) < 1e-10
-    assert fact.residual == pytest.approx(
-        schatten_norm(fact.flux - fact.lower @ fact.upper, np.inf)
-    )
+    assert operator_norm(fact.flux.conj().T @ fact.flux - np.eye(512)) < 1e-10
+    # the two factors are unitaries on their six-site strips
+    assert fact.lower.sites == geo.lower_strip.sites
+    assert fact.upper.sites == geo.upper_strip.sites
+    for U in (fact.lower.matrix, fact.upper.matrix):
+        assert operator_norm(U.conj().T @ U - np.eye(64)) < 1e-10
+    n = geo.graph.n_sites
+    dense = schatten_norm(fact.flux - fact.lower.embed(n) @ fact.upper.embed(n), np.inf)
+    assert fact.residual == pytest.approx(dense, rel=1e-12)
     assert fact.min_singular_value > 1e-3
 
 
@@ -251,7 +268,7 @@ def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
     # oracle: the polar part of the re-embedded conditional expectation
     dense, sv = qhe._polar_unitary(
         conditional_expectation(fact.flux, geo.lower_strip.sites, geo.graph.n_sites))
-    assert operator_norm(fact.lower - dense) < 1e-12
+    assert operator_norm(fact.lower.embed(geo.graph.n_sites) - dense) < 1e-12
     assert fact.min_singular_value == pytest.approx(sv, rel=1e-12)
 
 
@@ -271,11 +288,71 @@ def test_transport_operator_properties(torus3):
     fact = flux_unitary(dressed_charge(sd, Q_up, beta=3**-0.5), geo)
     res = transport_operator(fact.lower, q_r, geo)
     T = res.operator
-    assert np.allclose(T, T.conj().T)
+    assert T.sites == fact.lower.sites
+    assert np.allclose(T.matrix, T.matrix.conj().T)
     # the full defect is traceless, so the strip split must be too
-    delta = fact.lower.conj().T @ Q_r @ fact.lower - Q_r
+    U = fact.lower.embed(geo.graph.n_sites)
+    delta = U.conj().T @ Q_r @ U - Q_r
     assert abs(np.trace(delta)) < 1e-9
     assert res.split_residual < 1.0
+
+
+def _dense_transport(U, q_right, geometry):
+    """Oracle: T and the split residual from the embedded lower factor U,
+    with the defect and both conditional expectations at full dimension."""
+    n = geometry.graph.n_sites
+    delta = (U.conj().T * q_right) @ U
+    delta[np.diag_indices_from(delta)] -= q_right
+    left = conditional_expectation(delta, geometry.left_strip.sites, n)
+    right = conditional_expectation(delta, geometry.right_strip.sites, n)
+    return (left + left.conj().T) / 2.0, schatten_norm(delta - left - right, np.inf)
+
+
+def _close(got, want):
+    return abs(got - want) <= max(1e-15, 1e-12 * abs(want))
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.2, 0.1, 0.05])
+def test_strip_transport_matches_the_dense_route(coupling):
+    # the couplings of criterion 12: trace and split residual agree with
+    # the route at dimension 512 to 1e-12 relative or 1e-15 absolute
+    geo = ChargeGeometry(3)
+    n = geo.graph.n_sites
+    sd = diagonalize(xy_charge(geo.graph, coupling, 1.0).hamiltonian(0.0))
+    split = split_spectrum(sd, lowest_k(1))
+    fact = flux_unitary(dressed_charge(sd, region_charge(geo.graph, geo.upper_half),
+                                       beta=3**-0.5), geo)
+    q_r = region_charge(geo.graph, geo.right_half)
+    res = transport_operator(fact.lower, q_r, geo)
+    T, residual = _dense_transport(fact.lower.embed(n), q_r, geo)
+    assert np.abs(res.operator.embed(n) - T).max() < 1e-14
+    assert _close(res.split_residual, residual)
+    got, want = quantization_check(split, res.operator), quantization_check(split, T)
+    assert _close(got.trace, want.trace)
+    if coupling == 0.0:
+        assert got.trace == want.trace == 0.0
+        assert res.split_residual == residual == 0.0
+
+
+def test_qhe_point_stays_below_the_full_dimension(monkeypatch):
+    # on the 3 x 3 torus the only 512 x 512 operator that meets embed,
+    # conditional_expectation or schatten_norm is the factorization defect
+    import smearlab.algebra as algebra
+    import smearlab.qhe as qhe
+
+    shapes = []
+    for owner, name in ((algebra, "embed"), (qhe, "conditional_expectation"),
+                        (qhe, "schatten_norm")):
+        def recorded(A, *args, _name=name, _wrapped=getattr(owner, name), **kwargs):
+            shapes.append((_name, np.shape(A)))
+            return _wrapped(A, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    geo = ChargeGeometry(3)
+    qhe_point(geo, xy_charge(geo.graph, 0.2, 1.0), 3**-0.5, lowest_k(1))
+    assert [s for s in shapes if s[1] == (512, 512)] == [("schatten_norm", (512, 512))]
+    assert ("schatten_norm", (64, 64)) in shapes
+    assert shapes.count(("conditional_expectation", (64, 64))) == 2
 
 
 def test_quantization_check_matches_direct_trace(torus3):
@@ -289,6 +366,13 @@ def test_quantization_check_matches_direct_trace(torus3):
     assert res.trace == pytest.approx(direct)
     assert res.nearest_integer == round(direct)
     assert res.residual == pytest.approx(abs(direct - round(direct)))
+    # a strip operator is applied on its support, on a patch of five
+    split5 = split_spectrum(sd, lowest_k(5))
+    op = LocalOperator(geo.lower_strip.sites, random_hermitian(64, rng))
+    res = quantization_check(split5, op)
+    direct = np.trace(split5.projector @ op.embed(geo.graph.n_sites))
+    assert res.trace == pytest.approx(direct.real, rel=1e-12)
+    assert res.imag_defect < 1e-12
 
 
 def test_decoupled_point_is_exactly_trivial():
