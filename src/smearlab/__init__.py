@@ -23,7 +23,6 @@ from .algebra import (
 from .clustering import ClusterDecomposition, cluster_experiment, decompose_correlation
 from .config import ExperimentConfig, load_config, validate_config
 from .dynamics import (
-    EvolutionSpec,
     LRParams,
     evolve,
     lr_bound,

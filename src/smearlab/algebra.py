@@ -1,6 +1,6 @@
-"""Operators on arrays of q-level sites.
+"""Operators on arrays of two-level sites.
 
-Global operators are plain dense ndarrays on the q^n dimensional Hilbert
+Global operators are plain dense ndarrays on the 2^n dimensional Hilbert
 space with site 0 as the leftmost tensor factor.  Local operators carry
 their support and are promoted with identity on the rest.
 """
@@ -59,14 +59,13 @@ class LocalOperator:
 
     sites: tuple
     matrix: np.ndarray
-    q: int = 2
 
     def __post_init__(self):
         sites = tuple(int(s) for s in self.sites)
         if sites != tuple(sorted(set(sites))):
             raise ValueError("sites must be strictly increasing")
         object.__setattr__(self, "sites", sites)
-        dim = self.q ** len(sites)
+        dim = 2 ** len(sites)
         mat = _as_operator(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(
@@ -76,21 +75,21 @@ class LocalOperator:
 
     def embed(self, n_sites):
         """Dense global operator acting as `matrix` on `sites`."""
-        return embed(self.matrix, self.sites, n_sites, self.q)
+        return embed(self.matrix, self.sites, n_sites)
 
     @property
     def dagger(self):
-        return LocalOperator(self.sites, self.matrix.conj().T, self.q)
+        return LocalOperator(self.sites, self.matrix.conj().T)
 
     def apply(self, X):
-        """(matrix (x) 1) X for a vector or block X with q^n rows, computed
+        """(matrix (x) 1) X for a vector or block X with 2^n rows, computed
         on the support: the rows X[idx[a, r]] (`site_index`) are contracted
         with the matrix over the local index a."""
         X = np.asarray(X)
-        n = round(math.log(X.shape[0], self.q))
-        if self.q**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
+        n = round(math.log2(X.shape[0]))
+        if 2**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
             raise ValueError(f"{X.shape[0]} rows do not hold the sites {self.sites}")
-        idx = site_index(self.sites, n, self.q)
+        idx = site_index(self.sites, n)
         out = np.empty(X.shape, dtype=np.result_type(self.matrix, X))
         out[idx] = np.tensordot(self.matrix, X[idx], axes=1)
         return out
@@ -99,43 +98,41 @@ class LocalOperator:
         return schatten_norm(self.matrix, p)
 
     def shifted(self, offset):
-        return LocalOperator(tuple(s + offset for s in self.sites), self.matrix, self.q)
+        return LocalOperator(tuple(s + offset for s in self.sites), self.matrix)
 
 
-def pauli_string(label, sites, q=2):
+def pauli_string(label, sites):
     """LocalOperator for a Pauli word, e.g. pauli_string("XZ", (0, 3))."""
     label = label.upper()
     sites = tuple(int(s) for s in sites)
     if len(label) != len(sites):
         raise ValueError("one Pauli letter per site required")
-    if q != 2:
-        raise ValueError("Pauli strings are defined for two-level sites")
     order = np.argsort(sites)
     mat = np.ones((1, 1))
     for i in order:
         if label[i] not in _PAULI_BY_LABEL:
             raise ValueError(f"unknown Pauli letter {label[i]!r}")
         mat = np.kron(mat, _PAULI_BY_LABEL[label[i]])
-    return LocalOperator(tuple(sites[i] for i in order), mat, q)
+    return LocalOperator(tuple(sites[i] for i in order), mat)
 
 
-def site_index(sites, n_sites, q=2):
+def site_index(sites, n_sites):
     """Global basis index idx[a, r] of local state a on `sites` joined with
     state r on the remaining sites, both read leftmost site first."""
     def digits(group):
         out = np.zeros(1, dtype=np.intp)
         for s in group:
-            out = (out[:, None] + np.arange(q) * q ** (n_sites - 1 - s)).ravel()
+            out = (out[:, None] + np.arange(2) * 2 ** (n_sites - 1 - s)).ravel()
         return out
 
     rest = [s for s in range(n_sites) if s not in sites]
     return digits(sites)[:, None] + digits(rest)[None, :]
 
 
-def embed(matrix, sites, n_sites, q=2):
+def embed(matrix, sites, n_sites):
     """Tensor `matrix` (acting on `sites`) with identity on all other sites.
 
-    The returned array acts on the full q^n space with site order 0..n-1.
+    The returned array acts on the full 2^n space with site order 0..n-1.
     """
     sites = tuple(int(s) for s in sites)
     k = len(sites)
@@ -144,20 +141,20 @@ def embed(matrix, sites, n_sites, q=2):
     if k and (sites[0] < 0 or sites[-1] >= n_sites):
         raise ValueError("support site out of range")
     matrix = _as_operator(matrix)
-    if matrix.shape != (q**k, q**k):
+    if matrix.shape != (2**k, 2**k):
         raise ValueError("matrix does not match the support size")
-    idx = site_index(sites, n_sites, q)
-    full = np.zeros((q**n_sites, q**n_sites), dtype=matrix.dtype)
+    idx = site_index(sites, n_sites)
+    full = np.zeros((2**n_sites, 2**n_sites), dtype=matrix.dtype)
     full[idx[:, None, :], idx[None, :, :]] = matrix[:, :, None]
     return full
 
 
-def trace_sites(A, sites, n_sites, q=2):
+def trace_sites(A, sites, n_sites):
     """Unnormalized partial trace of A over `sites`."""
     sites = sorted({int(s) for s in sites})
     if sites and (sites[0] < 0 or sites[-1] >= n_sites):
         raise ValueError("trace site out of range")
-    T = np.asarray(A).reshape((q,) * (2 * n_sites))
+    T = np.asarray(A).reshape((2,) * (2 * n_sites))
     m = n_sites
     remaining = list(range(n_sites))
     for s in reversed(sites):
@@ -165,12 +162,12 @@ def trace_sites(A, sites, n_sites, q=2):
         T = np.trace(T, axis1=i, axis2=m + i)
         remaining.pop(i)
         m -= 1
-    return T.reshape(q**m, q**m)
+    return T.reshape(2**m, 2**m)
 
 
-def conditional_expectation(A, keep_sites, n_sites, q=2):
+def conditional_expectation(A, keep_sites, n_sites):
     """Normalized partial trace over the complement of `keep_sites`,
-    re-embedded with identity: E_X(A) = (tr_{X^c} A / q^{|X^c|}) (x) 1.
+    re-embedded with identity: E_X(A) = (tr_{X^c} A / 2^{|X^c|}) (x) 1.
 
     Unital, positive, and the identity on operators supported in X.
     """
@@ -178,8 +175,8 @@ def conditional_expectation(A, keep_sites, n_sites, q=2):
     rest = [s for s in range(n_sites) if s not in keep]
     if not rest:
         return np.array(A)
-    reduced = trace_sites(A, rest, n_sites, q) / q ** len(rest)
-    return embed(reduced, keep, n_sites, q)
+    reduced = trace_sites(A, rest, n_sites) / 2 ** len(rest)
+    return embed(reduced, keep, n_sites)
 
 
 def is_hermitian(A, tol=1e-12):
@@ -276,8 +273,8 @@ def involution_isometries(op, n_sites, frame=None):
     values, vectors = np.linalg.eigh(op.matrix)
     if not is_hermitian(op.matrix) or np.abs(np.abs(values) - 1.0).max() > 1e-12:
         raise ValueError(f"the matrix on sites {op.sites} is not a Hermitian involution")
-    dim = op.q**n_sites
-    rows = (np.eye(dim) if frame is None else frame)[site_index(op.sites, n_sites, op.q)]
+    dim = 2**n_sites
+    rows = (np.eye(dim) if frame is None else frame)[site_index(op.sites, n_sites)]
     return tuple(np.einsum("arm,aj->mjr", rows.conj(), vectors[:, sel], optimize=True)
                  .reshape(dim, -1) for sel in (values > 0, values < 0))
 

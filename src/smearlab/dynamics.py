@@ -21,11 +21,11 @@ import numpy as np
 from .algebra import commutator_norm, involution_isometries, is_hermitian
 
 __all__ = [
-    "EvolutionSpec",
     "evolve",
     "propagator",
     "heisenberg_samples",
     "smear",
+    "smear_quadrature",
     "LRParams",
     "make_lr_params",
     "lr_decay_profile",
@@ -38,31 +38,6 @@ __all__ = [
 # fixed-step RK4 keeps the local phase error below ~1e-11 per step when
 # h * ||H|| stays under this cap
 _RK4_ANGLE_CAP = 0.02
-
-
-class EvolutionSpec:
-    """How to evolve: exactly in an eigenbasis, or by ODE stepping.
-
-    Use `EvolutionSpec.spectral(sd)` for time-independent Hamiltonians with
-    a precomputed eigendecomposition, and `EvolutionSpec.ode(phi, step)`
-    for interaction paths, where `step` is the RK4 step size in time.
-    """
-
-    def __init__(self, kind, spectral_data=None, interaction=None, step=None):
-        self.kind = kind
-        self.spectral_data = spectral_data
-        self.interaction = interaction
-        self.step = step
-
-    @classmethod
-    def spectral(cls, sd):
-        return cls("spectral", spectral_data=sd)
-
-    @classmethod
-    def ode(cls, phi, step=0.005):
-        if step <= 0:
-            raise ValueError("step must be positive")
-        return cls("ode", interaction=phi, step=float(step))
 
 
 def _ham_at(phi):
@@ -108,49 +83,42 @@ def heisenberg_samples(ham_at, A, ts, max_step):
     return values
 
 
-def propagator(spec, s, t):
-    """W with tau_{s,t}(A) = W A W^dagger."""
-    if spec.kind == "spectral":
-        sd = spec.spectral_data
-        phases = np.exp(1j * sd.energies * (t - s))
-        V = sd.vectors
-        return (V * phases) @ V.conj().T
-    W = np.eye(spec.interaction.dim, dtype=complex)
+def propagator(phi, s, t, step=0.005):
+    """W with tau_{s,t}(A) = W A W^dagger along the path phi, by RK4 steps
+    no longer than `step`."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    W = np.eye(phi.dim, dtype=complex)
     if t == s:
         return W
-    n_steps = max(1, math.ceil(abs(t - s) / spec.step))
-    return _rk4(W, _ham_at(spec.interaction), s, (t - s) / n_steps, n_steps)
+    n_steps = max(1, math.ceil(abs(t - s) / step))
+    return _rk4(W, _ham_at(phi), s, (t - s) / n_steps, n_steps)
 
 
-def evolve(spec, A, s, t):
-    """Heisenberg evolution tau_{s,t}(A)."""
-    if spec.kind == "spectral":
-        sd = spec.spectral_data
-        A_tilde = sd.to_eigenbasis(A)
-        phase = np.exp(1j * sd.frequency_table() * (t - s))
-        return sd.from_eigenbasis(phase * A_tilde)
-    W = propagator(spec, s, t)
-    return W @ A @ W.conj().T
+def evolve(sd, A, s, t):
+    """Heisenberg evolution tau_{s,t}(A) of the Hamiltonian held by sd."""
+    return sd.apply_kernel(np.exp(1j * sd.frequency_table() * (t - s)), A)
 
 
-def smear(spec, filt, A):
-    """Filtered evolution tau_f(A) = int f(t) tau_{0,t}(A) dt.
+def smear(sd, filt, A):
+    """Filtered evolution tau_f(A) = int f(t) tau_{0,t}(A) dt: entry
+    (mu, nu) of A in the eigenbasis is multiplied by int f(t) e^{i w t} dt
+    = sqrt(2 pi) f^(w) at w = E_mu - E_nu, in closed form."""
+    kernel = math.sqrt(2.0 * math.pi) * filt.fourier(sd.frequency_table())
+    return sd.apply_kernel(kernel, A)
 
-    Spectral route: entry (mu, nu) of A in the eigenbasis is multiplied by
-    int f(t) e^{i w t} dt = sqrt(2 pi) f^(w) at w = E_mu - E_nu, in closed
-    form.  ODE route: composite Simpson quadrature of RK4-propagated
-    tau_{0,t}(A) on the filter's time grid, importing scipy.integrate on
-    first use.
-    """
-    if spec.kind == "spectral":
-        sd = spec.spectral_data
-        kernel = math.sqrt(2.0 * math.pi) * filt.fourier(sd.frequency_table())
-        return sd.from_eigenbasis(kernel * sd.to_eigenbasis(A))
+
+def smear_quadrature(phi, filt, A, step=0.005):
+    """The oracle of `smear`, free of eigendecompositions: composite Simpson
+    quadrature of RK4-propagated tau_{0,t}(A) along the path phi on the
+    filter's time grid, RK4 steps no longer than `step`."""
+    if step <= 0:
+        raise ValueError("step must be positive")
     # imported here: scipy.integrate loads scipy.optimize, which no other route needs
     from scipy.integrate import simpson
 
     ts = filt.grid()
-    values = heisenberg_samples(_ham_at(spec.interaction), A, ts, spec.step)
+    values = heisenberg_samples(_ham_at(phi), A, ts, step)
     return simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)
 
 
@@ -220,20 +188,17 @@ class LRExperimentResult:
         return float((self.bounds - self.measured).min())
 
 
-def measured_commutator_curve(spec, A, B, times):
+def measured_commutator_curve(sd, A, B, times):
     """||[tau_{0,t}(A), B]||_inf on a time grid for a local A and a local
     involution B (a Pauli word, say).
 
     Taken as ||[A, tau_{0,-t}(B)]|| in the eigenbasis, where the norm is
     the same: A is transformed once, B is held as its eigen-isometries in
     that basis, and tau_{0,-t} multiplies their row mu by e^{-i E_mu t}.
-    A is checked Hermitian once, before the time loop.  An ODE spec, a
-    non-Hermitian A or a B that is not an involution raises ValueError.
+    A is checked Hermitian once, before the time loop.  A non-Hermitian A
+    or a B that is not an involution raises ValueError.
     """
-    if spec.kind != "spectral":
-        raise ValueError("measured_commutator_curve needs a spectral spec")
-    sd = spec.spectral_data
-    n = round(math.log(sd.dim, A.q))
+    n = round(math.log2(sd.dim))
     A_t = sd.to_eigenbasis(A.embed(n))
     if not is_hermitian(A_t):
         raise ValueError("measured_commutator_curve needs a Hermitian A")
@@ -243,12 +208,12 @@ def measured_commutator_curve(spec, A, B, times):
                      for ph in phases])
 
 
-def lr_experiment(spec, params, A, B, X, Y, times):
+def lr_experiment(sd, params, A, B, X, Y, times):
     """Measured commutator norms against the LR bound on a time grid.
 
     A and B are LocalOperators supported in the regions X and Y.
     """
-    measured = measured_commutator_curve(spec, A, B, times)
+    measured = measured_commutator_curve(sd, A, B, times)
     na = A.norm(np.inf)
     nb = B.norm(np.inf)
     times = np.asarray(times, dtype=float)

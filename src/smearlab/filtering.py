@@ -10,9 +10,10 @@ by k_beta(w) = i (1 - e^{-w^2 / 4 beta^2}) / w at w = E_mu - E_nu, with
 k_beta(0) = 0.  As beta -> 0 the kernel approaches i/w pointwise, the
 multiplier of the exact inverse on cross-patch matrix elements.
 
-A second, eigenbasis-free evaluation route integrates the defining double
-integral with RK4-propagated unitaries and composite Simpson rules; it
-serves as an independent cross-check of the spectral route.
+Every map here multiplies entries in the eigenbasis of H
+(`SpectralData.apply_kernel`).  The oracle `almost_inverse_quadrature`
+integrates the defining double integral from H alone, with RK4-propagated
+unitaries and composite Simpson rules, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ __all__ = [
     "gaussian_kernel",
     "inverse_kernel",
     "erf_step_kernel",
-    "apply_spectral_kernel",
     "almost_inverse_liouvillian",
+    "almost_inverse_quadrature",
     "exact_inverse_liouvillian",
     "erf_step_map",
     "Prop34Result",
@@ -109,29 +110,25 @@ def erf_step_kernel(w, beta, gamma):
     return 0.5 * (1.0 + erf((w - gamma / 2.0) / (2.0 * beta)))
 
 
-def apply_spectral_kernel(sd, kernel_values, A):
-    """Conjugate A into the eigenbasis, multiply entrywise, rotate back."""
-    return sd.from_eigenbasis(kernel_values * sd.to_eigenbasis(A))
+def almost_inverse_liouvillian(sd, beta, A):
+    """I_beta(A): entry (mu, nu) in the eigenbasis multiplied by
+    k_beta(E_mu - E_nu)."""
+    return sd.apply_kernel(gaussian_kernel(sd.frequency_table(), beta), A)
 
 
-def almost_inverse_liouvillian(sd, beta, A, method="spectral"):
-    """I_beta(A) by spectral multiplication or by direct double quadrature.
+def almost_inverse_quadrature(H, beta, A):
+    """I_beta(A) by direct double quadrature, the oracle of
+    `almost_inverse_liouvillian`, from H alone.
 
-    The quadrature route never touches the eigendecomposition: unitaries
-    are RK4-propagated from the stored Hamiltonian, the inner integral is
-    a cumulative Simpson rule and the outer one a composite Simpson rule
-    on the filter's grid.  It imports scipy.integrate on first use.
+    Unitaries are RK4-propagated from H, the inner integral is a
+    cumulative Simpson rule and the outer one a composite Simpson rule on
+    the filter's grid.  It imports scipy.integrate on first use.
     """
-    if method == "spectral":
-        K = gaussian_kernel(sd.frequency_table(), beta)
-        return apply_spectral_kernel(sd, K, A)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
     # imported here: scipy.integrate loads scipy.optimize, which no other route needs
     from scipy.integrate import cumulative_simpson, simpson
 
     filt = GaussianFilter(beta)
-    H = np.asarray(sd.hamiltonian, dtype=complex)
+    H = np.asarray(H, dtype=complex)
     ts = filt.grid()
     mid = ts.size // 2
     # the largest column sum bounds the spectral norm of a Hermitian H,
@@ -156,22 +153,15 @@ def almost_inverse_liouvillian(sd, beta, A, method="spectral"):
     return result.reshape(A.shape)
 
 
-def _check_split_consistency(sd, split):
-    if split.spectral_data is not sd:
-        e1 = np.asarray(split.spectral_data.energies)
-        e2 = np.asarray(sd.energies)
-        if e1.shape != e2.shape or not np.allclose(e1, e2, atol=1e-10):
-            raise AssumptionError("spectral split belongs to a different spectrum")
-
-
-def exact_inverse_liouvillian(sd, split, A):
-    """I_H(A): multiplier i/w on cross-patch entries, zero inside patches.
+def exact_inverse_liouvillian(split, A):
+    """I_H(A): multiplier i/w on cross-patch entries, zero inside patches,
+    in the eigenbasis the split belongs to.
 
     Satisfies I_H(L_H(A)) = A exactly for cross-patch A.  Raises when the
     smallest cross-patch frequency falls below gamma/2, which signals an
     inconsistent split.
     """
-    _check_split_consistency(sd, split)
+    sd = split.spectral_data
     mask = split.patch_mask()
     omega = sd.frequency_table()
     cross = mask[:, None] ^ mask[None, :]
@@ -181,20 +171,17 @@ def exact_inverse_liouvillian(sd, split, A):
             f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
             f"{split.gap / 2.0:.3e}"
         )
-    K = inverse_kernel(omega, mask)
-    return apply_spectral_kernel(sd, K, A)
+    return sd.apply_kernel(inverse_kernel(omega, mask), A)
 
 
-def erf_step_map(sd, split, beta, A):
+def erf_step_map(split, beta, A):
     """J_beta(A): entry (mu, nu) multiplied by ghat_beta(E_nu - E_mu).
 
     The index order follows the action J_beta(A) P = sum ghat(nu - mu)
     P_mu A P_nu on the patch.
     """
-    _check_split_consistency(sd, split)
-    omega = sd.frequency_table()
-    K = erf_step_kernel(-omega, beta, split.gap)
-    return apply_spectral_kernel(sd, K, A)
+    sd = split.spectral_data
+    return sd.apply_kernel(erf_step_kernel(-sd.frequency_table(), beta, split.gap), A)
 
 
 def _is_one_sided(split, A, tol=1e-10):
@@ -228,10 +215,9 @@ class Prop34Result:
         return bool(ok)
 
 
-def _residual_check(name, sd, split, beta, A, residual, divisor, p_list):
+def _residual_check(name, split, beta, A, residual, divisor, p_list):
     """Schatten norms of residual(A) and of [residual(A), P] against
     p ||A|| e^{-gamma^2/4 beta^2} / divisor and twice that."""
-    _check_split_consistency(sd, split)
     if not _is_one_sided(split, A):
         raise ValueError(
             f"{name} needs one-sided cross-patch A (= P A Pperp or Pperp A P)"
@@ -248,25 +234,26 @@ def _residual_check(name, sd, split, beta, A, residual, divisor, p_list):
     )
 
 
-def prop34_check(sd, split, beta, A, p_list=(1, 2, np.inf)):
+def prop34_check(split, beta, A, p_list=(1, 2, np.inf)):
     """Reconstruction error of I_beta after L_H on one-sided cross-patch A,
     against p ||A|| e^{-gamma^2/4 beta^2} (commutator variant doubled)."""
+    sd = split.spectral_data
     return _residual_check(
-        "prop34_check", sd, split, beta, A,
+        "prop34_check", split, beta, A,
         lambda X: almost_inverse_liouvillian(
             sd, beta, liouvillian(sd.hamiltonian, X)) - X,
         1.0, p_list,
     )
 
 
-def lemma36_check(sd, split, beta, A, p_list=(1, 2, np.inf)):
+def lemma36_check(split, beta, A, p_list=(1, 2, np.inf)):
     """Distance between the almost and exact inverses on cross-patch A,
     against p ||A|| gamma^{-1} e^{-gamma^2/4 beta^2} (commutator variant
     doubled)."""
     return _residual_check(
-        "lemma36_check", sd, split, beta, A,
-        lambda X: almost_inverse_liouvillian(sd, beta, X)
-        - exact_inverse_liouvillian(sd, split, X),
+        "lemma36_check", split, beta, A,
+        lambda X: almost_inverse_liouvillian(split.spectral_data, beta, X)
+        - exact_inverse_liouvillian(split, X),
         split.gap, p_list,
     )
 

@@ -25,12 +25,7 @@ import numpy as np
 
 from .algebra import conditional_expectation, schatten_norm
 from .errors import AssumptionError
-from .filtering import (
-    almost_inverse_liouvillian,
-    apply_spectral_kernel,
-    exact_inverse_liouvillian,
-    gaussian_kernel,
-)
+from .filtering import almost_inverse_liouvillian, exact_inverse_liouvillian, gaussian_kernel
 from .interaction import local_perturbation
 from .lattice import Region
 from .spectra import (block_expectation, diagonalize, lowest_levels, patch_expectation,
@@ -110,7 +105,7 @@ class FlowGenerator:
         sd = self.cache.at(s)
         if self.kind == "exact":
             return exact_inverse_liouvillian(
-                sd, self.split(s), self.phi.hamiltonian_derivative(s)
+                self.split(s), self.phi.hamiltonian_derivative(s)
             )
         if self.kind == "almost":
             return almost_inverse_liouvillian(
@@ -215,7 +210,7 @@ def localize_generator(sd, beta, phi_dot, graph=None):
     reference = np.zeros((2**n, 2**n), dtype=complex)
 
     for sites, op in phi_dot.grouped_terms(0.0):
-        filtered = apply_spectral_kernel(sd, kernel, op.embed(n))
+        filtered = sd.apply_kernel(kernel, op.embed(n))
         reference += filtered
         region = Region(graph, sites)
         previous = conditional_expectation(filtered, region.sites, n)

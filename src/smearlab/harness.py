@@ -25,9 +25,10 @@ from .algebra import (commutator_norm, involution_isometries, pauli_string,
                       random_hermitian, schatten_norm)
 from .clustering import cluster_experiment
 from .config import ExperimentConfig, load_config, seed_value
-from .dynamics import EvolutionSpec, lr_experiment, make_lr_params
+from .dynamics import lr_experiment, make_lr_params
 from .errors import BoundViolationError, FitError, SchemaError
-from .filtering import _GRID_NODES, almost_inverse_liouvillian, locality_bound
+from .filtering import (_GRID_NODES, almost_inverse_liouvillian, almost_inverse_quadrature,
+                        locality_bound)
 from .flow import (
     automorphic_equivalence_experiment,
     exact_flow_intertwining,
@@ -290,7 +291,6 @@ def _run_lr(params, rng):
     site_b = _check_site(params["site_b"], n, "site_b")
     phi = _build_model(params["model"], graph)
     sd = diagonalize(phi.hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
 
     A = pauli_string(params["op_a"], (site_a,))
     B = pauli_string(params["op_b"], (site_b,))
@@ -300,7 +300,7 @@ def _run_lr(params, rng):
     tg = params["times"]
     times = np.linspace(tg["start"], tg["stop"], tg["num"])
 
-    res = lr_experiment(spec, lrp, A, B, X, Y, times)
+    res = lr_experiment(sd, lrp, A, B, X, Y, times)
     rows = [
         (float(t), float(m), float(bd), float(bd - m))
         for t, m, bd in zip(res.times, res.measured, res.bounds)
@@ -329,7 +329,7 @@ def _run_liouvillian(params, rng):
         sd = diagonalize(H)
         for beta in betas:
             ref = almost_inverse_liouvillian(sd, beta, A)
-            quad = almost_inverse_liouvillian(sd, beta, A, method="quadrature")
+            quad = almost_inverse_quadrature(H, beta, A)
             scale = max(schatten_norm(ref, np.inf), 1e-30)
             rels.append(schatten_norm(ref - quad, np.inf) / scale)
     rows = list(enumerate(rels))

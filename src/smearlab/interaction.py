@@ -20,6 +20,8 @@ import numpy as np
 from scipy.sparse import coo_array
 
 from .algebra import (
+    PAULI_X,
+    PAULI_Z,
     LocalOperator,
     is_hermitian,
     pauli_string,
@@ -274,15 +276,13 @@ def interaction_norm(phi, b):
 def tfim(graph, j=1.0, g=1.0):
     """Transverse-field Ising model -J sum sz sz - g sum sx.
 
-    Both couplings may be scalars or coefficient paths.
+    Both couplings may be scalars or coefficient paths; the minus signs sit
+    in the operators -ZZ and -X.
     """
     jp, gp = as_path(j), as_path(g)
-    terms = []
-    for a, bnd in graph.edges:
-        zz = pauli_string("ZZ", (a, bnd))
-        terms.append(InteractionTerm(zz, _scaled(jp, -1.0)))
-    for x in graph.sites():
-        terms.append(InteractionTerm(pauli_string("X", (x,)), _scaled(gp, -1.0)))
+    minus_zz, minus_x = -np.kron(PAULI_Z, PAULI_Z), -PAULI_X
+    terms = [InteractionTerm(LocalOperator(edge, minus_zz), jp) for edge in graph.edges]
+    terms += [InteractionTerm(LocalOperator((x,), minus_x), gp) for x in graph.sites()]
     return Interaction(graph, terms, label=f"tfim(J={j!r},g={g!r})")
 
 
@@ -320,23 +320,3 @@ def custom_model(graph, term_specs):
         terms.append(InteractionTerm(pauli_string(label, sites), as_path(path)))
     return Interaction(graph, terms, label="custom")
 
-
-class _scaled:
-    """Path scaled by a constant, keeping the exact derivative."""
-
-    def __init__(self, path, factor):
-        self.path = path
-        self.factor = float(factor)
-
-    def __call__(self, s):
-        return self.factor * self.path(s)
-
-    def derivative(self, s):
-        return self.factor * self.path.derivative(s)
-
-    def extent(self, lo, hi):
-        a, b = self.path.extent(lo, hi)
-        return tuple(sorted((self.factor * a, self.factor * b)))
-
-    def __repr__(self):
-        return f"{self.factor}*{self.path!r}"

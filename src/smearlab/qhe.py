@@ -25,9 +25,9 @@ from scipy.linalg import svd
 
 from .algebra import (LocalOperator, commutator_norm, conditional_expectation, real_matmul,
                       schatten_norm, site_index, trace_sites)
-from .dynamics import EvolutionSpec, smear
+from .dynamics import smear
 from .errors import AssumptionError, DegenerateFactorError
-from .filtering import GaussianFilter, _check_split_consistency
+from .filtering import GaussianFilter
 from .interaction import xy_charge
 from .lattice import Region, build_torus
 from .spectra import diagonalize, lowest_k, patch_expectation, split_spectrum
@@ -134,18 +134,10 @@ class ChargeGeometry:
         return in_a, in_b
 
 
-def dressed_charge(sd, Q, beta=None, split=None):
-    """Qbar = Q - I(L_H(Q)), Q a matrix or a diagonal, with the filtered
-    (beta) inverse, the smearing tau_{phi_beta}(Q), or the exact (split)
-    one, the eigenbasis blocks of Q within sigma_0 and within sigma_1."""
-    if (beta is None) == (split is None):
-        raise ValueError("pass exactly one of beta or split")
-    if beta is not None:
-        Qbar = smear(EvolutionSpec.spectral(sd), GaussianFilter(beta), Q)
-    else:
-        _check_split_consistency(sd, split)
-        mask = split.patch_mask()
-        Qbar = sd.from_eigenbasis((mask[:, None] == mask[None, :]) * sd.to_eigenbasis(Q))
+def dressed_charge(sd, Q, beta):
+    """Qbar = Q - I_beta(L_H(Q)) = tau_{phi_beta}(Q), Q a matrix or a
+    diagonal, Hermitian part."""
+    Qbar = smear(sd, GaussianFilter(beta), Q)
     return (Qbar + Qbar.conj().T) / 2.0
 
 

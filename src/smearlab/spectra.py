@@ -63,6 +63,12 @@ class SpectralData:
         V = self.vectors
         return real_matmul(V.conj(), real_matmul(V, A_tilde).T).T
 
+    def apply_kernel(self, K, A):
+        """V (K o V^dagger A V) V^dagger: entry (mu, nu) of A in the
+        eigenbasis multiplied by K[mu, nu], the one route of every map
+        diagonal there (tau_t, tau_f, I_beta, I_H, J_beta)."""
+        return self.from_eigenbasis(K * self.to_eigenbasis(A))
+
     def frequency_table(self):
         """omega[i, j] = E_i - E_j."""
         return self.energies[:, None] - self.energies[None, :]

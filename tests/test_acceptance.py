@@ -21,9 +21,10 @@ import pytest
 import smearlab
 from smearlab.algebra import pauli_string, random_hermitian, schatten_norm
 from smearlab.clustering import cluster_experiment
-from smearlab.dynamics import EvolutionSpec, lr_experiment, make_lr_params
+from smearlab.dynamics import lr_experiment, make_lr_params
 from smearlab.filtering import (
     almost_inverse_liouvillian,
+    almost_inverse_quadrature,
     lemma36_check,
     locality_bound,
     prop34_check,
@@ -101,7 +102,7 @@ def test_criterion_02_spectral_matches_quadrature():
         sd = diagonalize(H)
         for beta in (0.5, 1.0, 2.0):
             ref = almost_inverse_liouvillian(sd, beta, A)
-            quad = almost_inverse_liouvillian(sd, beta, A, method="quadrature")
+            quad = almost_inverse_quadrature(H, beta, A)
             rel = schatten_norm(ref - quad, np.inf) / max(
                 schatten_norm(ref, np.inf), 1e-30)
             worst = max(worst, rel)
@@ -122,7 +123,7 @@ def test_criterion_03_reconstruction_bound_and_rate(static8):
     all_hold = True
     lhs = []
     for beta in betas:
-        res = prop34_check(sd, split, beta, A)
+        res = prop34_check(split, beta, A)
         all_hold = all_hold and res.holds()
         lhs.append(res.lhs[np.inf])
     slope = np.polyfit(betas**-2.0, np.log(lhs), 1)[0]
@@ -133,7 +134,7 @@ def test_criterion_03_reconstruction_bound_and_rate(static8):
     sd2 = diagonalize(np.diag([0.0, 1.7]))
     split2 = split_spectrum(sd2, lowest_k(1))
     A2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    res2 = prop34_check(sd2, split2, 0.8, A2)
+    res2 = prop34_check(split2, 0.8, A2)
     sat = max(abs(v - res2.rhs) for v in res2.lhs.values())
 
     ok = all_hold and rel <= 0.15 and sat <= 1e-12
@@ -151,12 +152,12 @@ def test_criterion_04_commutator_bound(static8):
 
     all_hold = True
     for beta in (0.4, 0.5, 0.65, 0.8, 1.0):
-        all_hold = all_hold and lemma36_check(sd, split, beta, A).holds()
+        all_hold = all_hold and lemma36_check(split, beta, A).holds()
 
     sd2 = diagonalize(np.diag([0.0, 1.7]))
     split2 = split_spectrum(sd2, lowest_k(1))
     A2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    res2 = lemma36_check(sd2, split2, 0.8, A2)
+    res2 = lemma36_check(split2, 0.8, A2)
     sat = max(abs(v - res2.rhs) for v in res2.lhs.values())
 
     ok = all_hold and sat <= 1e-12
@@ -166,7 +167,6 @@ def test_criterion_04_commutator_bound(static8):
 def test_criterion_05_propagation_bound(chain10):
     t0 = time.time()
     graph, phi, sd = chain10
-    spec = EvolutionSpec.spectral(sd)
     lrp = make_lr_params(phi, 0.5, 1.0)
     times = np.linspace(0.0, 1.5, 20)
     all_hold = True
@@ -174,7 +174,7 @@ def test_criterion_05_propagation_bound(chain10):
     for d in (3, 4, 5):
         A = pauli_string("x", (0,))
         B = pauli_string("x", (d,))
-        res = lr_experiment(spec, lrp, A, B, Region(graph, (0,)),
+        res = lr_experiment(sd, lrp, A, B, Region(graph, (0,)),
                             Region(graph, (d,)), times)
         all_hold = all_hold and res.holds
         min_margin = min(min_margin, res.min_margin)

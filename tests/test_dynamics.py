@@ -1,4 +1,4 @@
-"""Heisenberg evolution (spectral and ODE routes), smearing, LR bounds."""
+"""Heisenberg evolution (spectral route and ODE oracles), smearing, LR bounds."""
 
 import tracemalloc
 
@@ -18,7 +18,6 @@ from smearlab.algebra import (
 from scipy.integrate import simpson
 
 from smearlab.dynamics import (
-    EvolutionSpec,
     evolve,
     heisenberg_samples,
     lr_bound,
@@ -28,6 +27,7 @@ from smearlab.dynamics import (
     measured_commutator_curve,
     propagator,
     smear,
+    smear_quadrature,
 )
 from smearlab.filtering import GaussianFilter
 from smearlab.interaction import custom_model, tfim
@@ -40,23 +40,23 @@ def test_precession_closed_form_pins_the_sign():
     # convention tau_t(A) = e^{iHt} A e^{-iHt}.
     w = 0.9
     sd = diagonalize(0.5 * w * PAULI_Z)
-    spec = EvolutionSpec.spectral(sd)
     for t in (0.0, 0.4, 1.7):
-        got = evolve(spec, PAULI_X, 0.0, t)
+        got = evolve(sd, PAULI_X, 0.0, t)
         expect = np.cos(w * t) * PAULI_X - np.sin(w * t) * PAULI_Y
         assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_propagator_group_law_and_unitarity():
-    rng = np.random.default_rng(1)
-    H = random_hermitian(8, rng)
-    sd = diagonalize(H)
-    spec = EvolutionSpec.spectral(sd)
-    W1 = propagator(spec, 0.0, 0.7)
-    W2 = propagator(spec, 0.7, 1.3)
-    W = propagator(spec, 0.0, 1.3)
-    assert np.allclose(W2 @ W1, W, atol=1e-12)
-    assert np.allclose(W.conj().T @ W, np.eye(8), atol=1e-12)
+    # W' = i W H(t) composes as W(0, 1.3) = W(0, 0.7) W(0.7, 1.3), here
+    # along a time-dependent path whose RK4 nodes the two halves share
+    phi = custom_model(build_chain(2), [("z", (0,), 1.0), ("x", (1,), [0.3, 1.0]),
+                                        ("xz", (0, 1), [0.0, 0.5])])
+    W1 = propagator(phi, 0.0, 0.7)
+    W2 = propagator(phi, 0.7, 1.3)
+    W = propagator(phi, 0.0, 1.3)
+    # the reverse order misses by about 0.19
+    assert np.abs(W1 @ W2 - W).max() < 1e-10
+    assert np.abs(W.conj().T @ W - np.eye(4)).max() < 1e-10
 
 
 def test_ode_route_matches_spectral_route():
@@ -64,14 +64,11 @@ def test_ode_route_matches_spectral_route():
     phi = tfim(g, 1.0, 1.3)
     sd = diagonalize(phi.hamiltonian(0.0))
     A = pauli_string("y", (1,)).embed(3)
-    spectral = EvolutionSpec.spectral(sd)
-    ode = EvolutionSpec.ode(phi, step=0.002)
     for t in (0.3, 1.0):
-        ref = evolve(spectral, A, 0.0, t)
-        got = evolve(ode, A, 0.0, t)
-        assert operator_norm(got - ref) < 1e-8
+        ref = evolve(sd, A, 0.0, t)
+        W = propagator(phi, 0.0, t, step=0.002)
+        assert operator_norm(W @ A @ W.conj().T - ref) < 1e-8
     # unitarity drift of the stepped propagator stays small
-    W = propagator(ode, 0.0, 1.0)
     assert operator_norm(W.conj().T @ W - np.eye(8)) < 1e-9
 
 
@@ -80,9 +77,9 @@ def test_ode_route_handles_time_dependence():
     # of f, here f(t) = t so the phase is t^2/2
     g = build_chain(1)
     phi = custom_model(g, [("z", (0,), [0.0, 1.0])])
-    ode = EvolutionSpec.ode(phi, step=0.001)
     t = 1.0
-    got = evolve(ode, PAULI_X, 0.0, t)
+    W = propagator(phi, 0.0, t, step=0.001)
+    got = W @ PAULI_X @ W.conj().T
     angle = t**2 / 2.0
     expect = np.cos(2 * angle) * PAULI_X - np.sin(2 * angle) * PAULI_Y
     assert np.allclose(got, expect, atol=1e-8)
@@ -91,11 +88,11 @@ def test_ode_route_handles_time_dependence():
 def test_evolution_from_nonzero_start():
     rng = np.random.default_rng(3)
     H = random_hermitian(6, rng)
-    spec = EvolutionSpec.spectral(diagonalize(H))
+    sd = diagonalize(H)
     A = random_hermitian(6, rng)
     # tau_{s,t} depends only on t - s for static H
-    a = evolve(spec, A, 0.5, 1.4)
-    b = evolve(spec, A, 0.0, 0.9)
+    a = evolve(sd, A, 0.5, 1.4)
+    b = evolve(sd, A, 0.0, 0.9)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -103,11 +100,10 @@ def test_smear_two_level_gaussian_factor():
     # H = diag(0, 1): smearing with phi_beta multiplies the off-diagonal
     # element by exp(-1/(4 beta^2))
     sd = diagonalize(np.diag([0.0, 1.0]))
-    spec = EvolutionSpec.spectral(sd)
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     for beta in (0.5, 1.0, 2.0):
         filt = GaussianFilter(beta)
-        out = smear(spec, filt, A)
+        out = smear(sd, filt, A)
         factor = np.exp(-1.0 / (4.0 * beta**2))
         assert np.allclose(out, factor * A, atol=1e-9)
 
@@ -118,8 +114,8 @@ def test_smear_routes_agree():
     sd = diagonalize(phi.hamiltonian(0.0))
     A = pauli_string("x", (0,)).embed(3)
     filt = GaussianFilter(1.0)
-    ref = smear(EvolutionSpec.spectral(sd), filt, A)
-    got = smear(EvolutionSpec.ode(phi, step=0.005), filt, A)
+    ref = smear(sd, filt, A)
+    got = smear_quadrature(phi, filt, A, step=0.005)
     assert operator_norm(got - ref) < 1e-6
 
 
@@ -143,11 +139,11 @@ def test_ode_routes_build_a_constant_hamiltonian_once():
     values = heisenberg_samples(phi.hamiltonian, A, ts, 0.005)
     expect = simpson(filt(ts)[:, None, None] * values, x=ts, axis=0)
     calls = _count_hamiltonian_calls(phi)
-    got = smear(EvolutionSpec.ode(phi, step=0.005), filt, A)
+    got = smear_quadrature(phi, filt, A, step=0.005)
     assert len(calls) == 1
     assert np.array_equal(got, expect)
     calls.clear()
-    propagator(EvolutionSpec.ode(phi, step=0.005), 0.0, 0.7)
+    propagator(phi, 0.0, 0.7, step=0.005)
     assert len(calls) == 1
 
 
@@ -156,7 +152,7 @@ def test_ode_smear_takes_no_extra_substep_for_float_noise():
     # RK4 steps with three H evaluations each
     phi = custom_model(build_chain(1), [("z", (0,), [0.0, 1.0])])
     calls = _count_hamiltonian_calls(phi)
-    out = smear(EvolutionSpec.ode(phi, step=0.005), GaussianFilter(1.0), PAULI_X)
+    out = smear_quadrature(phi, GaussianFilter(1.0), PAULI_X, step=0.005)
     assert len(calls) == 640 * 5 * 3
     assert abs(out[0, 1] - 1.0 / np.sqrt(1.0 - 1j)) < 1e-8
 
@@ -167,7 +163,7 @@ def test_ode_smear_time_dependent_closed_form():
     # steps both time directions through a time-dependent H
     phi = custom_model(build_chain(1), [("z", (0,), [0.0, 1.0])])
     for beta in (0.7, 1.0, 2.0):
-        out = smear(EvolutionSpec.ode(phi, step=0.001), GaussianFilter(beta), PAULI_X)
+        out = smear_quadrature(phi, GaussianFilter(beta), PAULI_X, step=0.001)
         assert abs(out[0, 1] - beta / np.sqrt(beta**2 - 1j)) < 1e-10
 
 
@@ -178,7 +174,7 @@ def test_spectral_smear_memory_stays_at_matrix_size():
     A = pauli_string("x", (3,)).embed(8)
     tracemalloc.start()
     try:
-        smear(EvolutionSpec.spectral(sd), GaussianFilter(1.0), A)
+        smear(sd, GaussianFilter(1.0), A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,13 +204,12 @@ def test_lr_experiment_bound_dominates_small_chain():
     g = build_chain(6)
     phi = tfim(g, 1.0, 2.0)
     sd = diagonalize(phi.hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
     params = make_lr_params(phi, 0.5, 1.0)
     A = pauli_string("x", (1,))
     B = pauli_string("x", (4,))
     X, Y = g.region([1]), g.region([4])
     times = np.linspace(0.0, 1.2, 10)
-    res = lr_experiment(spec, params, A, B, X, Y, times)
+    res = lr_experiment(sd, params, A, B, X, Y, times)
     assert res.holds
     assert res.measured.shape == (10,)
     # commutator stays zero until the cone arrives: measured is tiny at
@@ -227,12 +222,11 @@ def test_measured_commutator_curve_matches_direct():
     g = build_chain(4)
     phi = tfim(g, 1.0, 1.0)
     sd = diagonalize(phi.hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
     A = pauli_string("z", (0,))
     B = pauli_string("z", (3,))
     t = 0.8
-    curve = measured_commutator_curve(spec, A, B, [t])
-    At = evolve(spec, A.embed(4), 0.0, t)
+    curve = measured_commutator_curve(sd, A, B, [t])
+    At = evolve(sd, A.embed(4), 0.0, t)
     Bf = B.embed(4)
     assert curve[0] == pytest.approx(operator_norm(At @ Bf - Bf @ At))
 
@@ -240,7 +234,6 @@ def test_measured_commutator_curve_matches_direct():
 def test_commutator_curve_solves_nothing_at_full_dimension(monkeypatch):
     n = 8
     sd = diagonalize(tfim(build_chain(n), 1.0, 2.0).hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
     sizes = []
     for name in ("eigvalsh", "eigh"):
         wrapped = getattr(np.linalg, name)
@@ -252,7 +245,7 @@ def test_commutator_curve_solves_nothing_at_full_dimension(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for label, site in (("x", 3), ("y", 0), ("z", n - 1)):
         curve = measured_commutator_curve(
-            spec, pauli_string("x", (0,)), pauli_string(label, (site,)), [0.0, 0.5, 1.0])
+            sd, pauli_string("x", (0,)), pauli_string(label, (site,)), [0.0, 0.5, 1.0])
         assert curve.shape == (3,)
     # one local eigh per B, then one Gram matrix of half the dimension per time
     assert sizes.count(2) == 3
@@ -262,7 +255,6 @@ def test_commutator_curve_solves_nothing_at_full_dimension(monkeypatch):
 def test_commutator_curve_stays_in_the_eigenbasis(monkeypatch):
     phi = tfim(build_chain(5), 1.0, 1.2)
     sd = diagonalize(phi.hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
     A = pauli_string("x", (0,))
     B = pauli_string("y", (3,))
     times = np.linspace(0.0, 2.0, 20)
@@ -277,21 +269,18 @@ def test_commutator_curve_stays_in_the_eigenbasis(monkeypatch):
             return _wrapped(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    curve = measured_commutator_curve(spec, A, B, times)
+    curve = measured_commutator_curve(sd, A, B, times)
     assert log == ["to_eigenbasis"]
     monkeypatch.undo()
     Bf = B.embed(5)
     for t, value in zip(times, curve):
-        At = evolve(spec, A.embed(5), 0.0, t)
+        At = evolve(sd, A.embed(5), 0.0, t)
         assert abs(value - operator_norm(At @ Bf - Bf @ At)) < 1e-12
-    with pytest.raises(ValueError):
-        measured_commutator_curve(EvolutionSpec.ode(phi), A, B, times)
 
 
 def test_commutator_curve_checks_a_once(monkeypatch):
     n = 6
     sd = diagonalize(tfim(build_chain(n), 1.0, 1.2).hamiltonian(0.0))
-    spec = EvolutionSpec.spectral(sd)
     shapes = []
     wrapped = smearlab.algebra.is_hermitian
 
@@ -302,12 +291,12 @@ def test_commutator_curve_checks_a_once(monkeypatch):
     for module in (smearlab.algebra, smearlab.dynamics):
         monkeypatch.setattr(module, "is_hermitian", counted)
     curve = measured_commutator_curve(
-        spec, pauli_string("x", (0,)), pauli_string("z", (3,)), np.linspace(0.0, 2.0, 20))
+        sd, pauli_string("x", (0,)), pauli_string("z", (3,)), np.linspace(0.0, 2.0, 20))
     assert curve.shape == (20,)
     # A in the eigenbasis once, and B's local matrix once
     assert shapes.count((2**n, 2**n)) == 1
     assert shapes.count((2, 2)) == 1
     with pytest.raises(ValueError):
         measured_commutator_curve(
-            spec, smearlab.algebra.LocalOperator((0,), [[0.0, 1.0], [0.0, 0.0]]),
+            sd, smearlab.algebra.LocalOperator((0,), [[0.0, 1.0], [0.0, 0.0]]),
             pauli_string("z", (3,)), [0.0, 1.0])

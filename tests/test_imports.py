@@ -29,13 +29,14 @@ def test_import_leaves_scipy_integrate_to_the_quadrature_oracle():
         "import smearlab, smearlab.cli\n"
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
         "from smearlab.algebra import random_hermitian\n"
-        "from smearlab.filtering import almost_inverse_liouvillian\n"
+        "from smearlab.filtering import almost_inverse_liouvillian, almost_inverse_quadrature\n"
         "from smearlab.spectra import diagonalize\n"
         "rng = np.random.default_rng(4)\n"
-        "sd = diagonalize(random_hermitian(4, rng, norm=1.0))\n"
+        "H = random_hermitian(4, rng, norm=1.0)\n"
+        "sd = diagonalize(H)\n"
         "A = random_hermitian(4, rng, norm=1.0)\n"
         "ref = almost_inverse_liouvillian(sd, 0.7, A)\n"
-        "quad = almost_inverse_liouvillian(sd, 0.7, A, method='quadrature')\n"
+        "quad = almost_inverse_quadrature(H, 0.7, A)\n"
         "print(float(np.abs(ref - quad).max()))\n"
     )
     loaded, deviation = out.strip().split("\n")

@@ -100,6 +100,16 @@ def test_to_eigenbasis_matches_plain_matmul_for_each_dtype_pair():
     V = cplx.vectors
     for A in (A_c, A_r):
         assert np.array_equal(cplx.to_eigenbasis(A), V.conj().T @ A @ V)
+    # apply_kernel is V (K o V^dagger A V) V^dagger for each V, A and K
+    K_c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    K_r = rng.standard_normal((16, 16))
+    for sd in (real, cplx):
+        V = sd.vectors
+        for A in (A_c, A_r):
+            for K in (K_c, K_r):
+                got = sd.apply_kernel(K, A)
+                assert np.abs(got - V @ (K * (V.conj().T @ A @ V)) @ V.conj().T).max() < 1e-13
+    assert real.apply_kernel(K_r, A_r).dtype == np.float64
 
 
 def test_lowest_k_split_tfim():
