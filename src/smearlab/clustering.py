@@ -51,10 +51,10 @@ class ClusterDecomposition:
     def terms_sum(self):
         return self.term_i + self.term_ii + self.term_iii
 
-    def bounds_hold(self, slack=1e-12):
+    def bounds_hold(self):
         return bool(
-            abs(self.term_ii) <= self.bound_ii + slack
-            and abs(self.term_iii) <= self.bound_iii + slack
+            abs(self.term_ii) <= self.bound_ii + 1e-12
+            and abs(self.term_iii) <= self.bound_iii + 1e-12
         )
 
 

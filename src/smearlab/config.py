@@ -88,23 +88,21 @@ def _string(value, where, choices=None):
     return value
 
 
-def _number_list(value, where, positive=False, strictly_increasing=False,
-                 min_len=1):
-    if not isinstance(value, list) or len(value) < min_len:
-        raise SchemaError(f"{where} must be a list with at least {min_len} entries")
+def _number_list(value, where, positive=False):
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{where} must be a list with at least one entry")
     out = [_number(v, f"{where}[{i}]", positive=positive) for i, v in enumerate(value)]
-    if strictly_increasing and any(b <= a for a, b in zip(out, out[1:])):
-        raise SchemaError(f"{where} must be strictly increasing")
     if len(set(out)) != len(out):
         raise SchemaError(f"{where} must not contain duplicates")
     return out
 
 
-def _integer_list(value, where, minimum=None, strictly_increasing=False):
+def _integer_list(value, where, minimum=None):
+    """A non-empty, strictly increasing list of integers."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where} must be a non-empty list")
     out = [_integer(v, f"{where}[{i}]", minimum=minimum) for i, v in enumerate(value)]
-    if strictly_increasing and any(b <= a for a, b in zip(out, out[1:])):
+    if any(b <= a for a, b in zip(out, out[1:])):
         raise SchemaError(f"{where} must be strictly increasing")
     return out
 
@@ -179,14 +177,14 @@ def _parse_split(obj):
     return out
 
 
-def _parse_time_grid(obj, where="times"):
-    obj = _require_mapping(obj, where)
-    _check_keys(obj, where, ("start", "stop", "num"))
-    start = _number(obj["start"], f"{where}.start", minimum=0.0)
-    stop = _number(obj["stop"], f"{where}.stop")
+def _parse_time_grid(obj):
+    obj = _require_mapping(obj, "times")
+    _check_keys(obj, "times", ("start", "stop", "num"))
+    start = _number(obj["start"], "times.start", minimum=0.0)
+    stop = _number(obj["stop"], "times.stop")
     if stop <= start:
-        raise SchemaError(f"{where}.start < {where}.stop is required")
-    num = _integer(obj["num"], f"{where}.num", minimum=2)
+        raise SchemaError("times.start < times.stop is required")
+    num = _integer(obj["num"], "times.num", minimum=2)
     return {"start": start, "stop": stop, "num": num}
 
 
@@ -271,8 +269,7 @@ def _parse_locality(data):
         "graph": _parse_graph(data["graph"]),
         "model": _parse_model(data["model"]),
         "site_a": _integer(data["site_a"], "site_a", minimum=0),
-        "distances": _integer_list(data["distances"], "distances", minimum=1,
-                                   strictly_increasing=True),
+        "distances": _integer_list(data["distances"], "distances", minimum=1),
         "betas": _number_list(data["betas"], "betas", positive=True),
         "op_a": _parse_pauli(data.get("op_a"), "op_a", "x"),
         "op_b": _parse_pauli(data.get("op_b"), "op_b", "x"),
@@ -320,8 +317,7 @@ def _parse_lppl(data):
             "op": _parse_pauli(pert.get("op"), "perturbation.op", "z"),
             "strength": _number(pert["strength"], "perturbation.strength"),
         },
-        "distances": _integer_list(data["distances"], "distances", minimum=1,
-                                   strictly_increasing=True),
+        "distances": _integer_list(data["distances"], "distances", minimum=1),
         "observable_op": _parse_pauli(data.get("observable_op"),
                                       "observable_op", "z"),
     }
@@ -336,8 +332,7 @@ def _parse_cluster(data):
         "model": _parse_model(data["model"]),
         "split": _parse_split(data["split"]),
         "site_a": _integer(data["site_a"], "site_a", minimum=0),
-        "distances": _integer_list(data["distances"], "distances", minimum=1,
-                                   strictly_increasing=True),
+        "distances": _integer_list(data["distances"], "distances", minimum=1),
         "op_a": _parse_pauli(data.get("op_a"), "op_a", "z"),
         "op_b": _parse_pauli(data.get("op_b"), "op_b", "z"),
         "n_state_samples": _integer(data.get("n_state_samples", 5),

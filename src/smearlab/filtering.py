@@ -184,13 +184,13 @@ def erf_step_map(split, beta, A):
     return sd.apply_kernel(erf_step_kernel(-sd.frequency_table(), beta, split.gap), A)
 
 
-def _is_one_sided(split, A, tol=1e-10):
+def _is_one_sided(split, A):
     """True for A = P A Pperp or A = Pperp A P."""
     P = split.projector
     Pp = np.eye(P.shape[0]) - P
     scale = max(schatten_norm(A, np.inf), 1e-300)
     return any(
-        schatten_norm(A - X, np.inf) <= tol * scale for X in (P @ A @ Pp, Pp @ A @ P)
+        schatten_norm(A - X, np.inf) <= 1e-10 * scale for X in (P @ A @ Pp, Pp @ A @ P)
     )
 
 
@@ -198,7 +198,7 @@ def _is_one_sided(split, A, tol=1e-10):
 class Prop34Result:
     """lhs/rhs for the almost-inverse reconstruction error.
 
-    `lhs` maps each requested Schatten index to the measured norm of
+    `lhs` maps each Schatten index 1, 2 and inf to the measured norm of
     I_beta(L_H(A)) - A; `rhs` is p ||A|| e^{-gamma^2/4 beta^2}.  The
     commutator variant compares [I_beta(L_H(A)) - A, P] against twice the
     same right-hand side with general A.
@@ -209,13 +209,13 @@ class Prop34Result:
     comm_lhs: dict
     comm_rhs: float
 
-    def holds(self, slack=1e-9):
-        ok = all(v <= self.rhs + slack for v in self.lhs.values())
-        ok = ok and all(v <= self.comm_rhs + slack for v in self.comm_lhs.values())
+    def holds(self):
+        ok = all(v <= self.rhs + 1e-9 for v in self.lhs.values())
+        ok = ok and all(v <= self.comm_rhs + 1e-9 for v in self.comm_lhs.values())
         return bool(ok)
 
 
-def _residual_check(name, split, beta, A, residual, divisor, p_list):
+def _residual_check(name, split, beta, A, residual, divisor):
     """Schatten norms of residual(A) and of [residual(A), P] against
     p ||A|| e^{-gamma^2/4 beta^2} / divisor and twice that."""
     if not _is_one_sided(split, A):
@@ -226,6 +226,7 @@ def _residual_check(name, split, beta, A, residual, divisor, p_list):
     damping = math.exp(-split.gap**2 / (4.0 * beta**2))
     R = residual(A)
     rhs = split.p * norm_a * damping / divisor
+    p_list = (1, 2, np.inf)
     return Prop34Result(
         {p: schatten_norm(R, p) for p in p_list},
         rhs,
@@ -234,7 +235,7 @@ def _residual_check(name, split, beta, A, residual, divisor, p_list):
     )
 
 
-def prop34_check(split, beta, A, p_list=(1, 2, np.inf)):
+def prop34_check(split, beta, A):
     """Reconstruction error of I_beta after L_H on one-sided cross-patch A,
     against p ||A|| e^{-gamma^2/4 beta^2} (commutator variant doubled)."""
     sd = split.spectral_data
@@ -242,11 +243,11 @@ def prop34_check(split, beta, A, p_list=(1, 2, np.inf)):
         "prop34_check", split, beta, A,
         lambda X: almost_inverse_liouvillian(
             sd, beta, liouvillian(sd.hamiltonian, X)) - X,
-        1.0, p_list,
+        1.0,
     )
 
 
-def lemma36_check(split, beta, A, p_list=(1, 2, np.inf)):
+def lemma36_check(split, beta, A):
     """Distance between the almost and exact inverses on cross-patch A,
     against p ||A|| gamma^{-1} e^{-gamma^2/4 beta^2} (commutator variant
     doubled)."""
@@ -254,15 +255,15 @@ def lemma36_check(split, beta, A, p_list=(1, 2, np.inf)):
         "lemma36_check", split, beta, A,
         lambda X: almost_inverse_liouvillian(split.spectral_data, beta, X)
         - exact_inverse_liouvillian(split, X),
-        split.gap, p_list,
+        split.gap,
     )
 
 
-def locality_bound(params, beta, d, min_support, norm_a, norm_b, t_grid=None):
+def locality_bound(params, beta, d, min_support, norm_a, norm_b):
     """Quasi-locality bound for ||[I_beta(A), B]|| at region distance d.
 
     Returns (grid_infimum, closed_form): the infimum over a geometric
-    T-grid of
+    grid of 400 T in [1e-4, 1e4] plus T = d/(2v) of
 
         (2 beta/(sqrt(pi) b^2 v^2)) e^{b (v T - d)} + e^{-beta^2 T^2}/(sqrt(pi) beta)
 
@@ -277,9 +278,7 @@ def locality_bound(params, beta, d, min_support, norm_a, norm_b, t_grid=None):
     amp_lr = 2.0 * beta / (math.sqrt(math.pi) * b**2 * v**2)
     amp_tail = 1.0 / (math.sqrt(math.pi) * beta)
 
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 1e4, 400)
-    t_grid = np.unique(np.concatenate([np.asarray(t_grid, float), [d / (2.0 * v)]]))
+    t_grid = np.unique(np.concatenate([np.geomspace(1e-4, 1e4, 400), [d / (2.0 * v)]]))
     # Large-T grid entries overflow to inf; they never attain the infimum.
     with np.errstate(over="ignore"):
         bracket = amp_lr * np.exp(b * (v * t_grid - d)) + amp_tail * np.exp(

@@ -226,14 +226,15 @@ def _needed_bytes(kind, params):
     - lppl under a dense split rule, 96: H(s), its eigenvectors and the
       two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
       to 79 of RSS growth on 10 and 11.
-    - lppl under `lowest_k` holds no dense matrix: 128 per entry of the
+    - lppl under `lowest_k` holds no dense matrix: 96 per entry of the
       sparse H, whose terms (one per edge, one per site and the
-      perturbation) hold 2^n entries each; 106 traced on TFIM chains of 10
-      to 14 sites, Krylov vectors included.
+      perturbation) hold 2^n entries each; 61.5 to 71.9 traced on TFIM
+      chains of 10 to 14 sites, Krylov vectors included, and 67.5 to 80.2
+      of RSS growth on chains of 13 to 16.
     """
     n = _site_count(params)
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
-        return 128 * 2**n * (len(_build_graph(params["graph"]).edges) + n + 1)
+        return 96 * 2**n * (len(_build_graph(params["graph"]).edges) + n + 1)
     if kind == "flow":
         return 16 * 4**n * (2 * params["s_steps"] + 17)
     if kind == "liouvillian":

@@ -13,11 +13,12 @@ the norm is taken, and each varying term counts with the exact sup of
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 
 from .algebra import (
     PAULI_X,
@@ -42,6 +43,8 @@ __all__ = [
     "local_perturbation",
     "custom_model",
 ]
+
+_Layout = namedtuple("_Layout", "pattern row_starts paths terms dtype")
 
 
 class PolyPath:
@@ -123,9 +126,6 @@ class InteractionTerm:
     def coefficient(self, t):
         return self.path(t)
 
-    def coefficient_derivative(self, t):
-        return self.path.derivative(t)
-
 
 class Interaction:
     """Collection of interaction terms over a fixed parameter interval."""
@@ -159,45 +159,54 @@ class Interaction:
 
     def hamiltonian(self, t=0.0):
         """Dense H(t) = sum_Z Phi(t, Z)."""
-        return self._assemble(term.coefficient(t) for term in self.terms)
+        return self._dense([path(t) for path in self._layout.paths])
 
     def hamiltonian_derivative(self, t):
         """Dense dH/dt, using the exact path derivatives."""
-        return self._assemble(term.coefficient_derivative(t) for term in self.terms)
+        return self._dense([path.derivative(t) for path in self._layout.paths])
 
     def sparse_hamiltonian(self, t=0.0):
-        """CSR H(t) from the entries `hamiltonian(t)` adds; entries that
-        several terms share are summed."""
-        parts = list(zip(*self._entries(term.coefficient(t) for term in self.terms)))
-        rows, cols, vals = (np.concatenate(p) for p in parts) if parts else ([], [], [])
-        return coo_array((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+        """CSR H(t): the values `hamiltonian(t)` scatters, on its pattern."""
+        lay = self._layout
+        values = self._values([path(t) for path in lay.paths])
+        return csr_array((values, lay.pattern % self.dim, lay.row_starts), shape=(self.dim,) * 2)
 
     @cached_property
     def _layout(self):
-        """Rows, columns and values of the nonzero entries of each Phi_Z in
-        H, flat, with no (row, column) pair twice within one term; built on
-        first use and shared by every later assembly."""
-        layout = []
+        """The entry table every assembly reads, built on first use: the
+        sorted flat indices row * dim + col of the nonzero pattern of H,
+        its CSR row starts, the distinct coefficient paths (told apart by
+        identity), and per term its path index, the positions of its
+        entries in the pattern and their values."""
+        slots, terms = {}, []
         for term in self.terms:
             idx = site_index(term.sites, self.n_sites)
             a, b = np.nonzero(term.operator.matrix)
-            vals = np.repeat(term.operator.matrix[a, b], idx.shape[1])
-            layout.append((idx[a].ravel(), idx[b].ravel(), vals))
-        return layout
+            k, _ = slots.setdefault(id(term.path), (len(slots), term.path))
+            terms.append((k, (idx[a] * self.dim + idx[b]).ravel(),
+                          np.repeat(term.operator.matrix[a, b], idx.shape[1])))
+        flat = np.sort(np.concatenate([np.zeros(0, np.intp), *(f for _, f, _ in terms)]))
+        pattern = flat[np.diff(flat, prepend=-1) != 0]
+        return _Layout(pattern, np.searchsorted(pattern, self.dim * np.arange(self.dim + 1)),
+                       [path for _, path in slots.values()],
+                       [(k, np.searchsorted(pattern, f), v) for k, f, v in terms],
+                       np.result_type(float, *(term.operator.matrix for term in self.terms)))
 
-    def _entries(self, coeffs):
-        """The entries of each c_Z Phi_Z with c_Z != 0, from the layout."""
-        for (rows, cols, vals), c in zip(self._layout, coeffs):
-            if c != 0.0:
-                yield rows, cols, c * vals
+    def _values(self, coeffs):
+        """sum_Z c_Z Phi_Z on the pattern, `coeffs` indexed by path: each term
+        with c_Z != 0 added in place on its own entries, in term order (the
+        sum of the embedded terms bit for bit; summing per path first is not)."""
+        values = np.zeros(self._layout.pattern.size, dtype=self._layout.dtype)
+        for k, pos, vals in self._layout.terms:
+            if coeffs[k] != 0.0:
+                values[pos] += coeffs[k] * vals
+        return values
 
-    def _assemble(self, coeffs):
-        """sum_Z c_Z Phi_Z, each term added in place on its own entries."""
-        mats = [term.operator.matrix for term in self.terms]
-        H = np.zeros((self.dim, self.dim), dtype=np.result_type(float, *mats))
-        for rows, cols, vals in self._entries(coeffs):
-            H[rows, cols] += vals
-        return H
+    def _dense(self, coeffs):
+        """`_values(coeffs)` scattered into a dense zero matrix."""
+        H = np.zeros(self.dim * self.dim, dtype=self._layout.dtype)
+        H[self._layout.pattern] = self._values(coeffs)
+        return H.reshape(self.dim, self.dim)
 
     def derivative_snapshot(self, t):
         """Interaction whose constant coefficients are dPhi/dt at t.
@@ -206,19 +215,10 @@ class Interaction:
         """
         frozen = []
         for term in self.terms:
-            c = term.coefficient_derivative(t)
+            c = term.path.derivative(t)
             if c != 0.0:
                 frozen.append(InteractionTerm(term.operator, PolyPath([c])))
         return Interaction(self.graph, frozen, self.interval, self.label + "'")
-
-    def snapshot(self, t):
-        """Interaction with coefficients frozen at parameter t."""
-        frozen = [
-            InteractionTerm(term.operator, PolyPath([term.coefficient(t)]))
-            for term in self.terms
-            if term.coefficient(t) != 0.0
-        ]
-        return Interaction(self.graph, frozen, self.interval, self.label)
 
     def grouped_terms(self, t):
         """Pairs (support tuple, Phi(t, Z)) with same-support terms summed."""

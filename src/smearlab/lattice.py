@@ -209,18 +209,18 @@ def build_torus(lx, ly=None):
     return SiteGraph(lx * ly, edges, 2, f"torus({lx}x{ly})")
 
 
-def c_bk(b, k, D, C_vol, n_max=1000):
+def c_bk(b, k, D, C_vol):
     """Upper bound for sup_Z |Z|^k e^{-b diam Z} on graphs with the given
     volume constant.
 
     For b <= D the bound C_vol^k (kD/e)^{kD} b^{-kD} e^b is used; for b > D
     the supremum sup_{n>=0} (n+1)^{kD} e^{-bn} (attained at
-    n = max{0, kD/b - 1}) is evaluated on an integer grid.
+    n = max{0, kD/b - 1}) is evaluated on the integers 0..1000.
     """
     if b <= 0 or k <= 0:
         raise ValueError("b and k must be positive")
     kd = k * D
     if b <= D:
         return C_vol**k * (kd / math.e) ** kd * b ** (-kd) * math.exp(b)
-    n = np.arange(n_max + 1)
+    n = np.arange(1001)
     return C_vol**k * float(np.max((n + 1.0) ** kd * np.exp(-b * n)))

@@ -52,10 +52,10 @@ def region_charge(graph, region):
     return sum((local_charge(x).apply(ones) for x in region), np.zeros(ones.size))
 
 
-def charge_conservation_defect(phi, Q, t_samples=5):
-    """max over a parameter grid of ||[H(t), Q]||_inf (one point if H is
-    constant), and the H(t) built at the first grid point."""
-    ts = np.linspace(*phi.interval, 1 if phi.is_constant else t_samples)
+def charge_conservation_defect(phi, Q):
+    """max over a five-point parameter grid of ||[H(t), Q]||_inf (one point
+    if H is constant), and the H(t) built at the first grid point."""
+    ts = np.linspace(*phi.interval, 1 if phi.is_constant else 5)
     H = phi.hamiltonian(ts[0])
     defects = [commutator_norm(phi.hamiltonian(t), Q) for t in ts[1:]]
     return max([commutator_norm(H, Q)] + defects), H
@@ -111,8 +111,8 @@ class ChargeGeometry:
         cols_ok = not (set(self.left_strip.sites) & set(self.right_strip.sites))
         return rows_ok and cols_ok
 
-    def split_boundary_terms(self, phi, half, strip_a, strip_b, t=0.0):
-        """Assign the terms of [H, Q_half] to the two boundary strips.
+    def split_boundary_terms(self, phi, half, strip_a, strip_b):
+        """Assign the terms of [H(0), Q_half] to the two boundary strips.
 
         Every interaction term whose support meets both the half and its
         complement must be contained in exactly one strip; anything else
@@ -120,7 +120,7 @@ class ChargeGeometry:
         """
         half_set = set(half.sites)
         in_a, in_b = [], []
-        for sites, op in phi.grouped_terms(t):
+        for sites, op in phi.grouped_terms(0.0):
             s = set(sites)
             if not (s & half_set) or s <= half_set:
                 continue
@@ -149,9 +149,9 @@ def _unitary_exponentials(Hermitian, angles):
             for angle in angles)
 
 
-def _polar_unitary(M, min_sv=1e-6):
+def _polar_unitary(M):
     u, s, vh = svd(M)
-    if s.min() < min_sv:
+    if s.min() < 1e-6:
         raise DegenerateFactorError("conditional expectation nearly singular "
                                     f"(min sv {s.min():.3e})")
     return u @ vh, float(s.min())
@@ -176,8 +176,8 @@ class FluxFactorization:
     min_singular_value: float
 
 
-def flux_unitary(Qbar_upper, geometry, angle=2.0 * math.pi):
-    """W = e^{i angle Qbar_U} and its boundary factorization.
+def flux_unitary(Qbar_upper, geometry):
+    """W = e^{2 pi i Qbar_U} and its boundary factorization.
 
     The lower factor is the re-unitarized conditional expectation of W
     onto the lower boundary strip; the upper factor is then peeled off
@@ -189,7 +189,7 @@ def flux_unitary(Qbar_upper, geometry, angle=2.0 * math.pi):
     growing separation between the cuts.
     """
     n = geometry.graph.n_sites
-    (W,) = _unitary_exponentials(Qbar_upper, [angle])
+    (W,) = _unitary_exponentials(Qbar_upper, [2.0 * math.pi])
     lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
     lower_w = lower.dagger.apply(W)
     upper, _ = _strip_unitary(lower_w, geometry.upper_strip, n)

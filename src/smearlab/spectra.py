@@ -188,12 +188,12 @@ class SpectralSplit:
         mask[self.idx0] = True
         return mask
 
-    def distinct_count(self, tol=DEGENERACY_TOL):
+    def distinct_count(self):
         """Number of distinct eigenvalues inside sigma_0."""
         e = np.sort(self.spectral_data.energies[self.idx0])
         if e.size == 0:
             return 0
-        return 1 + int((np.diff(e) > tol).sum())
+        return 1 + int((np.diff(e) > DEGENERACY_TOL).sum())
 
     def patch_vectors(self):
         return self.spectral_data.vectors[:, self.idx0]
@@ -213,11 +213,11 @@ class SpectralSplit:
         return singular_value_norm(np.concatenate((svdvals(into), svdvals(back))), p)
 
 
-def split_spectrum(sd, rule, min_gap=1e-8, tol=DEGENERACY_TOL):
+def split_spectrum(sd, rule, min_gap=1e-8):
     """Apply a split rule; raises AssumptionError when the resulting gap is
     below `min_gap` or the rule selects everything or nothing."""
     e = sd.energies
-    clusters = sd.clusters(tol)
+    clusters = sd.clusters()
 
     if rule.kind == "lowest_k":
         (k,) = rule.params

@@ -513,7 +513,7 @@ def test_lppl_under_lowest_k_is_sized_by_its_sparse_route(monkeypatch):
             "perturbation": {"site": 0, "strength": 0.3}, "distances": [2, 3],
         }).params
 
-    # a chain of 15: 30 terms of 2^15 sparse entries, 120 MiB at 128 B each
+    # a chain of 15: 30 terms of 2^15 sparse entries, 90 MiB at 96 B each
     harness._refuse_oversized("lppl", lppl(15, {"rule": "lowest_k", "k": 1}))
     # the dense rules hold a 16 GiB matrix there, and a chain of 30 overflows
     # the sparse route too

@@ -114,16 +114,53 @@ def test_hamiltonian_is_exactly_the_sum_of_embedded_terms(phi):
         xy_charge(build_torus(3, 3), 0.2, 1.0),
         custom_model(build_chain(4), [("Y", (0,), 0.7), ("ZZ", (1, 2), 1.1),
                                       ("XY", (2, 3), PolyPath([0.5, 1.0]))]),
+        # several terms share each diagonal entry, whose sum a re-sort of
+        # the entries would take in another order
+        local_perturbation(tfim(build_chain(9), 1.0, 2.0), pauli_string("z", (0,)),
+                           PolyPath([0.0, 0.3])),
     ],
-    ids=["ring-paths", "xy-torus3", "complex-chain4"],
+    ids=["ring-paths", "xy-torus3", "complex-chain4", "perturbed-chain9"],
 )
 def test_sparse_hamiltonian_matches_dense(phi):
-    for t in (0.0, 0.4):
+    for t in (0.0, 0.37, 0.4):
         H = phi.hamiltonian(t)
         S = phi.sparse_hamiltonian(t)
         assert S.format == "csr"
         assert S.dtype == H.dtype
-        assert np.abs(S.toarray() - H).max() <= 1e-14 * operator_norm(H)
+        assert np.array_equal(S.toarray(), H)
+
+
+def test_a_model_without_terms_assembles_to_zeros():
+    phi = tfim(build_chain(3), 1.0, 0.5).derivative_snapshot(0.2)
+    assert phi.terms == ()
+    for H in (phi.hamiltonian(0.0), phi.hamiltonian_derivative(0.0)):
+        assert H.dtype == np.float64 and np.array_equal(H, np.zeros((8, 8)))
+    S = phi.sparse_hamiltonian(0.0)
+    assert S.dtype == np.float64 and S.shape == (8, 8) and S.nnz == 0
+
+
+class _CountingPath(PolyPath):
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return super().__call__(s)
+
+    def derivative(self, s):
+        self.calls += 1
+        return super().derivative(s)
+
+
+def test_each_distinct_path_is_evaluated_once_per_assembly():
+    # a chain of 6 has 5 bonds sharing J and 6 sites sharing g
+    j, g = _CountingPath([1.0, 0.5]), _CountingPath([2.0])
+    phi = tfim(build_chain(6), j, g)
+    for assemble in (phi.hamiltonian, phi.hamiltonian_derivative, phi.sparse_hamiltonian):
+        j.calls = g.calls = 0
+        assemble(0.3)
+        assert (j.calls, g.calls) == (1, 1)
 
 
 def test_assembly_reuses_the_term_layout(monkeypatch):
@@ -199,14 +236,6 @@ def test_is_constant_reads_the_paths_on_the_interval():
     assert tfim(g, TrigRampPath(2.0, 2.0), PolyPath([0.5, 0.0])).is_constant
     assert not tfim(g, 1.0, PolyPath([0.5, 1.0])).is_constant
     assert not tfim(g, TrigRampPath(1.0, 2.0), 0.5).is_constant
-
-
-def test_snapshot_freezes_coefficients():
-    g = build_chain(3)
-    phi = tfim(g, j=1.0, g=PolyPath([0.0, 2.0]))
-    snap = phi.snapshot(0.5)
-    assert np.allclose(snap.hamiltonian(0.0), phi.hamiltonian(0.5))
-    assert np.allclose(snap.hamiltonian(0.9), phi.hamiltonian(0.5))
 
 
 def test_grouped_terms_sum_same_support():
