@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svdvals
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "PAULI_X",
@@ -34,6 +36,7 @@ __all__ = [
     "real_matmul",
     "random_hermitian",
     "is_hermitian",
+    "sectors",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -182,6 +185,13 @@ def conditional_expectation(A, keep_sites, n_sites):
 def is_hermitian(A, tol=1e-12):
     """Every entry of A - A^dagger is at most tol in modulus (NaN fails)."""
     return bool(np.abs(A - A.conj().T).max(initial=0.0) <= tol)
+
+
+def sectors(A):
+    """Index arrays of the connected components of the nonzero pattern of A
+    and A^T (NaN counts), smallest index first: A is zero between them."""
+    _, labels = connected_components(csr_array(np.asarray(A) != 0), connection="weak")
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
 
 def schatten_norm(A, p=np.inf):

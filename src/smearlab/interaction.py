@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, get_index_dtype
 
 from .algebra import (
     PAULI_X,
@@ -44,7 +44,7 @@ __all__ = [
     "custom_model",
 ]
 
-_Layout = namedtuple("_Layout", "pattern row_starts paths terms dtype")
+_Layout = namedtuple("_Layout", "pattern columns row_starts paths terms dtype")
 
 
 class PolyPath:
@@ -169,13 +169,14 @@ class Interaction:
         """CSR H(t): the values `hamiltonian(t)` scatters, on its pattern."""
         lay = self._layout
         values = self._values([path(t) for path in lay.paths])
-        return csr_array((values, lay.pattern % self.dim, lay.row_starts), shape=(self.dim,) * 2)
+        return csr_array((values, lay.columns, lay.row_starts), shape=(self.dim,) * 2)
 
     @cached_property
     def _layout(self):
         """The entry table every assembly reads, built on first use: the
         sorted flat indices row * dim + col of the nonzero pattern of H,
-        its CSR row starts, the distinct coefficient paths (told apart by
+        its CSR column indices and row starts (read-only, shared by every
+        CSR H, in scipy's index dtype), the distinct paths (told apart by
         identity), and per term its path index, the positions of its
         entries in the pattern and their values."""
         slots, terms = {}, []
@@ -187,7 +188,11 @@ class Interaction:
                           np.repeat(term.operator.matrix[a, b], idx.shape[1])))
         flat = np.sort(np.concatenate([np.zeros(0, np.intp), *(f for _, f, _ in terms)]))
         pattern = flat[np.diff(flat, prepend=-1) != 0]
-        return _Layout(pattern, np.searchsorted(pattern, self.dim * np.arange(self.dim + 1)),
+        index = get_index_dtype(maxval=max(self.dim, pattern.size))
+        columns = (pattern % self.dim).astype(index)
+        row_starts = np.searchsorted(pattern, self.dim * np.arange(self.dim + 1)).astype(index)
+        columns.flags.writeable = row_starts.flags.writeable = False
+        return _Layout(pattern, columns, row_starts,
                        [path for _, path in slots.values()],
                        [(k, np.searchsorted(pattern, f), v) for k, f, v in terms],
                        np.result_type(float, *(term.operator.matrix for term in self.terms)))

@@ -13,6 +13,10 @@ charge across the cut.  The transported charge operator
 
 q the charge of R inside S, lives on the left strip inside S.  Its
 ground-patch trace is near an integer.
+
+Every operator here commutes with the total charge, so each eigh, polar
+SVD and the defect's norm run per charge sector (`algebra.sectors`); the
+exact zeros of V off its sectors keep every product block diagonal.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from .algebra import (LocalOperator, commutator_norm, conditional_expectation, real_matmul,
-                      schatten_norm, site_index, trace_sites)
+                      schatten_norm, sectors, site_index, trace_sites)
 from .dynamics import smear
 from .errors import AssumptionError, DegenerateFactorError
 from .filtering import GaussianFilter
@@ -143,18 +147,24 @@ def dressed_charge(sd, Q, beta):
 
 def _unitary_exponentials(Hermitian, angles):
     """e^{i angle H} for each angle, one at a time, from one
-    eigendecomposition of H."""
-    vals, vecs = np.linalg.eigh(Hermitian)
-    return (real_matmul(vecs, np.exp(1j * angle * vals)[:, None] * vecs.conj().T)
+    eigendecomposition of H, taken by its sectors."""
+    sd = diagonalize(Hermitian, sectors(Hermitian))
+    V = sd.vectors
+    return (real_matmul(V, np.exp(1j * angle * sd.energies)[:, None] * V.conj().T)
             for angle in angles)
 
 
 def _polar_unitary(M):
-    u, s, vh = svd(M)
-    if s.min() < 1e-6:
+    """Polar part of M and its smallest singular value, one SVD per
+    sector of M: the polar part is exactly zero between sectors too."""
+    U, s_min = np.zeros(M.shape, dtype=np.result_type(M, float)), np.inf
+    for s in sectors(M):
+        u, sv, vh = svd(M[np.ix_(s, s)])
+        U[np.ix_(s, s)], s_min = u @ vh, min(s_min, sv.min())
+    if s_min < 1e-6:
         raise DegenerateFactorError("conditional expectation nearly singular "
-                                    f"(min sv {s.min():.3e})")
-    return u @ vh, float(s.min())
+                                    f"(min sv {s_min:.3e})")
+    return U, float(s_min)
 
 
 def _strip_unitary(M, strip, n):
@@ -184,7 +194,8 @@ def flux_unitary(Qbar_upper, geometry):
     as the re-unitarized restriction of lower^dagger W to the upper
     strip, so the reported ||W - lower * upper||_inf residual measures
     only what no strip product can represent.  Both factors are unitary,
-    so the residual is taken as ||upper^dagger lower^dagger W - 1||_inf.
+    so the residual is taken as ||upper^dagger lower^dagger W - 1||_inf,
+    the largest norm of its sector blocks.
     On very small tori it is O(1); it shrinks with the coupling and with
     growing separation between the cuts.
     """
@@ -195,7 +206,8 @@ def flux_unitary(Qbar_upper, geometry):
     upper, _ = _strip_unitary(lower_w, geometry.upper_strip, n)
     defect = upper.dagger.apply(lower_w)
     defect[np.diag_indices_from(defect)] -= 1.0
-    return FluxFactorization(W, lower, upper, schatten_norm(defect, np.inf), sv_low)
+    residual = max(schatten_norm(defect[np.ix_(s, s)], np.inf) for s in sectors(defect))
+    return FluxFactorization(W, lower, upper, residual, sv_low)
 
 
 @dataclass
@@ -291,14 +303,12 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
     defect, H = charge_conservation_defect(phi, region_charge(graph, graph.sites()))
     if defect > 1e-10:
         raise AssumptionError(f"model is not charge conserving ({defect:.3e})")
-    geometry.split_boundary_terms(
-        phi, geometry.upper_half, geometry.lower_strip, geometry.upper_strip
-    )
-    geometry.split_boundary_terms(
-        phi, geometry.right_half, geometry.left_strip, geometry.right_strip
-    )
+    for half, a, b in ((geometry.upper_half, geometry.lower_strip, geometry.upper_strip),
+                       (geometry.right_half, geometry.left_strip, geometry.right_strip)):
+        geometry.split_boundary_terms(phi, half, a, b)
 
-    sd = diagonalize(H if phi.is_constant else phi.hamiltonian(0.0))
+    H = H if phi.is_constant else phi.hamiltonian(0.0)
+    sd = diagonalize(H, sectors(H))
     split = split_spectrum(sd, rule, min_gap=min_gap)
     q_upper = region_charge(graph, geometry.upper_half)
     q_right = region_charge(graph, geometry.right_half)

@@ -1,5 +1,7 @@
 """Operator algebra: embeddings, partial traces, norms, Pauli words."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,11 @@ from smearlab.algebra import (
     random_hermitian,
     real_matmul,
     schatten_norm,
+    sectors,
     trace_sites,
 )
+from smearlab.interaction import tfim, xy_charge
+from smearlab.lattice import build_chain, build_torus
 
 
 def kron_chain(mats):
@@ -263,6 +268,30 @@ def test_is_hermitian_edge_cases():
     H[1, 1] = np.nan
     assert is_hermitian(H) is False
     assert is_hermitian(np.zeros((0, 0))) is True
+
+
+def test_sectors_are_the_charge_blocks_of_the_hopping_torus():
+    # xy_charge conserves the charge, so its sectors are the C(9, k) states
+    # of charge k, smallest index first; the transverse field connects all
+    H = xy_charge(build_torus(3, 3), 0.2, 1.0).hamiltonian()
+    found = sectors(H)
+    weight = np.array([bin(i).count("1") for i in range(512)])
+    assert [s.size for s in found] == [math.comb(9, k) for k in range(10)]
+    for k, s in enumerate(found):
+        assert np.array_equal(s, np.nonzero(weight == k)[0])
+    single = sectors(tfim(build_chain(6), 1.0, 2.0).hamiltonian())
+    assert len(single) == 1 and np.array_equal(single[0], np.arange(64))
+
+
+@pytest.mark.parametrize("entry", [1e-300, np.nan])
+def test_sectors_never_drop_an_entry(entry):
+    # one tiny or NaN entry in either triangle joins two blocks
+    A = np.diag([1.0, 2.0, 3.0])
+    assert [s.tolist() for s in sectors(A)] == [[0], [1], [2]]
+    for i, j in ((0, 2), (2, 0)):
+        B = A.copy()
+        B[i, j] = entry
+        assert [s.tolist() for s in sectors(B)] == [[0, 2], [1]]
 
 
 def test_local_operator_diagonal_fast_path():

@@ -327,8 +327,9 @@ def test_run_qhe_phase_grid_is_trivial_at_zero_flux(tmp_path):
 
 
 def test_run_qhe_phase_grid_diagonalizes_three_times(tmp_path, monkeypatch):
-    # H, the upper and the right dressed charge: one eigh each, however
-    # many angles the grid holds
+    # H, the upper and the right dressed charge: one eigh per charge
+    # sector each, C(9, k) states at charge k, however many angles the
+    # grid holds
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
@@ -336,7 +337,7 @@ def test_run_qhe_phase_grid_diagonalizes_three_times(tmp_path, monkeypatch):
                            "phi_grid": [0.0, 1.0, 2 * math.pi]})
     res = run(cfg, out_dir=str(tmp_path / "qhe"))
     assert len(res.summary["z_phase"]) == 3
-    assert calls == [(512, 512)] * 3
+    assert calls == [(math.comb(9, k),) * 2 for k in range(10)] * 3
 
 
 def test_failed_verdict_still_writes_files(tmp_path, monkeypatch):

@@ -184,6 +184,18 @@ def test_assembly_reuses_the_term_layout(monkeypatch):
         assert np.array_equal(g, e)
 
 
+def test_sparse_hamiltonian_reads_its_indices_from_the_layout():
+    # no per-call index arithmetic: every CSR shares the entry table's
+    # read-only column indices and row starts
+    phi = tfim(build_chain(6), PolyPath([1.0, 0.5]), 0.7)
+    a, b = phi.sparse_hamiltonian(0.0), phi.sparse_hamiltonian(0.3)
+    assert np.shares_memory(a.indices, b.indices) and np.shares_memory(a.indptr, b.indptr)
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+    with pytest.raises(ValueError):
+        a.indices[0] = 1
+    assert np.array_equal(b.toarray(), phi.hamiltonian(0.3))
+
+
 def test_hamiltonian_assembly_holds_one_matrix():
     phi = tfim(build_chain(10), 1.0, 0.7)
     tracemalloc.start()

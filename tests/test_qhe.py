@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import svd, svdvals
 
 from smearlab.algebra import (
     LocalOperator,
@@ -14,6 +15,8 @@ from smearlab.algebra import (
     operator_norm,
     random_hermitian,
     schatten_norm,
+    sectors,
+    trace_sites,
 )
 from smearlab.errors import AssumptionError, DegenerateFactorError
 from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
@@ -31,15 +34,19 @@ from smearlab.qhe import (
     transport_operator,
     z_phase_operator,
 )
-from smearlab.spectra import diagonalize, lowest_k, split_spectrum
+from smearlab.spectra import SpectralData, diagonalize, lowest_k, split_spectrum
+
+# the charge sectors of the 3 x 3 torus (dim 512) and of a six-site strip
+TORUS3_SECTORS = [(math.comb(9, k),) * 2 for k in range(10)]
+STRIP_SECTORS = [(math.comb(6, k),) * 2 for k in range(7)]
 
 
 @pytest.fixture(scope="module")
 def torus3():
     geo = ChargeGeometry(3)
     phi = xy_charge(geo.graph, 0.2, 1.0)
-    sd = diagonalize(phi.hamiltonian(0.0))
-    return geo, phi, sd
+    H = phi.hamiltonian(0.0)
+    return geo, phi, diagonalize(H, sectors(H))
 
 
 def test_local_and_region_charge_spectra():
@@ -252,25 +259,26 @@ def test_flux_unitary_factorization(torus3):
 
 def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
     # on the 3x3 torus every boundary strip holds 6 sites, so each polar
-    # SVD runs at 2^6 = 64 and never on the 512-dimensional product operator
+    # SVD runs on a charge sector of the 2^6 = 64 dimensional strip factor
     import smearlab.qhe as qhe
 
     geo, phi, sd = torus3
+    n = geo.graph.n_sites
     split = split_spectrum(sd, lowest_k(1))
-    shapes, svd = [], qhe.svd
-    monkeypatch.setattr(qhe, "svd", lambda M: shapes.append(M.shape) or svd(M))
+    shapes, polar_svd = [], qhe.svd
+    monkeypatch.setattr(qhe, "svd", lambda M: shapes.append(M.shape) or polar_svd(M))
     beta = 3**-0.5
     fact = flux_unitary(
         dressed_charge(sd, region_charge(geo.graph, geo.upper_half), beta=beta), geo)
     z_phase_operator(fact.lower,
                      dressed_charge(sd, region_charge(geo.graph, geo.right_half), beta=beta),
                      geo, [2 * math.pi], split)
-    assert shapes == [(64, 64)] * 3
-    # oracle: the polar part of the re-embedded conditional expectation
-    dense, sv = qhe._polar_unitary(
-        conditional_expectation(fact.flux, geo.lower_strip.sites, geo.graph.n_sites))
-    assert operator_norm(fact.lower.embed(geo.graph.n_sites) - dense) < 1e-12
-    assert fact.min_singular_value == pytest.approx(sv, rel=1e-12)
+    assert shapes == STRIP_SECTORS * 3
+    # oracle: the polar part of the re-embedded conditional expectation, by
+    # one dense SVD at dimension 512
+    u, s, vh = svd(conditional_expectation(fact.flux, geo.lower_strip.sites, n))
+    assert operator_norm(fact.lower.embed(n) - u @ vh) < 1e-12
+    assert fact.min_singular_value == pytest.approx(s.min(), rel=1e-12)
 
 
 def test_polar_factor_rejects_singular_input():
@@ -335,9 +343,71 @@ def test_strip_transport_matches_the_dense_route(coupling):
         assert res.split_residual == residual == 0.0
 
 
+def _dense_qhe_point(geo, coupling, beta, phis):
+    """Oracle: qhe_point with one dense eigh of H and of each dressed
+    charge, one SVD of each 64-dimensional strip factor and one svdvals of
+    the 512-dimensional factorization defect."""
+    n = geo.graph.n_sites
+    H = xy_charge(geo.graph, coupling, 1.0).hamiltonian()
+    sd = SpectralData(*np.linalg.eigh(H), H)
+    split = split_spectrum(sd, lowest_k(1))
+
+    def exp_i(Q, angle):
+        vals, vecs = np.linalg.eigh(Q)
+        return (vecs * np.exp(1j * angle * vals)) @ vecs.T
+
+    def polar(M, strip):
+        rest = [x for x in range(n) if x not in strip.sites]
+        u, _, vh = svd(trace_sites(M, rest, n) / 2 ** len(rest))
+        return LocalOperator(strip.sites, u @ vh)
+
+    q_upper = region_charge(geo.graph, geo.upper_half)
+    q_right = region_charge(geo.graph, geo.right_half)
+    Qbar = dressed_charge(sd, q_upper, beta)
+    W = exp_i(Qbar, 2 * math.pi)
+    lower = polar(W, geo.lower_strip)
+    lower_w = lower.dagger.apply(W)
+    defect = polar(lower_w, geo.upper_strip).dagger.apply(lower_w) - np.eye(512)
+    trans = transport_operator(lower, q_right, geo)
+    quant = quantization_check(split, trans.operator)
+    Qbar_right = dressed_charge(sd, q_right, beta)
+    z_phase = []
+    for phi in phis:
+        E = exp_i(Qbar_right, phi)
+        z_phase.append(split.commutator_norm(lower.dagger.apply(E @ lower.apply(E.conj().T))))
+    return {"trace": quant.trace, "nearest_integer": quant.nearest_integer,
+            "residual": quant.residual, "factorization_residual": svdvals(defect).max(),
+            "split_residual": trans.split_residual,
+            "dressing_defect": split.commutator_norm(Qbar),
+            "bare_defect": split.commutator_norm(q_upper)}, z_phase
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.2, 0.1, 0.05])
+def test_qhe_point_matches_the_dense_route(coupling):
+    # the couplings of criterion 12: the sector route agrees with dense
+    # factorizations at dimension 512 to 1e-12 relative or 1e-14 absolute,
+    # and every defect the dense route finds exactly zero stays zero
+    geo = ChargeGeometry(3)
+    beta, phis = 3**-0.5, [1.0, 2 * math.pi]
+    got = qhe_point(geo, xy_charge(geo.graph, coupling, 1.0), beta, lowest_k(1),
+                    phi_grid=phis)
+    want, z_phase = _dense_qhe_point(geo, coupling, beta, phis)
+    for key in ("trace", "factorization_residual", "split_residual"):
+        assert abs(getattr(got, key) - want[key]) <= max(1e-14, 1e-12 * abs(want[key])), key
+    assert got.nearest_integer == want["nearest_integer"]
+    for key, value in want.items():
+        if value == 0.0:
+            assert getattr(got, key) == 0.0, key
+    # the Z(phi) patch commutators, about 1e-16 by the dense route, are
+    # exactly zero: Z and the vacuum keep to their charge sectors
+    assert max(z_phase) < 1e-14
+    assert [z.patch_commutator for z in got.z_phase] == [0.0, 0.0]
+
+
 def test_qhe_point_stays_below_the_full_dimension(monkeypatch):
-    # on the 3 x 3 torus the only 512 x 512 operator that meets embed,
-    # conditional_expectation or schatten_norm is the factorization defect
+    # on the 3 x 3 torus no 512 x 512 operator meets embed,
+    # conditional_expectation or schatten_norm: the factorization defect
+    # is normed by its charge sectors, the transport on the lower strip
     import smearlab.algebra as algebra
     import smearlab.qhe as qhe
 
@@ -351,9 +421,9 @@ def test_qhe_point_stays_below_the_full_dimension(monkeypatch):
         monkeypatch.setattr(owner, name, recorded)
     geo = ChargeGeometry(3)
     qhe_point(geo, xy_charge(geo.graph, 0.2, 1.0), 3**-0.5, lowest_k(1))
-    assert [s for s in shapes if s[1] == (512, 512)] == [("schatten_norm", (512, 512))]
-    assert ("schatten_norm", (64, 64)) in shapes
-    assert shapes.count(("conditional_expectation", (64, 64))) == 2
+    assert shapes == ([("schatten_norm", shape) for shape in TORUS3_SECTORS]
+                      + [("conditional_expectation", (64, 64)), ("embed", (16, 16))] * 2
+                      + [("schatten_norm", (64, 64))])
 
 
 def test_quantization_check_matches_direct_trace(torus3):

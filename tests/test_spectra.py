@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smearlab.algebra import LocalOperator, pauli_string, random_hermitian, schatten_norm
+from smearlab.algebra import LocalOperator, pauli_string, random_hermitian, schatten_norm, sectors
 from smearlab.errors import AssumptionError, SchemaError
 from smearlab.interaction import custom_model, tfim, xy_charge
 from smearlab.lattice import build_chain
@@ -43,6 +43,43 @@ def test_diagonalize_reconstructs_and_sorts():
     assert np.allclose(sd.from_eigenbasis(sd.to_eigenbasis(A)), A, atol=1e-12)
     with pytest.raises(ValueError):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_diagonalize_by_sectors_matches_the_dense_eigh():
+    # one eigh per charge sector of the hopping torus: the energies and
+    # the ground projector of one dense eigh, V exactly zero off the sectors
+    H = xy_charge(ChargeGeometry(3).graph, 0.2, 1.0).hamiltonian()
+    found = sectors(H)
+    sd = diagonalize(H, found)
+    energies, vectors = np.linalg.eigh(H)
+    assert sd.vectors.dtype == np.float64
+    assert np.all(np.diff(sd.energies) >= 0)
+    assert np.abs(sd.energies - energies).max() < 1e-12
+    dense = split_spectrum(diagonalize(H), lowest_k(1)).projector
+    assert np.abs(split_spectrum(sd, lowest_k(1)).projector - dense).max() < 1e-12
+    label = np.empty(512, dtype=int)
+    for k, s in enumerate(found):
+        label[s] = k
+    column = label[np.argmax(sd.vectors != 0, axis=0)]
+    assert not sd.vectors[label[:, None] != column].any()
+    assert np.allclose(sd.vectors.T @ sd.vectors, np.eye(512), atol=1e-12)
+    # no list, or a single sector, is the one dense eigh bit for bit
+    for one in (None, [np.arange(512)]):
+        got = diagonalize(H, one)
+        assert np.array_equal(got.energies, energies)
+        assert np.array_equal(got.vectors, vectors)
+
+
+def test_diagonalize_refuses_a_wrong_sector_list():
+    H = xy_charge(ChargeGeometry(3).graph, 0.2, 1.0).hamiltonian()
+    found = sectors(H)
+    joined = [np.concatenate(found[:2])] + found[2:]
+    diagonalize(H, joined)  # coarser sectors are still exact
+    for wrong in ([found[0], found[1][:4], found[1][4:]] + found[2:],  # splits a sector
+                  [np.arange(256), np.arange(256, 512)],  # cuts across sectors
+                  found[1:], found + [found[0]]):  # no partition
+        with pytest.raises(ValueError, match="sectors must partition"):
+            diagonalize(H, wrong)
 
 
 def test_extreme_eigenvalue_against_power_iteration():
