@@ -167,7 +167,6 @@ def cluster_experiment(
     site_a,
     observable_builder,
     placements,
-    min_gap=1e-8,
     n_state_samples=5,
     rng=None,
 ):
@@ -181,7 +180,7 @@ def cluster_experiment(
     """
     H = phi.hamiltonian(0.0)
     sd = diagonalize(H)
-    split = split_spectrum(sd, split_rule, min_gap)
+    split = split_spectrum(sd, split_rule)
     _require_bottom_patch(split)
     gamma = split.gap
 

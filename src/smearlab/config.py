@@ -363,8 +363,7 @@ def _parse_qhe(data):
                                       minimum=1)),
         "phi_grid": (None if "phi_grid" not in data
                      else _number_list(data["phi_grid"], "phi_grid")),
-        "split": (_parse_split(data["split"]) if "split" in data
-                  else {"rule": "lowest_k", "k": 1, "min_gap": 1e-8}),
+        "split": _parse_split(data.get("split", {"rule": "lowest_k", "k": 1})),
     }
     return out
 

@@ -24,7 +24,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import conditional_expectation, schatten_norm
-from .errors import AssumptionError
 from .filtering import almost_inverse_liouvillian, exact_inverse_liouvillian, gaussian_kernel
 from .interaction import local_perturbation
 from .lattice import Region
@@ -76,7 +75,6 @@ class FlowGenerator:
         kind,
         beta=None,
         split_rule=None,
-        min_gap=1e-8,
         region=None,
         ell=None,
         cache=None,
@@ -93,13 +91,12 @@ class FlowGenerator:
         self.kind = kind
         self.beta = beta
         self.split_rule = split_rule
-        self.min_gap = min_gap
         self.region = region
         self.ell = ell
         self.cache = cache if cache is not None else EigenCache(phi)
 
     def split(self, s):
-        return split_spectrum(self.cache.at(s), self.split_rule, self.min_gap)
+        return split_spectrum(self.cache.at(s), self.split_rule)
 
     def __call__(self, s):
         sd = self.cache.at(s)
@@ -249,13 +246,13 @@ def tail_geom(c, L):
     return math.exp(c) / c * math.exp(-c * math.ceil(L))
 
 
-def exact_flow_intertwining(phi, split_rule, observables, s_steps=200, min_gap=1e-8):
+def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
     """Max over the grid of |omega_s(A) - omega_0(alpha_{0,s}(A))| per A.
 
     The exact flow should intertwine the patch states up to integrator
     error; this is the operational check pinning the flow direction.
     """
-    gen = FlowGenerator(phi, "exact", split_rule=split_rule, min_gap=min_gap)
+    gen = FlowGenerator(phi, "exact", split_rule=split_rule)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
     result = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors())
     errors = np.zeros(len(observables))
@@ -273,18 +270,17 @@ def automorphic_equivalence_experiment(
     A,
     beta_grid,
     s_steps=200,
-    min_gap=1e-8,
 ):
     """Endpoint transport error of the almost flow over a beta grid.
 
-    Returns (x, errors, min_gap_along_path) with x = beta^{-2} ascending.
-    The gap is checked at every point the flow visited, via the shared
-    eigenvalue cache, and its minimum over those points is returned.
+    Returns (x, errors, path_gap) with x = beta^{-2} ascending.  The gap
+    is checked against the rule's floor at every point the flow visited,
+    via the shared eigenvalue cache, and path_gap is its minimum there.
     """
     cache = EigenCache(phi)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    W0 = split_spectrum(cache.at(0.0), split_rule, min_gap).patch_vectors()
-    split1 = split_spectrum(cache.at(1.0), split_rule, min_gap)
+    W0 = split_spectrum(cache.at(0.0), split_rule).patch_vectors()
+    split1 = split_spectrum(cache.at(1.0), split_rule)
     target = patch_expectation(split1, A)
 
     betas = sorted(float(b) for b in beta_grid)
@@ -294,7 +290,7 @@ def automorphic_equivalence_experiment(
         # each beta transports the dim x p patch block, never the unitary
         errors[beta] = abs(target - integrate_flow(gen, s_grid, W0).expectation(A))
     path_gap = min(
-        split_spectrum(sd, split_rule, min_gap).gap for sd in cache._store.values()
+        split_spectrum(sd, split_rule).gap for sd in cache._store.values()
     )
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
     values = np.array([errors[b] for b in reversed(betas)])
@@ -308,26 +304,19 @@ def lppl_experiment(
     distances,
     observable_builder,
     split_rule,
-    min_gap=1e-8,
 ):
     """Endpoint patch-state response |omega_1(A) - omega_0(A)| versus the
     distance of A from the perturbed region.
 
     `observable_builder(site)` supplies the local observable at a chosen
     site; sites are picked as the lowest index realizing each requested
-    graph distance from the perturbation support.  Also returns the
-    minimum gap over 21 evenly spaced s and the largest ||H v - E v||.
+    graph distance from the perturbation support (`Region.site_at`, a
+    SchemaError if there is none).  Also returns the minimum gap over 21
+    evenly spaced s and the largest ||H v - E v||.
     """
     phi = local_perturbation(base, perturbation_op, strength_path)
-    graph = phi.graph
-    pert_region = Region(graph, perturbation_op.sites)
-
-    sites = []
-    for d in distances:
-        candidates = [x for x in graph.sites() if pert_region.site_distance(x) == d]
-        if not candidates:
-            raise AssumptionError(f"no site at distance {d} from the perturbation")
-        sites.append(min(candidates))
+    pert_region = Region(phi.graph, perturbation_op.sites)
+    sites = [pert_region.site_at(d) for d in distances]
 
     # keep only the endpoint splits: a dense one holds a full eigendecomposition
     gaps, residuals, ends = [], [], []
@@ -336,7 +325,7 @@ def lppl_experiment(
             sd = lowest_levels(phi.sparse_hamiltonian(s), *split_rule.params)
         else:
             sd = diagonalize(phi.hamiltonian(s))
-        split = split_spectrum(sd, split_rule, min_gap)
+        split = split_spectrum(sd, split_rule)
         gaps.append(split.gap)
         residuals.append(sd.residual())
         if s in (0.0, 1.0):

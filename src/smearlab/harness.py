@@ -265,24 +265,19 @@ def _build_model(spec, graph):
 
 
 def _build_rule(spec):
+    """The split rule of a validated `split` object, with its gap floor."""
+    floor = spec["min_gap"]
     if spec["rule"] == "lowest_k":
-        return lowest_k(spec["k"])
+        return lowest_k(spec["k"], min_gap=floor)
     if spec["rule"] == "window":
-        return window(spec["lo"], spec["hi"])
-    return largest_gap_below(spec["energy"])
+        return window(spec["lo"], spec["hi"], min_gap=floor)
+    return largest_gap_below(spec["energy"], min_gap=floor)
 
 
 def _check_site(site, n, name):
     if site >= n:
         raise SchemaError(f"{name} must be < {n} sites (got {site})")
     return site
-
-
-def _site_at_distance(graph, origin, d):
-    candidates = [x for x in graph.sites() if graph.distance(origin, x) == d]
-    if not candidates:
-        raise SchemaError(f"no site at distance {d} from site {origin}")
-    return min(candidates)
 
 
 def _run_lr(params, rng):
@@ -350,14 +345,14 @@ def _run_locality(params, rng):
     graph = _build_graph(params["graph"])
     n = graph.n_sites
     site_a = _check_site(params["site_a"], n, "site_a")
+    origin = Region(graph, (site_a,))
+    Bs = [(d, involution_isometries(pauli_string(params["op_b"], (origin.site_at(d),)), n))
+          for d in params["distances"]]
     phi = _build_model(params["model"], graph)
     sd = diagonalize(phi.hamiltonian(0.0))
     A = pauli_string(params["op_a"], (site_a,)).embed(n)
     lrp = make_lr_params(phi, params["b"], params["b_prime"])
 
-    pairs = [(d, _site_at_distance(graph, site_a, d)) for d in params["distances"]]
-    Bs = [(d, involution_isometries(pauli_string(params["op_b"], (site_b,)), n))
-          for d, site_b in pairs]
     rows, margins = [], []
     for beta in params["betas"]:
         filtered = almost_inverse_liouvillian(sd, beta, A)
@@ -384,12 +379,11 @@ def _run_flow(params, rng):
     n = graph.n_sites
     phi = _build_model(params["model"], graph)
     rule = _build_rule(params["split"])
-    min_gap = params["split"]["min_gap"]
     obs = params["observable"]
     A = pauli_string(obs["op"], (_check_site(obs["site"], n, "observable.site"),))
 
     xs, values, path_gap = automorphic_equivalence_experiment(
-        phi, rule, A, params["betas"], s_steps=params["s_steps"], min_gap=min_gap
+        phi, rule, A, params["betas"], s_steps=params["s_steps"]
     )
     curve = DecayCurve(xs, values, floor=_FLOW_FLOOR)
     # Gapped desk-scale paths decay so fast in beta^{-2} that the pinned
@@ -407,7 +401,7 @@ def _run_flow(params, rng):
     }
     if params["exact_control"]:
         errors, control = exact_flow_intertwining(
-            phi, rule, [A], s_steps=params["s_steps"], min_gap=min_gap
+            phi, rule, [A], s_steps=params["s_steps"]
         )
         summary["exact_control_error"] = float(errors.max())
         summary["transport_defect"] = control.transport_defect
@@ -424,14 +418,12 @@ def _run_lppl(params, rng):
     pert_op = pauli_string(pert["op"], (pert["site"],))
     strength_path = PolyPath([0.0, pert["strength"]])
     rule = _build_rule(params["split"])
-    min_gap = params["split"]["min_gap"]
 
     def builder(site):
         return pauli_string(params["observable_op"], (site,))
 
     xs, values, sites, path_gap, residual = lppl_experiment(
-        base, pert_op, strength_path, params["distances"], builder, rule,
-        min_gap=min_gap,
+        base, pert_op, strength_path, params["distances"], builder, rule
     )
     fit = fit_exponential(DecayCurve(xs, values))
     rows = [(int(d), float(v)) for d, v in zip(params["distances"], values)]
@@ -451,17 +443,15 @@ def _run_cluster(params, rng):
     site_a = _check_site(params["site_a"], n, "site_a")
     phi = _build_model(params["model"], graph)
     rule = _build_rule(params["split"])
-    min_gap = params["split"]["min_gap"]
-    placements = {
-        d: _site_at_distance(graph, site_a, d) for d in params["distances"]
-    }
+    origin = Region(graph, (site_a,))
+    placements = {d: origin.site_at(d) for d in params["distances"]}
 
     def builder(site):
         label = params["op_a"] if site == site_a else params["op_b"]
         return pauli_string(label, (site,))
 
     records, split = cluster_experiment(
-        phi, rule, site_a, builder, placements, min_gap=min_gap,
+        phi, rule, site_a, builder, placements,
         n_state_samples=params["n_state_samples"], rng=rng,
     )
 
@@ -501,13 +491,11 @@ _QHE_POINT_KEYS = ("coupling", "gap", "trace", "nearest_integer", "residual",
 def _run_qhe(params, rng):
     L = params["L"]
     rule = _build_rule(params["split"])
-    min_gap = params["split"]["min_gap"]
     beta = params["beta"] if params["beta"] is not None else float(L) ** -0.5
 
     points = qhe_experiment(
         L, params["j_values"], h=params["h"], beta=beta,
-        strip_width=params["strip_width"], rule=rule, min_gap=min_gap,
-        phi_grid=params["phi_grid"],
+        strip_width=params["strip_width"], rule=rule, phi_grid=params["phi_grid"],
     )
     rows = [(float(p.coupling), float(p.residual)) for p in points]
 

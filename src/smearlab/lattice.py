@@ -9,11 +9,13 @@ used by the decay bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
+
+from .errors import SchemaError
 
 __all__ = [
     "SiteGraph",
@@ -73,9 +75,6 @@ class SiteGraph:
             raise ValueError("graph is not connected")
         self.dist = dist.astype(np.int64)
         self.dist.setflags(write=False)
-        self.adjacency = [
-            tuple(np.nonzero(self.dist[x] == 1)[0]) for x in range(n_sites)
-        ]
         self.diameter = int(self.dist.max())
         self.C_vol = self._minimal_volume_constant()
         self._check_volume_bound()
@@ -127,11 +126,10 @@ class SiteGraph:
 
 @dataclass(frozen=True)
 class Region:
-    """Subset of sites of a graph, with cached metric helpers."""
+    """Subset of sites of a graph, with metric helpers."""
 
     graph: SiteGraph
     sites: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, graph, sites):
         object.__setattr__(self, "graph", graph)
@@ -141,7 +139,6 @@ class Region:
         if uniq[0] < 0 or uniq[-1] >= graph.n_sites:
             raise ValueError("region site out of range")
         object.__setattr__(self, "sites", tuple(uniq))
-        object.__setattr__(self, "_cache", {})
 
     def __len__(self):
         return len(self.sites)
@@ -154,10 +151,8 @@ class Region:
 
     @property
     def diameter(self):
-        if "diam" not in self._cache:
-            idx = list(self.sites)
-            self._cache["diam"] = int(self.graph.dist[np.ix_(idx, idx)].max())
-        return self._cache["diam"]
+        idx = list(self.sites)
+        return int(self.graph.dist[np.ix_(idx, idx)].max())
 
     def distance_to(self, other):
         """min over x in self, y in other of d(x, y); 0 if they intersect."""
@@ -167,6 +162,14 @@ class Region:
 
     def site_distance(self, x):
         return int(self.graph.dist[list(self.sites), x].min())
+
+    def site_at(self, d):
+        """The lowest-index site at graph distance d from the region; a
+        SchemaError (a config asking for it is rejected) if there is none."""
+        hits = np.nonzero(self.graph.dist[list(self.sites)].min(axis=0) == d)[0]
+        if hits.size == 0:
+            raise SchemaError(f"no site at distance {d} from sites {list(self.sites)}")
+        return int(hits[0])
 
     def complement(self):
         rest = [x for x in self.graph.sites() if x not in self.sites]

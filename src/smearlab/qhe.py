@@ -296,7 +296,7 @@ class QHEPoint:
     z_phase: list
 
 
-def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()):
+def qhe_point(geometry, phi, beta, rule, coupling=0.0, phi_grid=()):
     """Run the full transport pipeline for one model instance, with the
     Z(phi) diagnostics at each angle of `phi_grid`."""
     graph = geometry.graph
@@ -309,7 +309,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
 
     H = H if phi.is_constant else phi.hamiltonian(0.0)
     sd = diagonalize(H, sectors(H))
-    split = split_spectrum(sd, rule, min_gap=min_gap)
+    split = split_spectrum(sd, rule)
     q_upper = region_charge(graph, geometry.upper_half)
     q_right = region_charge(graph, geometry.right_half)
 
@@ -338,7 +338,7 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, min_gap=1e-8, phi_grid=()
 
 
 def qhe_experiment(l, j_values, h=1.0, beta=None, strip_width=None, rule=None,
-                   min_gap=1e-8, phi_grid=()):
+                   phi_grid=()):
     """Transport sweep over hopping strengths on an l x l torus.
 
     Each point builds the charge-conserving hopping model, dresses the
@@ -352,6 +352,5 @@ def qhe_experiment(l, j_values, h=1.0, beta=None, strip_width=None, rule=None,
     rule = lowest_k(1) if rule is None else rule
 
     return [qhe_point(geometry, xy_charge(geometry.graph, j, h), beta, rule,
-                      coupling=j, min_gap=min_gap,
-                      phi_grid=phi_grid if i == 0 else ())
+                      coupling=j, phi_grid=phi_grid if i == 0 else ())
             for i, j in enumerate(j_values)]

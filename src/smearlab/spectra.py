@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-9
+MIN_GAP = 1e-8
 
 
 @dataclass
@@ -142,30 +143,39 @@ def lowest_levels(H, k):
 
 @dataclass(frozen=True)
 class SplitRule:
-    """Named rule selecting the patch sigma_0 from a sorted spectrum."""
+    """Named rule selecting the patch sigma_0 from a sorted spectrum, with
+    the floor `min_gap` that the realized gap must reach: a split is one
+    value, and `split_spectrum` reads both."""
 
     kind: str
     params: tuple = ()
+    min_gap: float = MIN_GAP
 
     def __repr__(self):
         args = ", ".join(repr(p) for p in self.params)
         return f"{self.kind}({args})"
 
 
-def lowest_k(k):
+def lowest_k(k, min_gap=MIN_GAP):
+    """The k lowest levels, widened to the whole degenerate cluster that
+    holds level k-1; the gap must reach `min_gap`."""
     if k < 1:
         raise SchemaError("lowest_k: k must be a positive integer")
-    return SplitRule("lowest_k", (int(k),))
+    return SplitRule("lowest_k", (int(k),), min_gap)
 
 
-def window(lo, hi):
+def window(lo, hi, min_gap=MIN_GAP):
+    """Every level in [lo, hi], widened to whole degenerate clusters; the
+    gap must reach `min_gap`."""
     if not lo < hi:
         raise SchemaError("window: need lo < hi")
-    return SplitRule("window", (float(lo), float(hi)))
+    return SplitRule("window", (float(lo), float(hi)), min_gap)
 
 
-def largest_gap_below(energy):
-    return SplitRule("largest_gap_below", (float(energy),))
+def largest_gap_below(energy, min_gap=MIN_GAP):
+    """The levels under the widest gap between neighbouring levels at or
+    below `energy`; the gap must reach `min_gap`."""
+    return SplitRule("largest_gap_below", (float(energy),), min_gap)
 
 
 @dataclass
@@ -227,9 +237,9 @@ class SpectralSplit:
         return singular_value_norm(np.concatenate((svdvals(into), svdvals(back))), p)
 
 
-def split_spectrum(sd, rule, min_gap=1e-8):
+def split_spectrum(sd, rule):
     """Apply a split rule; raises AssumptionError when the resulting gap is
-    below `min_gap` or the rule selects everything or nothing."""
+    below the rule's `min_gap` or the rule selects everything or nothing."""
     e = sd.energies
     clusters = sd.clusters()
 
@@ -281,9 +291,9 @@ def split_spectrum(sd, rule, min_gap=1e-8):
         gaps.append(e[hi_i + 1] - e[hi_i])
     gap = float(min(gaps))
     width = float(e[hi_i] - e[lo_i])
-    if gap < min_gap:
+    if gap < rule.min_gap:
         raise AssumptionError(
-            f"spectral gap {gap:.3e} below the configured minimum {min_gap:.3e}"
+            f"spectral gap {gap:.3e} below the configured minimum {rule.min_gap:.3e}"
         )
     return SpectralSplit(sd, idx0, gap, width)
 

@@ -13,7 +13,7 @@ from smearlab.algebra import (
     pauli_string,
     random_hermitian,
 )
-from smearlab.errors import AssumptionError
+from smearlab.errors import AssumptionError, SchemaError
 from smearlab.filtering import almost_inverse_liouvillian
 from smearlab.flow import (
     EigenCache,
@@ -176,7 +176,7 @@ def test_automorphic_experiment_checks_the_gap_along_the_whole_path():
     A = pauli_string("z", (0,)).embed(4)
     with pytest.raises(AssumptionError, match="spectral gap"):
         automorphic_equivalence_experiment(
-            phi, lowest_k(1), A, [1.0], s_steps=20, min_gap=1.5
+            phi, lowest_k(1, min_gap=1.5), A, [1.0], s_steps=20
         )
 
 
@@ -370,7 +370,7 @@ def test_lppl_response_decays_with_distance():
     )
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) < 0)
-    with pytest.raises(AssumptionError):
+    with pytest.raises(SchemaError, match=r"no site at distance 9 from sites \[0\]"):
         lppl_experiment(
             base,
             pauli_string("z", (0,)),

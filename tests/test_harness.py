@@ -170,6 +170,45 @@ def test_run_rejects_bad_sites(tmp_path):
         run(loc, out_dir=str(tmp_path / "z"))
 
 
+_CHAIN6 = {"graph": {"kind": "chain", "n": 6}, "model": {"kind": "tfim", "j": 1.0, "g": 2.0}}
+_SITE_SEARCHES = {
+    "locality": {"site_a": 0, "betas": [0.5]},
+    "lppl": {"split": {"rule": "lowest_k", "k": 1},
+             "perturbation": {"site": 0, "strength": 0.3}},
+    "cluster": {"split": {"rule": "lowest_k", "k": 1}, "site_a": 0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SITE_SEARCHES))
+def test_unreachable_distance_exits_2_for_every_kind(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path, "far.json", {
+        "experiment": kind, **_CHAIN6, **_SITE_SEARCHES[kind], "distances": [2, 7]})
+    assert cli_main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "no site at distance 7 from sites [0]" in capsys.readouterr().err
+
+
+_CHAIN4_RAMP = {"graph": {"kind": "chain", "n": 4},
+                "model": {"kind": "tfim", "j": 1.0,
+                          "g": {"kind": "trig_ramp", "start": 2.0, "stop": 3.0}}}
+_GAPPED = {
+    "flow": {**_CHAIN4_RAMP, "betas": [0.9], "observable": {"site": 1, "op": "x"},
+             "s_steps": 4},
+    "lppl": {**_CHAIN4_RAMP, "perturbation": {"site": 0, "strength": 0.3},
+             "distances": [1, 2]},
+    "cluster": {**_CHAIN6, "site_a": 0, "distances": [1, 2]},
+    "qhe": {"L": 3, "J": [0.2]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GAPPED))
+def test_split_floor_reaches_every_driver(tmp_path, kind):
+    # every realized gap here is below 3, so a floor of 100 must stop the run
+    cfg = validate_config({"experiment": kind, **_GAPPED[kind],
+                           "split": {"rule": "lowest_k", "k": 1, "min_gap": 100.0}})
+    with pytest.raises(AssumptionError, match="below the configured minimum 1.000e[+]02"):
+        run(cfg, out_dir=str(tmp_path / kind))
+
+
 def test_run_locality_holds(tmp_path):
     cfg = validate_config({
         "experiment": "locality",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smearlab import build_chain, build_ring, build_torus, c_bk
+from smearlab.errors import SchemaError
 from smearlab.lattice import Region, SiteGraph
 
 
@@ -123,6 +124,17 @@ def test_region_distance_and_complement():
     assert not X.is_subset(Y)
     with pytest.raises(ValueError):
         g.region([])
+
+
+def test_site_at_picks_the_lowest_index_at_each_distance():
+    g = build_ring(8)
+    X = g.region([3, 4])
+    for d in range(4):
+        expect = min(x for x in g.sites() if X.site_distance(x) == d)
+        assert X.site_at(d) == expect
+    assert (X.site_at(0), X.site_at(1), X.site_at(3)) == (3, 2, 0)
+    with pytest.raises(SchemaError, match=r"no site at distance 4 from sites \[3, 4\]"):
+        X.site_at(4)
 
 
 def test_c_bk_dominates_brute_force_regions():

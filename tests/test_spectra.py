@@ -200,9 +200,20 @@ def test_largest_gap_below_rule():
 def test_min_gap_enforced():
     sd = diagonalize(np.diag([0.0, 1e-4, 1.0]))
     with pytest.raises(AssumptionError):
-        split_spectrum(sd, lowest_k(1), min_gap=1e-3)
-    split = split_spectrum(sd, lowest_k(1), min_gap=1e-6)
+        split_spectrum(sd, lowest_k(1, min_gap=1e-3))
+    split = split_spectrum(sd, lowest_k(1, min_gap=1e-6))
     assert split.gap == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("make, args", [(lowest_k, (1,)), (window, (-0.5, 0.5)),
+                                        (largest_gap_below, (0.5,))])
+def test_every_rule_carries_its_gap_floor(make, args):
+    sd = diagonalize(np.diag([0.0, 1e-4, 1.0]))
+    assert make(*args).min_gap == 1e-8
+    gap = split_spectrum(sd, make(*args)).gap
+    assert split_spectrum(sd, make(*args, min_gap=gap)).gap == gap
+    with pytest.raises(AssumptionError, match="below the configured minimum"):
+        split_spectrum(sd, make(*args, min_gap=gap * (1 + 1e-12)))
 
 
 def test_distinct_count_groups_degeneracies():
