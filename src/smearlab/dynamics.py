@@ -178,12 +178,6 @@ class LRExperimentResult:
         return bool((self.measured <= self.bounds + 1e-12).all())
 
     @property
-    def min_ratio(self):
-        with np.errstate(divide="ignore"):
-            ratios = np.where(self.measured > 0, self.bounds / self.measured, np.inf)
-        return float(ratios.min())
-
-    @property
     def min_margin(self):
         return float((self.bounds - self.measured).min())
 

@@ -8,7 +8,9 @@ the almost inverse of the Heisenberg generator,
 which acts in an eigenbasis of H as multiplication of the (mu, nu) entry
 by k_beta(w) = i (1 - e^{-w^2 / 4 beta^2}) / w at w = E_mu - E_nu, with
 k_beta(0) = 0.  As beta -> 0 the kernel approaches i/w pointwise, the
-multiplier of the exact inverse on cross-patch matrix elements.
+multiplier of the exact inverse on cross-patch matrix elements.  Both
+kernels are i times a real odd profile (`gaussian_profile`,
+`inverse_profile`), which the flow applies in a real eigenbasis.
 
 Every map here multiplies entries in the eigenbasis of H
 (`SpectralData.apply_kernel`).  The oracle `almost_inverse_quadrature`
@@ -30,7 +32,9 @@ from .errors import AssumptionError
 
 __all__ = [
     "GaussianFilter",
+    "gaussian_profile",
     "gaussian_kernel",
+    "inverse_profile",
     "inverse_kernel",
     "erf_step_kernel",
     "almost_inverse_liouvillian",
@@ -87,21 +91,45 @@ class GaussianFilter:
         return np.linspace(-T, T, _GRID_NODES)
 
 
+def gaussian_profile(w, beta):
+    """kappa_beta(w) = (1 - e^{-w^2/4 beta^2})/w, continuously 0 at w = 0:
+    the real odd profile of k_beta = i kappa_beta."""
+    w = np.asarray(w, dtype=float)
+    return np.divide(-np.expm1(-(w**2) / (4.0 * beta**2)), w, out=np.zeros(w.shape),
+                     where=w != 0.0)
+
+
 def gaussian_kernel(w, beta):
     """k_beta(w) = i (1 - e^{-w^2/4 beta^2})/w, continuously 0 at w = 0."""
-    w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape, dtype=complex)
-    nz = w != 0.0
-    out[nz] = -1j * np.expm1(-(w[nz] ** 2) / (4.0 * beta**2)) / w[nz]
-    return out
+    return 1j * gaussian_profile(w, beta)
+
+
+def inverse_profile(split):
+    """The real profile 1/w of the exact inverse on the split's cross-patch
+    frequencies, 0 within either patch.
+
+    Raises AssumptionError when the smallest cross-patch frequency falls
+    below gamma/2, which signals an inconsistent split.
+    """
+    omega = split.spectral_data.frequency_table()
+    mask = split.patch_mask()
+    cross = mask[:, None] ^ mask[None, :]
+    min_cross = float(np.abs(omega[cross]).min()) if cross.any() else np.inf
+    if min_cross < split.gap / 2.0:
+        raise AssumptionError(
+            f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
+            f"{split.gap / 2.0:.3e}"
+        )
+    return _inverse_profile(omega, cross)
+
+
+def _inverse_profile(w, cross):
+    return np.divide(1.0, w, out=np.zeros(w.shape), where=cross)
 
 
 def inverse_kernel(w, patch_mask):
     """Multiplier i/w on cross-patch entries, 0 within either patch."""
-    cross = patch_mask[:, None] ^ patch_mask[None, :]
-    out = np.zeros(w.shape, dtype=complex)
-    out[cross] = 1j / w[cross]
-    return out
+    return 1j * _inverse_profile(w, patch_mask[:, None] ^ patch_mask[None, :])
 
 
 def erf_step_kernel(w, beta, gamma):
@@ -157,21 +185,10 @@ def exact_inverse_liouvillian(split, A):
     """I_H(A): multiplier i/w on cross-patch entries, zero inside patches,
     in the eigenbasis the split belongs to.
 
-    Satisfies I_H(L_H(A)) = A exactly for cross-patch A.  Raises when the
-    smallest cross-patch frequency falls below gamma/2, which signals an
-    inconsistent split.
+    Satisfies I_H(L_H(A)) = A exactly for cross-patch A.  Raises
+    AssumptionError, through `inverse_profile`, for an inconsistent split.
     """
-    sd = split.spectral_data
-    mask = split.patch_mask()
-    omega = sd.frequency_table()
-    cross = mask[:, None] ^ mask[None, :]
-    min_cross = float(np.abs(omega[cross]).min()) if cross.any() else np.inf
-    if min_cross < split.gap / 2.0:
-        raise AssumptionError(
-            f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
-            f"{split.gap / 2.0:.3e}"
-        )
-    return sd.apply_kernel(inverse_kernel(omega, mask), A)
+    return split.spectral_data.apply_kernel(1j * inverse_profile(split), A)
 
 
 def erf_step_map(split, beta, A):

@@ -4,7 +4,14 @@ For a smooth gapped path H(s), the transport V'(s) = i K(s) V(s),
 V(0) = 1, acts on the patch state through alpha_{0,s}(A) = V^dagger A V
 only via the transported patch vectors W(s) = V(s) W_0, a dim x p block:
 
-    W'(s) = i K(s) W(s),    omega_0(alpha_{0,s}(A)) = tr(W^dagger A W) / p.
+    W'(s) = G(s) W(s),  G = i K,    omega_0(alpha_{0,s}(A)) = tr(W^dagger A W) / p.
+
+A generator is held in the eigenbasis of H(s): G = V M V^dagger with
+M = -kappa o (V^dagger (dH/ds) V), kappa the real odd profile of its kernel
+(`filtering.gaussian_profile`, `filtering.inverse_profile`).  So G W is
+V (M (V^dagger W)), three dim x p products, and no dim x dim K is formed.
+On a real path V and M are real and G is real antisymmetric: a real W_0
+stays real.
 
 With the exact generator K(s) = I_{H(s)}(dH/ds) the flow intertwines the
 patch states exactly: omega_s(A) = omega_0(alpha_{0,s}(A)); the sign of
@@ -24,20 +31,19 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import conditional_expectation, schatten_norm
-from .filtering import almost_inverse_liouvillian, exact_inverse_liouvillian, gaussian_kernel
+from .filtering import gaussian_kernel, gaussian_profile, inverse_profile
 from .interaction import local_perturbation
 from .lattice import Region
 from .spectra import (block_expectation, diagonalize, lowest_levels, patch_expectation,
                       split_spectrum)
 
 __all__ = [
+    "EigenbasisGenerator",
     "FlowGenerator",
     "FlowResult",
     "integrate_flow",
     "LocalizedGenerator",
     "localize_generator",
-    "sup_poly_exp",
-    "tail_geom",
     "exact_flow_intertwining",
     "automorphic_equivalence_experiment",
     "lppl_experiment",
@@ -62,23 +68,28 @@ class EigenCache:
         return self._store[key]
 
 
+@dataclass(frozen=True)
+class EigenbasisGenerator:
+    """G = i K = V M V^dagger; `G @ W` is V (M (V^dagger W))."""
+
+    vectors: np.ndarray
+    matrix: np.ndarray
+
+    def __matmul__(self, W):
+        V = self.vectors
+        return V @ (self.matrix @ (V.conj().T @ W))
+
+
 class FlowGenerator:
-    """Generator K(s) of a spectral flow along an interaction path.
+    """Generator of a spectral flow along an interaction path: `gen(s)` is
+    i K(s) as an `EigenbasisGenerator`, so `gen(s) @ np.eye(dim)` is i K(s).
 
     kind: 'exact' (needs a split rule), 'almost' (needs beta), or
     'modulated' (needs beta, a reference region X and a threshold ell).
     """
 
-    def __init__(
-        self,
-        phi,
-        kind,
-        beta=None,
-        split_rule=None,
-        region=None,
-        ell=None,
-        cache=None,
-    ):
+    def __init__(self, phi, kind, beta=None, split_rule=None, region=None, ell=None,
+                 cache=None):
         if kind not in ("exact", "almost", "modulated"):
             raise ValueError(f"unknown flow kind {kind!r}")
         if kind == "exact" and split_rule is None:
@@ -100,27 +111,21 @@ class FlowGenerator:
 
     def __call__(self, s):
         sd = self.cache.at(s)
-        if self.kind == "exact":
-            return exact_inverse_liouvillian(
-                self.split(s), self.phi.hamiltonian_derivative(s)
-            )
-        if self.kind == "almost":
-            return almost_inverse_liouvillian(
-                sd, self.beta, self.phi.hamiltonian_derivative(s)
-            )
+        if self.kind != "modulated":
+            kappa = (inverse_profile(self.split(s)) if self.kind == "exact"
+                     else gaussian_profile(sd.frequency_table(), self.beta))
+            tilde = sd.to_eigenbasis(self.phi.hamiltonian_derivative(s))
+            return EigenbasisGenerator(sd.vectors, -kappa * tilde)
         # modulated: per-term filter widths, accumulated in the eigenbasis
         omega = sd.frequency_table()
-        snapshot = self.phi.derivative_snapshot(s)
-        acc = np.zeros((self.phi.dim, self.phi.dim), dtype=complex)
-        for sites, op in snapshot.grouped_terms(0.0):
+        M = np.zeros((self.phi.dim, self.phi.dim), sd.vectors.dtype)
+        for sites, op in self.phi.derivative_snapshot(s).grouped_terms(0.0):
             dist = self.region.distance_to(sites)
-            if dist >= self.ell:
-                beta_eff = 1.0 / math.sqrt(1.0 / self.beta**2 + dist)
-            else:
-                beta_eff = self.beta
-            term_tilde = sd.to_eigenbasis(op.embed(self.phi.n_sites))
-            acc += gaussian_kernel(omega, beta_eff) * term_tilde
-        return sd.from_eigenbasis(acc)
+            beta_eff = (self.beta if dist < self.ell
+                        else 1.0 / math.sqrt(1.0 / self.beta**2 + dist))
+            M = M - gaussian_profile(omega, beta_eff) * sd.to_eigenbasis(
+                op.embed(self.phi.n_sites))
+        return EigenbasisGenerator(sd.vectors, M)
 
 
 @dataclass
@@ -143,22 +148,25 @@ class FlowResult:
 
 
 def integrate_flow(generator, s_grid, block):
-    """RK4 integration of W' = i K(s) W from W(0) = `block` (dim x p) over
+    """RK4 integration of W' = G(s) W from W(0) = `block` (dim x p) over
     the given grid, one step per grid interval.
 
+    G(s) = `generator(s)` is i K(s), anything that multiplies the block by
+    `@`: the `EigenbasisGenerator` of a `FlowGenerator`, or a dense matrix.
+    On a real path G is real antisymmetric, so a real block stays real.
     Returns the block at every grid point; the identity block gives the
     transport unitaries.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    W = np.asarray(block, dtype=complex)
+    W = np.asarray(block)
     blocks = [W]
     for s, b in zip(s_grid[:-1], s_grid[1:]):
         h = b - s
-        k1 = 1j * generator(s) @ W
-        K_mid = generator(s + 0.5 * h)
-        k2 = 1j * K_mid @ (W + 0.5 * h * k1)
-        k3 = 1j * K_mid @ (W + 0.5 * h * k2)
-        k4 = 1j * generator(s + h) @ (W + h * k3)
+        k1 = generator(s) @ W
+        G_mid = generator(s + 0.5 * h)
+        k2 = G_mid @ (W + 0.5 * h * k1)
+        k3 = G_mid @ (W + 0.5 * h * k2)
+        k4 = generator(s + h) @ (W + h * k3)
         W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         blocks.append(W)
     return FlowResult(s_grid, blocks)
@@ -229,21 +237,6 @@ def localize_generator(sd, beta, phi_dot, graph=None):
             norms.append(schatten_norm(delta, np.inf))
         shell_norms.append(norms)
     return LocalizedGenerator(psi, shell_norms, reference)
-
-
-def sup_poly_exp(p, c):
-    """(p/e)^p c^{-p}, an upper bound for sup_{r>=0} r^p e^{-c r}."""
-    if p <= 0 or c <= 0:
-        raise ValueError("p and c must be positive")
-    return (p / math.e) ** p * c ** (-p)
-
-
-def tail_geom(c, L):
-    """(e^c / c) e^{-c ceil(L)}, an upper bound for sum_{n >= L} e^{-c n}
-    over integers n."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return math.exp(c) / c * math.exp(-c * math.ceil(L))
 
 
 def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):

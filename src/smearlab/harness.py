@@ -221,8 +221,8 @@ def _needed_bytes(kind, params):
       growth on the 3 x 3 torus.
     - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
       the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
-      generator's temporaries and the `eigh` workspace (109 to 122 traced,
-      150 to 203 of RSS growth, chains of 8 and 9 at 40 and 100 steps).
+      generator's temporaries and the `eigh` workspace (43 to 54 traced,
+      63 to 115 of RSS growth, chains of 8 and 9 at 40 and 100 steps).
     - lppl under a dense split rule, 96: H(s), its eigenvectors and the
       two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
       to 79 of RSS growth on 10 and 11.

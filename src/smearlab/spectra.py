@@ -194,12 +194,6 @@ class SpectralSplit:
         return int(self.idx0.size)
 
     @property
-    def idx1(self):
-        mask = np.ones(self.spectral_data.dim, dtype=bool)
-        mask[self.idx0] = False
-        return np.nonzero(mask)[0]
-
-    @property
     def projector(self):
         """Assembled P = sum over sigma_0 of |v><v| (cached)."""
         if self._projector is None:

@@ -14,7 +14,7 @@ from smearlab.algebra import (
     random_hermitian,
 )
 from smearlab.errors import AssumptionError, SchemaError
-from smearlab.filtering import almost_inverse_liouvillian
+from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
 from smearlab.flow import (
     EigenCache,
     FlowGenerator,
@@ -23,8 +23,6 @@ from smearlab.flow import (
     integrate_flow,
     localize_generator,
     lppl_experiment,
-    sup_poly_exp,
-    tail_geom,
 )
 from smearlab.interaction import (
     PolyPath,
@@ -67,7 +65,7 @@ def test_generator_kind_validation():
 def test_constant_path_gives_zero_generator():
     phi = tfim(build_chain(3), 1.0, 2.0)
     gen = FlowGenerator(phi, "almost", beta=0.7)
-    assert operator_norm(gen(0.3)) < 1e-14
+    assert operator_norm(gen(0.3) @ np.eye(8)) < 1e-14
     # and the flow is the identity map
     res = integrate_flow(gen, np.linspace(0, 1, 11), np.eye(8))
     assert operator_norm(res.blocks[-1] - np.eye(8)) < 1e-12
@@ -78,18 +76,18 @@ def test_commuting_derivative_gives_zero_almost_generator():
     # commutes with H(s), its filtered image is patch-diagonal, k(0) = 0
     phi = tfim(build_chain(3), PolyPath([1.0, 0.5]), 0.0)
     gen = FlowGenerator(phi, "almost", beta=0.8)
-    assert operator_norm(gen(0.4)) < 1e-12
+    assert operator_norm(gen(0.4) @ np.eye(8)) < 1e-12
 
 
 def test_two_level_generator_closed_forms():
     phi = two_level_path()
     for beta in (0.6, 1.0):
         gen = FlowGenerator(phi, "almost", beta=beta)
-        K = gen(0.0)
+        iK = gen(0.0) @ np.eye(2)
         c = 0.1 * (1.0 - math.exp(-1.0 / (4.0 * beta**2)))
-        assert np.allclose(K, c * PAULI_Y, atol=1e-12)
+        assert np.allclose(iK, 1j * c * PAULI_Y, atol=1e-12)
     gen_exact = FlowGenerator(phi, "exact", split_rule=lowest_k(1))
-    assert np.allclose(gen_exact(0.0), 0.1 * PAULI_Y, atol=1e-12)
+    assert np.allclose(gen_exact(0.0) @ np.eye(2), 1j * 0.1 * PAULI_Y, atol=1e-12)
 
 
 def test_generator_is_hermitian_along_path():
@@ -100,7 +98,7 @@ def test_generator_is_hermitian_along_path():
     ):
         gen = FlowGenerator(phi, kind, **kwargs)
         for s in (0.1, 0.5, 0.9):
-            assert is_hermitian(gen(s), tol=1e-10)
+            assert is_hermitian(-1j * (gen(s) @ np.eye(8)), tol=1e-10)
 
 
 def test_integrate_flow_unitarity_and_phase_oracle():
@@ -109,18 +107,18 @@ def test_integrate_flow_unitarity_and_phase_oracle():
 
     phi = two_level_path()
     gen = FlowGenerator(phi, "almost", beta=1.0)
-    K = gen(0.0)
+    iK = gen(0.0) @ np.eye(2)
 
     class _const:
         def __init__(self, phi):
             self.phi = phi
 
         def __call__(self, s):
-            return K
+            return iK
 
     grid = np.linspace(0, 1, 51)
     res = integrate_flow(_const(phi), grid, np.eye(2))
-    assert operator_norm(res.blocks[-1] - expm(1j * K)) < 1e-10
+    assert operator_norm(res.blocks[-1] - expm(iK)) < 1e-10
     assert res.transport_defect < 1e-12
 
 
@@ -151,6 +149,57 @@ def test_patch_block_flow_is_the_unitary_flow_on_the_patch(kind):
     for W, V in zip(patch.blocks, full.blocks):
         assert W.shape == W0.shape == (phi.dim, 1)
         assert np.abs(W - V @ W0).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["almost", "exact"])
+def test_real_path_keeps_the_transport_real(kind):
+    phi = tfim(build_chain(4), 1.0, TrigRampPath(1.2, 2.0))
+    gen = FlowGenerator(phi, kind, beta=0.7, split_rule=lowest_k(1))
+    G = gen(0.5) @ np.eye(phi.dim)
+    assert G.dtype == np.float64
+    assert np.abs(G + G.T).max() < 1e-12
+    res = integrate_flow(gen, np.linspace(0.0, 1.0, 21), gen.split(0.0).patch_vectors())
+    assert [W.dtype for W in res.blocks] == [np.dtype(np.float64)] * 21
+
+
+def _dense_generator(phi, kind, beta, rule, region, ell):
+    """s -> i K(s) as a dense matrix, by the eigenbasis maps of `filtering`;
+    the modulated K is the sum over terms of I_beta with each term's width."""
+    def generator(s):
+        sd = diagonalize(phi.hamiltonian(s))
+        if kind == "exact":
+            K = exact_inverse_liouvillian(split_spectrum(sd, rule), phi.hamiltonian_derivative(s))
+        elif kind == "almost":
+            K = almost_inverse_liouvillian(sd, beta, phi.hamiltonian_derivative(s))
+        else:
+            K = 0.0
+            for sites, op in phi.derivative_snapshot(s).grouped_terms(0.0):
+                dist = region.distance_to(sites)
+                b = beta if dist < ell else 1.0 / math.sqrt(1.0 / beta**2 + dist)
+                K = K + almost_inverse_liouvillian(sd, b, op.embed(phi.n_sites))
+        return 1j * K
+    return generator
+
+
+@pytest.mark.parametrize("kind", ["almost", "exact", "modulated"])
+def test_complex_path_matches_the_dense_generator(kind):
+    # a sigma^y term makes H complex: the same route runs in complex128
+    g = build_chain(4)
+    phi = custom_model(g, [
+        ("zz", (0, 1), 1.0), ("zz", (1, 2), 0.8), ("zz", (2, 3), 1.1),
+        *(("x", (i,), [1.5 + 0.1 * i, 0.6]) for i in range(4)),
+        ("y", (1,), [0.0, 0.4]), ("xy", (2, 3), [0.3, -0.2]),
+    ])
+    args = (0.7, lowest_k(1), g.region([0]), 1)
+    gen = FlowGenerator(phi, kind, *args)
+    grid = np.linspace(0.0, 1.0, 21)
+    W0 = gen.split(0.0).patch_vectors()
+    assert np.iscomplexobj(phi.hamiltonian(0.5))
+    res = integrate_flow(gen, grid, W0)
+    ref = integrate_flow(_dense_generator(phi, kind, *args), grid, W0)
+    for W, R in zip(res.blocks, ref.blocks):
+        assert W.dtype == np.complex128
+        assert np.abs(W - R).max() < 1e-12
 
 
 def test_automorphic_error_decreases_with_filter_sharpness():
@@ -214,12 +263,12 @@ def test_modulated_flow_with_large_cutoff_matches_almost():
         phi, "modulated", beta=0.6, region=X, ell=g.diameter + 1, cache=cache
     )
     for s in (0.2, 0.7):
-        assert operator_norm(mod(s) - alm(s)) < 1e-12
+        assert operator_norm(mod(s) @ np.eye(16) - alm(s) @ np.eye(16)) < 1e-12
     # a small cutoff widens far terms and changes the generator
     mod_small = FlowGenerator(
         phi, "modulated", beta=0.6, region=X, ell=1, cache=cache
     )
-    assert operator_norm(mod_small(0.5) - alm(0.5)) > 1e-6
+    assert operator_norm(mod_small(0.5) @ np.eye(16) - alm(0.5) @ np.eye(16)) > 1e-6
 
 
 def test_localized_generator_resums_exactly():
@@ -254,29 +303,6 @@ def test_localize_trivial_cases():
     sdg = diagonalize(phi.hamiltonian(0.0))
     loc2 = localize_generator(sdg, 0.5, phi.derivative_snapshot(0.0), g)
     assert operator_norm(loc2.assemble()) < 1e-12
-
-
-def test_sup_poly_exp_dominates_grid():
-    r = np.linspace(0, 60, 30001)
-    assert sup_poly_exp(1.0, 1.0) == pytest.approx(1.0 / math.e)
-    for p, c in ((1.0, 1.0), (2.0, 0.7), (3.5, 1.9)):
-        brute = np.max(r**p * np.exp(-c * r))
-        assert sup_poly_exp(p, c) >= brute - 1e-12
-    with pytest.raises(ValueError):
-        sup_poly_exp(0.0, 1.0)
-    with pytest.raises(ValueError):
-        sup_poly_exp(1.0, -1.0)
-
-
-def test_tail_geom_dominates_series():
-    for c, L in ((1.0, 3), (0.5, 0), (2.0, 4.3)):
-        n0 = math.ceil(L)
-        series = sum(math.exp(-c * n) for n in range(n0, n0 + 2000))
-        assert tail_geom(c, L) >= series
-    # explicit value at (1, 3)
-    assert tail_geom(1.0, 3.0) == pytest.approx(math.e * math.exp(-3.0))
-    with pytest.raises(ValueError):
-        tail_geom(0.0, 1.0)
 
 
 def test_lppl_zero_perturbation_is_flat():

@@ -157,7 +157,6 @@ def test_lowest_k_split_tfim():
     assert split.width == 0.0
     assert split.gap == pytest.approx(sd.energies[1] - sd.energies[0])
     assert split.idx0.tolist() == [0]
-    assert split.idx1.tolist() == list(range(1, 16))
     P = split.projector
     assert np.allclose(P @ P, P, atol=1e-12)
     assert np.trace(P).real == pytest.approx(split.p)
