@@ -1,8 +1,9 @@
 """Operators on arrays of two-level sites.
 
-Global operators are plain dense ndarrays on the 2^n dimensional Hilbert
-space with site 0 as the leftmost tensor factor.  Local operators carry
-their support and are promoted with identity on the rest.
+Global operators are dense ndarrays on the 2^n dimensional Hilbert space
+with site 0 as the leftmost tensor factor, or `ChargeBlocks` when they keep
+a charge.  Local operators carry their support and are promoted with
+identity on the rest.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svdvals
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "PAULI_X",
@@ -36,7 +35,7 @@ __all__ = [
     "real_matmul",
     "random_hermitian",
     "is_hermitian",
-    "sectors",
+    "ChargeBlocks",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -87,7 +86,10 @@ class LocalOperator:
     def apply(self, X):
         """(matrix (x) 1) X for a vector or block X with 2^n rows, computed
         on the support: the rows X[idx[a, r]] (`site_index`) are contracted
-        with the matrix over the local index a."""
+        with the matrix over the local index a.  A ChargeBlocks X stays in
+        its blocks (`ChargeBlocks.apply_local`)."""
+        if isinstance(X, ChargeBlocks):
+            return X.apply_local(self)
         X = np.asarray(X)
         n = round(math.log2(X.shape[0]))
         if 2**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
@@ -99,9 +101,6 @@ class LocalOperator:
 
     def norm(self, p=np.inf):
         return schatten_norm(self.matrix, p)
-
-    def shifted(self, offset):
-        return LocalOperator(tuple(s + offset for s in self.sites), self.matrix)
 
 
 def pauli_string(label, sites):
@@ -187,11 +186,86 @@ def is_hermitian(A, tol=1e-12):
     return bool(np.abs(A - A.conj().T).max(initial=0.0) <= tol)
 
 
-def sectors(A):
-    """Index arrays of the connected components of the nonzero pattern of A
-    and A^T (NaN counts), smallest index first: A is zero between them."""
-    _, labels = connected_components(csr_array(np.asarray(A) != 0), connection="weak")
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+@dataclass(frozen=True)
+class ChargeBlocks:
+    """An operator that keeps a charge diagonal, one dense block per charge:
+    `blocks[k]` acts on the basis states `index[k]`, charges ascending.  The
+    charge adds over sites, so strip operators and partial traces keep to
+    the blocks too."""
+
+    index: list
+    blocks: list
+    __array_ufunc__ = None  # ndarray @ ChargeBlocks defers to __rmatmul__
+
+    @classmethod
+    def of(cls, A, charge):
+        """The blocks of a dense A by the values of the diagonal `charge`; a
+        nonzero entry between two charges (NaN counts) raises ValueError."""
+        label = np.unique(charge, return_inverse=True)[1]
+        index = [np.flatnonzero(label == k) for k in range(label.max() + 1)]
+        blocks = [A[np.ix_(s, s)] for s in index]
+        if np.count_nonzero(A) != sum(map(np.count_nonzero, blocks)):
+            raise ValueError("the matrix connects two charges")
+        return cls(index, blocks)
+
+    @property
+    def dim(self):
+        return sum(s.size for s in self.index)
+
+    def map(self, f):
+        return ChargeBlocks(self.index, [f(b) for b in self.blocks])
+
+    @property
+    def dagger(self):
+        return self.map(lambda b: b.conj().T)
+
+    def norm(self):
+        """Operator norm: the largest `schatten_norm` of a block."""
+        return max(schatten_norm(b, np.inf) for b in self.blocks)
+
+    def dense(self):
+        return self @ np.eye(self.dim)
+
+    def __matmul__(self, X):
+        """Product with a ChargeBlocks of the same charges, or with a dense
+        block of dim rows (of dim columns, from the left)."""
+        if isinstance(X, ChargeBlocks):
+            return ChargeBlocks(self.index, [real_matmul(a, b) for a, b in zip(self.blocks, X.blocks)])
+        out = np.zeros(X.shape, dtype=np.result_type(X, *self.blocks))
+        for s, b in zip(self.index, self.blocks):
+            out[s] = real_matmul(b, X[s])
+        return out
+
+    def __rmatmul__(self, X):
+        return (self.dagger @ X.conj().T).conj().T
+
+    def _on_sites(self, sites):
+        """The block of each local state on `sites` (with the rest empty),
+        and per block E[i, a] = 1 where basis state i holds local state a and
+        S[i, j] = (i and j agree off the sites), from `site_index`."""
+        label = np.empty(self.dim, dtype=np.intp)
+        a, r = np.empty((2, self.dim), dtype=np.intp)
+        for k, s in enumerate(self.index):
+            label[s] = k
+        idx = site_index(sites, round(math.log2(self.dim)))
+        a[idx], r[idx] = np.indices(idx.shape)
+        return label[idx[:, 0]], [(1.0 * (a[s][:, None] == np.arange(idx.shape[0])),
+                                   r[s][:, None] == r[s]) for s in self.index]
+
+    def apply_local(self, op):
+        """(op (x) 1) self for a LocalOperator that keeps the charge on its
+        sites (else ValueError); on a block, op (x) 1 is (E op E^T) o S."""
+        label, parts = self._on_sites(op.sites)
+        ChargeBlocks.of(op.matrix, label)  # refuses an op that moves charge
+        return ChargeBlocks(self.index, [real_matmul(E @ op.matrix @ E.T * S, b)
+                                         for (E, S), b in zip(parts, self.blocks)])
+
+    def reduced(self, sites):
+        """tr_{rest}(self) / 2^{|rest|} = sum over blocks B of E^T (B o S) E
+        / 2^{|rest|}, in the charge blocks of `sites`."""
+        label, parts = self._on_sites(sites)
+        m = sum(E.T @ (b * S) @ E for (E, S), b in zip(parts, self.blocks))
+        return ChargeBlocks.of(m / (self.dim // label.size), label)
 
 
 def schatten_norm(A, p=np.inf):

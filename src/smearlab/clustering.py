@@ -146,10 +146,6 @@ class ClusterPlacement:
         """|<Omega, A Pperp B Omega>| for the ground patch vector."""
         return abs(self.ground.correlation)
 
-    @property
-    def max_measured(self):
-        return max([self.measured] + [abs(d.correlation) for d in self.sampled])
-
 
 def _random_patch_states(split, count, rng):
     V0 = split.patch_vectors()

@@ -16,6 +16,7 @@ BoundViolationError.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -215,10 +216,13 @@ def _needed_bytes(kind, params):
     - locality, 176: the filtered A beside H, its eigenvectors and the
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
-    - qhe, 160: H, its eigenvectors, the dressed charge and its
-      eigenvectors, the flux unitary, lower^dagger W and the factorization
-      defect; the transport runs on a strip.  106 traced and 145 of RSS
-      growth on the 3 x 3 torus.
+    - qhe, 24 plus 160 per entry of its charge blocks, sum_k C(n, k)^2 =
+      C(2n, n) of them: the dense H and the two temporaries of the conservation
+      check, then H's blocks, their eigenvectors, the dressed charge and
+      its eigenvectors, W, lower^dagger W, the defect and the strip
+      operator's blocks; 24.1 to 24.7 per 4^n entry, then 89 to 138 per
+      block entry traced on the 3 x 3 and 3 x 4 tori, 387 MB of RSS growth
+      on the 3 x 4 torus (14 MB on the 3 x 3, mostly fixed workspace).
     - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
       the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
       generator's temporaries and the `eigh` workspace (43 to 54 traced,
@@ -239,7 +243,9 @@ def _needed_bytes(kind, params):
         return 16 * 4**n * (2 * params["s_steps"] + 17)
     if kind == "liouvillian":
         return 96 * _GRID_NODES * 4**n
-    return {"lr": 112, "cluster": 48, "locality": 176, "qhe": 160, "lppl": 96}[kind] * 4**n
+    if kind == "qhe":
+        return 24 * 4**n + 160 * math.comb(2 * n, n)
+    return {"lr": 112, "cluster": 48, "locality": 176, "lppl": 96}[kind] * 4**n
 
 
 def _build_graph(spec):

@@ -175,12 +175,6 @@ class Region:
         rest = [x for x in self.graph.sites() if x not in self.sites]
         return Region(self.graph, rest)
 
-    def union(self, other):
-        return Region(self.graph, self.sites + tuple(other))
-
-    def is_subset(self, other):
-        return set(self.sites) <= set(tuple(other))
-
     def fatten(self, k):
         return self.graph.fatten(self, k)
 

@@ -14,9 +14,10 @@ charge across the cut.  The transported charge operator
 q the charge of R inside S, lives on the left strip inside S.  Its
 ground-patch trace is near an integer.
 
-Every operator here commutes with the total charge, so each eigh, polar
-SVD and the defect's norm run per charge sector (`algebra.sectors`); the
-exact zeros of V off its sectors keep every product block diagonal.
+Every operator here commutes with the total charge, so H, V, Qbar, W,
+the strip factors and the defect are held as `algebra.ChargeBlocks`, one
+dense block per value of the total charge's diagonal, and each eigh,
+smearing, polar SVD and norm runs per block.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svd
 
-from .algebra import (LocalOperator, commutator_norm, conditional_expectation, real_matmul,
-                      schatten_norm, sectors, site_index, trace_sites)
+from .algebra import (ChargeBlocks, LocalOperator, commutator_norm, conditional_expectation,
+                      real_matmul, schatten_norm, site_index)
 from .dynamics import smear
 from .errors import AssumptionError, DegenerateFactorError
 from .filtering import GaussianFilter
 from .interaction import xy_charge
 from .lattice import Region, build_torus
-from .spectra import diagonalize, lowest_k, patch_expectation, split_spectrum
+from .spectra import SpectralData, diagonalize, lowest_k, patch_expectation, split_spectrum
 
 __all__ = [
     "local_charge", "region_charge", "charge_conservation_defect", "ChargeGeometry",
@@ -140,41 +141,51 @@ class ChargeGeometry:
 
 def dressed_charge(sd, Q, beta):
     """Qbar = Q - I_beta(L_H(Q)) = tau_{phi_beta}(Q), Q a matrix or a
-    diagonal, Hermitian part."""
+    diagonal, Hermitian part.  Given the spectra of H's charge blocks (a
+    ChargeBlocks of SpectralData) and a diagonal Q, Qbar comes in the same
+    blocks, one `smear` each."""
+    if isinstance(sd, ChargeBlocks):
+        return ChargeBlocks(sd.index, [dressed_charge(b, Q[s], beta)
+                                       for s, b in zip(sd.index, sd.blocks)])
     Qbar = smear(sd, GaussianFilter(beta), Q)
     return (Qbar + Qbar.conj().T) / 2.0
 
 
+def _patch_split(spectra, rule):
+    """The split of the merged energies of H's charge blocks, `spectra`; its
+    SpectralData holds H's blocks and V's columns up to the last patch
+    level, in ascending energy."""
+    energies = np.concatenate([sd.energies for sd in spectra.blocks])
+    order = np.argsort(energies, kind="stable")
+    sd = SpectralData(energies[order], None, spectra.map(lambda sd: sd.hamiltonian))
+    split = split_spectrum(sd, rule)
+    cols = np.concatenate(spectra.index)[order[:split.idx0[-1] + 1]]
+    sd.vectors = spectra.map(lambda sd: sd.vectors) @ (np.arange(sd.dim)[:, None] == cols)
+    return split
+
+
 def _unitary_exponentials(Hermitian, angles):
     """e^{i angle H} for each angle, one at a time, from one
-    eigendecomposition of H, taken by its sectors."""
-    sd = diagonalize(Hermitian, sectors(Hermitian))
-    V = sd.vectors
-    return (real_matmul(V, np.exp(1j * angle * sd.energies)[:, None] * V.conj().T)
+    eigendecomposition of each charge block of H."""
+    spectra = Hermitian.map(diagonalize)
+    return (spectra.map(lambda sd: real_matmul(
+        sd.vectors, np.exp(1j * angle * sd.energies)[:, None] * sd.vectors.conj().T))
             for angle in angles)
 
 
-def _polar_unitary(M):
-    """Polar part of M and its smallest singular value, one SVD per
-    sector of M: the polar part is exactly zero between sectors too."""
-    U, s_min = np.zeros(M.shape, dtype=np.result_type(M, float)), np.inf
-    for s in sectors(M):
-        u, sv, vh = svd(M[np.ix_(s, s)])
-        U[np.ix_(s, s)], s_min = u @ vh, min(s_min, sv.min())
+def _strip_unitary(M, strip):
+    """Polar part of E_strip(M) = m (x) 1, taken on the strip: polar(m (x) 1)
+    is polar(m) (x) 1 with the same singular values, so only m is
+    decomposed, one SVD per charge block.  Returns the strip operator and
+    the smallest singular value."""
+    m = M.reduced(strip.sites)
+    factors = [svd(b) for b in m.blocks]
+    s_min = min(sv.min() for _, sv, _ in factors)
     if s_min < 1e-6:
         raise DegenerateFactorError("conditional expectation nearly singular "
                                     f"(min sv {s_min:.3e})")
-    return U, float(s_min)
-
-
-def _strip_unitary(M, strip, n):
-    """Polar part of E_strip(M) = m (x) 1, taken on the strip: polar(m (x) 1)
-    is polar(m) (x) 1 with the same singular values, so only m is
-    decomposed.  Returns the strip operator and the smallest singular
-    value."""
-    rest = [s for s in range(n) if s not in strip.sites]
-    u, sv = _polar_unitary(trace_sites(M, rest, n) / 2 ** len(rest))
-    return LocalOperator(strip.sites, u), sv
+    polar = ChargeBlocks(m.index, [u @ vh for u, _, vh in factors]).dense()
+    return LocalOperator(strip.sites, polar), float(s_min)
 
 
 @dataclass
@@ -195,19 +206,16 @@ def flux_unitary(Qbar_upper, geometry):
     strip, so the reported ||W - lower * upper||_inf residual measures
     only what no strip product can represent.  Both factors are unitary,
     so the residual is taken as ||upper^dagger lower^dagger W - 1||_inf,
-    the largest norm of its sector blocks.
+    the largest norm of its charge blocks.
     On very small tori it is O(1); it shrinks with the coupling and with
     growing separation between the cuts.
     """
-    n = geometry.graph.n_sites
     (W,) = _unitary_exponentials(Qbar_upper, [2.0 * math.pi])
-    lower, sv_low = _strip_unitary(W, geometry.lower_strip, n)
+    lower, sv_low = _strip_unitary(W, geometry.lower_strip)
     lower_w = lower.dagger.apply(W)
-    upper, _ = _strip_unitary(lower_w, geometry.upper_strip, n)
-    defect = upper.dagger.apply(lower_w)
-    defect[np.diag_indices_from(defect)] -= 1.0
-    residual = max(schatten_norm(defect[np.ix_(s, s)], np.inf) for s in sectors(defect))
-    return FluxFactorization(W, lower, upper, residual, sv_low)
+    upper, _ = _strip_unitary(lower_w, geometry.upper_strip)
+    defect = upper.dagger.apply(lower_w).map(lambda b: b - np.eye(len(b)))
+    return FluxFactorization(W, lower, upper, defect.norm(), sv_low)
 
 
 @dataclass
@@ -267,12 +275,11 @@ def z_phase_operator(lower, Qbar_right, geometry, phis, split):
     Reports ||[Z, P]||_inf and, using the left-strip factor of Z, the
     distance of its patch determinant from 1 (meaningful at phi = 2 pi).
     """
-    n = geometry.graph.n_sites
     V0 = split.patch_vectors()
     results = []
     for phi, E in zip(phis, _unitary_exponentials(Qbar_right, phis)):
-        Z = lower.dagger.apply(E @ lower.apply(E.conj().T))
-        z_left, _ = _strip_unitary(Z, geometry.left_strip, n)
+        Z = lower.dagger.apply(E @ lower.apply(E.dagger))
+        z_left, _ = _strip_unitary(Z, geometry.left_strip)
         det_res = abs(np.linalg.det(V0.conj().T @ z_left.apply(V0)) - 1.0)
         results.append(ZPhaseResult(phi, split.commutator_norm(Z), det_res))
     return results
@@ -300,7 +307,8 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, phi_grid=()):
     """Run the full transport pipeline for one model instance, with the
     Z(phi) diagnostics at each angle of `phi_grid`."""
     graph = geometry.graph
-    defect, H = charge_conservation_defect(phi, region_charge(graph, graph.sites()))
+    charge = region_charge(graph, graph.sites())
+    defect, H = charge_conservation_defect(phi, charge)
     if defect > 1e-10:
         raise AssumptionError(f"model is not charge conserving ({defect:.3e})")
     for half, a, b in ((geometry.upper_half, geometry.lower_strip, geometry.upper_strip),
@@ -308,18 +316,19 @@ def qhe_point(geometry, phi, beta, rule, coupling=0.0, phi_grid=()):
         geometry.split_boundary_terms(phi, half, a, b)
 
     H = H if phi.is_constant else phi.hamiltonian(0.0)
-    sd = diagonalize(H, sectors(H))
-    split = split_spectrum(sd, rule)
+    spectra = ChargeBlocks.of(H, charge).map(diagonalize)
+    del H  # the blocks hold all of it
+    split = _patch_split(spectra, rule)
     q_upper = region_charge(graph, geometry.upper_half)
     q_right = region_charge(graph, geometry.right_half)
 
-    Qbar = dressed_charge(sd, q_upper, beta=beta)
+    Qbar = dressed_charge(spectra, q_upper, beta=beta)
     fact = flux_unitary(Qbar, geometry)
     trans = transport_operator(fact.lower, q_right, geometry)
     quant = quantization_check(split, trans.operator)
     z_phase = []
     if phi_grid:
-        Qbar_right = dressed_charge(sd, q_right, beta=beta)
+        Qbar_right = dressed_charge(spectra, q_right, beta=beta)
         z_phase = z_phase_operator(fact.lower, Qbar_right, geometry, phi_grid, split)
     return QHEPoint(
         coupling=float(coupling),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, svdvals
+from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .algebra import LocalOperator, is_hermitian, real_matmul, singular_value_norm
@@ -88,28 +88,13 @@ class SpectralData:
         return list(zip(starts.tolist(), stops.tolist()))
 
 
-def diagonalize(H, sectors=None):
-    """Full eigendecomposition of a Hermitian matrix, eigenvectors in the
-    dtype of H.  `sectors`, a partition of the basis that H does not couple
-    (`algebra.sectors`; any other list raises ValueError), takes one `eigh`
-    per sector: energies merged stably, V exactly zero off the sectors."""
+def diagonalize(H):
+    """Full eigendecomposition of a Hermitian matrix by one `eigh`,
+    eigenvectors in the dtype of H."""
     H = np.asarray(H)
     if not is_hermitian(H, tol=1e-10):
         raise ValueError("Hamiltonian is not Hermitian")
-    if sectors is not None:
-        index = np.concatenate(sectors)
-        label = np.repeat(np.arange(len(sectors)), [len(s) for s in sectors])[np.argsort(index)]
-        if not np.array_equal(np.sort(index), np.arange(H.shape[0])) or (
-                (label[:, None] != label) & (H != 0)).any():
-            raise ValueError("sectors must partition the basis with H zero between them")
-    if sectors is None or len(sectors) == 1:
-        return SpectralData(*np.linalg.eigh(H), H)
-    blocks = [np.linalg.eigh(H[np.ix_(s, s)]) for s in sectors]
-    energies = np.concatenate([e for e, _ in blocks])
-    order = np.argsort(energies, kind="stable")
-    vectors = np.empty(H.shape, dtype=blocks[0][1].dtype)
-    vectors[index] = block_diag(*(v for _, v in blocks))[:, order]
-    return SpectralData(energies[order], vectors, H)
+    return SpectralData(*np.linalg.eigh(H), H)
 
 
 def lowest_levels(H, k):

@@ -7,6 +7,7 @@ import pytest
 
 from smearlab.algebra import (
     IDENTITY_2,
+    ChargeBlocks,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -23,11 +24,11 @@ from smearlab.algebra import (
     random_hermitian,
     real_matmul,
     schatten_norm,
-    sectors,
     trace_sites,
 )
-from smearlab.interaction import tfim, xy_charge
-from smearlab.lattice import build_chain, build_torus
+from smearlab.interaction import xy_charge
+from smearlab.qhe import ChargeGeometry, region_charge
+from smearlab.spectra import diagonalize, lowest_k, split_spectrum
 
 
 def kron_chain(mats):
@@ -270,28 +271,55 @@ def test_is_hermitian_edge_cases():
     assert is_hermitian(np.zeros((0, 0))) is True
 
 
-def test_sectors_are_the_charge_blocks_of_the_hopping_torus():
-    # xy_charge conserves the charge, so its sectors are the C(9, k) states
-    # of charge k, smallest index first; the transverse field connects all
-    H = xy_charge(build_torus(3, 3), 0.2, 1.0).hamiltonian()
-    found = sectors(H)
-    weight = np.array([bin(i).count("1") for i in range(512)])
-    assert [s.size for s in found] == [math.comb(9, k) for k in range(10)]
-    for k, s in enumerate(found):
-        assert np.array_equal(s, np.nonzero(weight == k)[0])
-    single = sectors(tfim(build_chain(6), 1.0, 2.0).hamiltonian())
-    assert len(single) == 1 and np.array_equal(single[0], np.arange(64))
+def test_charge_blocks_agree_with_dense_arithmetic():
+    # on the 3 x 3 hopping torus, H and a complex operator B that keep the
+    # charge, in their C(9, k) blocks, against the same steps at dim 512
+    geo = ChargeGeometry(3)
+    n, strip = geo.graph.n_sites, geo.lower_strip.sites
+    charge = region_charge(geo.graph, geo.graph.sites())
+    H = xy_charge(geo.graph, 0.2, 1.0).hamiltonian()
+    rng = np.random.default_rng(22)
+    B = (H + 1j * np.diag(rng.standard_normal(512))) @ H
+    A, Bb = ChargeBlocks.of(H, charge), ChargeBlocks.of(B, charge)
+    assert [s.size for s in A.index] == [math.comb(9, k) for k in range(10)]
+    assert np.array_equal(A.dense(), H) and np.array_equal(Bb.dagger.dense(), B.conj().T)
+    assert np.abs((A @ Bb).dense() - H @ B).max() < 1e-12
+    X = rng.standard_normal((512, 3)) + 1j * rng.standard_normal((512, 3))
+    assert np.abs(Bb @ X - B @ X).max() < 1e-12
+    assert np.abs(X.T @ Bb - X.T @ B).max() < 1e-12
+    # a strip operator that keeps the strip's charge, and one that does not
+    local = np.array([bin(a).count("1") for a in range(64)])
+    u = random_hermitian(64, rng) * (local[:, None] == local)
+    op = LocalOperator(strip, u)
+    assert np.abs(op.apply(Bb).dense() - op.embed(n) @ B).max() < 1e-12
+    with pytest.raises(ValueError):
+        pauli_string("x", (strip[0],)).apply(Bb)
+    rest = [x for x in range(n) if x not in strip]
+    reduced = Bb.reduced(strip)
+    assert [s.size for s in reduced.index] == [math.comb(6, k) for k in range(7)]
+    assert np.abs(reduced.dense() - trace_sites(B, rest, n) / 8).max() < 1e-12
+    # one eigh per block: the energies and the ground patch of one dense eigh
+    spectra = A.map(diagonalize)
+    energies = np.concatenate([sd.energies for sd in spectra.blocks])
+    order = np.argsort(energies, kind="stable")
+    dense = diagonalize(H)
+    assert np.abs(energies[order] - dense.energies).max() < 1e-12
+    cols = np.concatenate(A.index)[order[:5]]
+    V0 = spectra.map(lambda sd: sd.vectors) @ np.eye(512)[:, cols]
+    P = split_spectrum(dense, lowest_k(5)).projector
+    assert np.abs(V0 @ V0.T - P).max() < 1e-12
 
 
 @pytest.mark.parametrize("entry", [1e-300, np.nan])
-def test_sectors_never_drop_an_entry(entry):
-    # one tiny or NaN entry in either triangle joins two blocks
-    A = np.diag([1.0, 2.0, 3.0])
-    assert [s.tolist() for s in sectors(A)] == [[0], [1], [2]]
-    for i, j in ((0, 2), (2, 0)):
-        B = A.copy()
-        B[i, j] = entry
-        assert [s.tolist() for s in sectors(B)] == [[0, 2], [1]]
+def test_charge_blocks_refuse_an_entry_between_charges(entry):
+    # states 0 and 1 of the 3 x 3 torus carry charge 0 and 1
+    geo = ChargeGeometry(3)
+    charge = region_charge(geo.graph, geo.graph.sites())
+    for i, j in ((0, 1), (1, 0)):
+        H = xy_charge(geo.graph, 0.2, 1.0).hamiltonian()
+        H[i, j] = entry
+        with pytest.raises(ValueError, match="connects two charges"):
+            ChargeBlocks.of(H, charge)
 
 
 def test_local_operator_diagonal_fast_path():
@@ -347,9 +375,8 @@ def test_local_operator_validation_and_shift():
         LocalOperator((1, 1), np.eye(4))
     with pytest.raises(ValueError):
         LocalOperator((0, 1), np.eye(3))
-    op = pauli_string("xy", (0, 1)).shifted(2)
+    op = pauli_string("xy", (2, 3))
     assert op.sites == (2, 3)
-    assert np.allclose(op.embed(4), pauli_string("xy", (2, 3)).embed(4))
 
 
 def test_random_hermitian_normalization():

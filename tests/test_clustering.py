@@ -105,7 +105,6 @@ def test_cluster_experiment_records_and_decay():
         for dec in rec.sampled:
             assert dec.identity_defect < 1e-10
             assert dec.bounds_hold()
-        assert rec.max_measured >= rec.measured
     meas = [r.measured for r in records]
     assert meas[0] > meas[1] > meas[2] > 0
 

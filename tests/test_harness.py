@@ -627,14 +627,15 @@ def test_qhe_is_sized_by_what_it_holds(monkeypatch):
     def qhe(L):
         return validate_config({"experiment": "qhe", "L": L, "J": [0.2]}).params
 
-    # 160 B per entry of a 4^n matrix, n = L^2: 40 MiB on the 3 x 3 torus,
-    # 640 GiB on the 4 x 4 one
+    # 24 B per entry of a 4^n matrix and 160 per entry of the charge blocks,
+    # C(2n, n) of them, n = L^2: 13.4 MiB on the 3 x 3 torus, 186 GiB on
+    # the 4 x 4 one
     harness._refuse_oversized("qhe", qhe(3))
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(4))
-    # with 32 MiB the 3 x 3 torus is refused; one dense complex matrix
+    # with 8 MiB the 3 x 3 torus is refused; one dense complex matrix
     # (4 MiB) would let it through
-    memory["bytes"] = 32 * 2**20
+    memory["bytes"] = 8 * 2**20
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(3))
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import svd, svdvals
 
 from smearlab.algebra import (
+    ChargeBlocks,
     LocalOperator,
     commutator,
     commutator_norm,
@@ -15,12 +16,12 @@ from smearlab.algebra import (
     operator_norm,
     random_hermitian,
     schatten_norm,
-    sectors,
     trace_sites,
 )
 from smearlab.errors import AssumptionError, DegenerateFactorError
 from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
 from smearlab.interaction import tfim, xy_charge
+from smearlab.lattice import build_chain
 from smearlab.qhe import (
     ChargeGeometry,
     charge_conservation_defect,
@@ -45,8 +46,13 @@ STRIP_SECTORS = [(math.comb(6, k),) * 2 for k in range(7)]
 def torus3():
     geo = ChargeGeometry(3)
     phi = xy_charge(geo.graph, 0.2, 1.0)
-    H = phi.hamiltonian(0.0)
-    return geo, phi, diagonalize(H, sectors(H))
+    return geo, phi, diagonalize(phi.hamiltonian(0.0))
+
+
+def charge_spectra(geo, phi):
+    """The spectra of H's charge blocks, as `qhe_point` takes them."""
+    charge = region_charge(geo.graph, geo.graph.sites())
+    return ChargeBlocks.of(phi.hamiltonian(0.0), charge).map(diagonalize)
 
 
 def test_local_and_region_charge_spectra():
@@ -242,17 +248,18 @@ def test_single_particle_spectrum_and_gap(torus3):
 
 
 def test_flux_unitary_factorization(torus3):
-    geo, phi, sd = torus3
+    geo, phi, _ = torus3
     Q = region_charge(geo.graph, geo.upper_half)
-    fact = flux_unitary(dressed_charge(sd, Q, beta=3**-0.5), geo)
-    assert operator_norm(fact.flux.conj().T @ fact.flux - np.eye(512)) < 1e-10
+    fact = flux_unitary(dressed_charge(charge_spectra(geo, phi), Q, beta=3**-0.5), geo)
+    W = fact.flux.dense()
+    assert operator_norm(W.conj().T @ W - np.eye(512)) < 1e-10
     # the two factors are unitaries on their six-site strips
     assert fact.lower.sites == geo.lower_strip.sites
     assert fact.upper.sites == geo.upper_strip.sites
     for U in (fact.lower.matrix, fact.upper.matrix):
         assert operator_norm(U.conj().T @ U - np.eye(64)) < 1e-10
     n = geo.graph.n_sites
-    dense = schatten_norm(fact.flux - fact.lower.embed(n) @ fact.upper.embed(n), np.inf)
+    dense = schatten_norm(W - fact.lower.embed(n) @ fact.upper.embed(n), np.inf)
     assert fact.residual == pytest.approx(dense, rel=1e-12)
     assert fact.min_singular_value > 1e-3
 
@@ -267,34 +274,34 @@ def test_strip_unitaries_are_decomposed_on_their_strips(torus3, monkeypatch):
     split = split_spectrum(sd, lowest_k(1))
     shapes, polar_svd = [], qhe.svd
     monkeypatch.setattr(qhe, "svd", lambda M: shapes.append(M.shape) or polar_svd(M))
-    beta = 3**-0.5
+    beta, spectra = 3**-0.5, charge_spectra(geo, phi)
     fact = flux_unitary(
-        dressed_charge(sd, region_charge(geo.graph, geo.upper_half), beta=beta), geo)
+        dressed_charge(spectra, region_charge(geo.graph, geo.upper_half), beta=beta), geo)
     z_phase_operator(fact.lower,
-                     dressed_charge(sd, region_charge(geo.graph, geo.right_half), beta=beta),
+                     dressed_charge(spectra, region_charge(geo.graph, geo.right_half), beta=beta),
                      geo, [2 * math.pi], split)
     assert shapes == STRIP_SECTORS * 3
     # oracle: the polar part of the re-embedded conditional expectation, by
     # one dense SVD at dimension 512
-    u, s, vh = svd(conditional_expectation(fact.flux, geo.lower_strip.sites, n))
+    u, s, vh = svd(conditional_expectation(fact.flux.dense(), geo.lower_strip.sites, n))
     assert operator_norm(fact.lower.embed(n) - u @ vh) < 1e-12
     assert fact.min_singular_value == pytest.approx(s.min(), rel=1e-12)
 
 
 def test_polar_factor_rejects_singular_input():
-    from smearlab.qhe import _polar_unitary
+    from smearlab.qhe import _strip_unitary
 
-    M = np.diag([1.0, 1e-9])
+    M = ChargeBlocks.of(np.diag([1.0, 1e-9]), [0, 1])
     with pytest.raises(DegenerateFactorError):
-        _polar_unitary(M)
+        _strip_unitary(M, build_chain(1).region([0]))
 
 
 def test_transport_operator_properties(torus3):
-    geo, phi, sd = torus3
+    geo, phi, _ = torus3
     Q_up = region_charge(geo.graph, geo.upper_half)
     q_r = region_charge(geo.graph, geo.right_half)
     Q_r = np.diag(q_r)
-    fact = flux_unitary(dressed_charge(sd, Q_up, beta=3**-0.5), geo)
+    fact = flux_unitary(dressed_charge(charge_spectra(geo, phi), Q_up, beta=3**-0.5), geo)
     res = transport_operator(fact.lower, q_r, geo)
     T = res.operator
     assert T.sites == fact.lower.sites
@@ -327,9 +334,10 @@ def test_strip_transport_matches_the_dense_route(coupling):
     # the route at dimension 512 to 1e-12 relative or 1e-15 absolute
     geo = ChargeGeometry(3)
     n = geo.graph.n_sites
-    sd = diagonalize(xy_charge(geo.graph, coupling, 1.0).hamiltonian(0.0))
-    split = split_spectrum(sd, lowest_k(1))
-    fact = flux_unitary(dressed_charge(sd, region_charge(geo.graph, geo.upper_half),
+    phi = xy_charge(geo.graph, coupling, 1.0)
+    split = split_spectrum(diagonalize(phi.hamiltonian(0.0)), lowest_k(1))
+    fact = flux_unitary(dressed_charge(charge_spectra(geo, phi),
+                                       region_charge(geo.graph, geo.upper_half),
                                        beta=3**-0.5), geo)
     q_r = region_charge(geo.graph, geo.right_half)
     res = transport_operator(fact.lower, q_r, geo)
@@ -407,23 +415,35 @@ def test_qhe_point_matches_the_dense_route(coupling):
 def test_qhe_point_stays_below_the_full_dimension(monkeypatch):
     # on the 3 x 3 torus no 512 x 512 operator meets embed,
     # conditional_expectation or schatten_norm: the factorization defect
-    # is normed by its charge sectors, the transport on the lower strip
+    # is normed by its charge blocks, the transport on the lower strip;
+    # and no product, eigh or SVD sees a 512 x 512 operand
     import smearlab.algebra as algebra
     import smearlab.qhe as qhe
+    import smearlab.spectra as spectra
 
-    shapes = []
+    shapes, solves = [], []
     for owner, name in ((algebra, "embed"), (qhe, "conditional_expectation"),
-                        (qhe, "schatten_norm")):
+                        (qhe, "schatten_norm"), (algebra, "schatten_norm")):
         def recorded(A, *args, _name=name, _wrapped=getattr(owner, name), **kwargs):
             shapes.append((_name, np.shape(A)))
             return _wrapped(A, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, recorded)
+    for owner, name in ((algebra, "real_matmul"), (spectra, "real_matmul"),
+                        (qhe, "real_matmul"), (np.linalg, "eigh"), (qhe, "svd"),
+                        (algebra, "svdvals"), (spectra, "svdvals")):
+        def solved(*args, _name=name, _wrapped=getattr(owner, name), **kwargs):
+            solves.append((_name, [np.shape(a) for a in args]))
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, solved)
     geo = ChargeGeometry(3)
     qhe_point(geo, xy_charge(geo.graph, 0.2, 1.0), 3**-0.5, lowest_k(1))
     assert shapes == ([("schatten_norm", shape) for shape in TORUS3_SECTORS]
                       + [("conditional_expectation", (64, 64)), ("embed", (16, 16))] * 2
                       + [("schatten_norm", (64, 64))])
+    assert {name for name, _ in solves} == {"real_matmul", "eigh", "svd", "svdvals"}
+    assert not [call for call in solves if (512, 512) in call[1]]
 
 
 def test_quantization_check_matches_direct_trace(torus3):
@@ -458,6 +478,17 @@ def test_decoupled_point_is_exactly_trivial():
     assert pt.bare_defect < 1e-12
 
 
+def test_decoupled_point_diagonalizes_by_its_charge_sectors(monkeypatch):
+    # J = 0 leaves H diagonal, yet H and the dressed charge keep the C(9, k)
+    # states of charge k in one eigh each: the sectors come from the charge,
+    # not from a nonzero pattern, which would find 512 one-state blocks
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+    qhe_experiment(3, [0.0])
+    assert calls == TORUS3_SECTORS * 2
+
+
 def test_transport_point_at_weak_coupling():
     pt = qhe_experiment(3, [0.2])[0]
     assert pt.gap == pytest.approx(0.6)
@@ -486,9 +517,9 @@ def test_z_phase_operator_diagnostics(torus3):
     split = split_spectrum(sd, lowest_k(1))
     Q_up = region_charge(geo.graph, geo.upper_half)
     Q_r = region_charge(geo.graph, geo.right_half)
-    beta = 3**-0.5
-    fact = flux_unitary(dressed_charge(sd, Q_up, beta=beta), geo)
-    Qbar_r = dressed_charge(sd, Q_r, beta=beta)
+    beta, spectra = 3**-0.5, charge_spectra(geo, phi)
+    fact = flux_unitary(dressed_charge(spectra, Q_up, beta=beta), geo)
+    Qbar_r = dressed_charge(spectra, Q_r, beta=beta)
     z0, z1 = z_phase_operator(fact.lower, Qbar_r, geo, [0.0, 2 * math.pi], split)
     # phi = 0 gives the identity exactly
     assert z0.phi == 0.0
