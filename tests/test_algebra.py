@@ -26,9 +26,9 @@ from smearlab.algebra import (
     schatten_norm,
     trace_sites,
 )
-from smearlab.interaction import xy_charge
+from smearlab.interaction import tfim, xy_charge
+from smearlab.lattice import build_chain, build_torus
 from smearlab.qhe import ChargeGeometry, region_charge
-from smearlab.spectra import diagonalize, lowest_k, split_spectrum
 
 
 def kron_chain(mats):
@@ -271,6 +271,22 @@ def test_is_hermitian_edge_cases():
     assert is_hermitian(np.zeros((0, 0))) is True
 
 
+def test_sectors_are_the_charge_blocks_of_the_hopping_torus():
+    # xy_charge conserves the charge, so its blocks are the C(9, k) states
+    # of charge k, smallest index first; the transverse field of tfim moves
+    # charge, so its blocks are refused
+    torus = build_torus(3, 3)
+    H = xy_charge(torus, 0.2, 1.0).hamiltonian()
+    found = ChargeBlocks.of(H, region_charge(torus, torus.sites())).index
+    weight = np.array([bin(i).count("1") for i in range(512)])
+    assert [s.size for s in found] == [math.comb(9, k) for k in range(10)]
+    for k, s in enumerate(found):
+        assert np.array_equal(s, np.nonzero(weight == k)[0])
+    chain = build_chain(6)
+    with pytest.raises(ValueError, match="connects two charges"):
+        ChargeBlocks.of(tfim(chain, 1.0, 2.0).hamiltonian(), region_charge(chain, chain.sites()))
+
+
 def test_charge_blocks_agree_with_dense_arithmetic():
     # on the 3 x 3 hopping torus, H and a complex operator B that keep the
     # charge, in their C(9, k) blocks, against the same steps at dim 512
@@ -298,16 +314,6 @@ def test_charge_blocks_agree_with_dense_arithmetic():
     reduced = Bb.reduced(strip)
     assert [s.size for s in reduced.index] == [math.comb(6, k) for k in range(7)]
     assert np.abs(reduced.dense() - trace_sites(B, rest, n) / 8).max() < 1e-12
-    # one eigh per block: the energies and the ground patch of one dense eigh
-    spectra = A.map(diagonalize)
-    energies = np.concatenate([sd.energies for sd in spectra.blocks])
-    order = np.argsort(energies, kind="stable")
-    dense = diagonalize(H)
-    assert np.abs(energies[order] - dense.energies).max() < 1e-12
-    cols = np.concatenate(A.index)[order[:5]]
-    V0 = spectra.map(lambda sd: sd.vectors) @ np.eye(512)[:, cols]
-    P = split_spectrum(dense, lowest_k(5)).projector
-    assert np.abs(V0 @ V0.T - P).max() < 1e-12
 
 
 @pytest.mark.parametrize("entry", [1e-300, np.nan])

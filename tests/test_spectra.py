@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smearlab.algebra import LocalOperator, pauli_string, random_hermitian, schatten_norm
+from smearlab.algebra import ChargeBlocks, LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
 from smearlab.interaction import custom_model, tfim, xy_charge
 from smearlab.lattice import build_chain
@@ -43,6 +43,31 @@ def test_diagonalize_reconstructs_and_sorts():
     assert np.allclose(sd.from_eigenbasis(sd.to_eigenbasis(A)), A, atol=1e-12)
     with pytest.raises(ValueError):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_diagonalize_by_sectors_matches_the_dense_eigh():
+    # one eigh per charge block of the hopping torus: the energies and the
+    # ground projectors of one dense eigh, V exactly zero off the blocks
+    geo = ChargeGeometry(3)
+    H = xy_charge(geo.graph, 0.2, 1.0).hamiltonian()
+    A = ChargeBlocks.of(H, region_charge(geo.graph, geo.graph.sites()))
+    spectra = A.map(diagonalize)
+    V = spectra.map(lambda sd: sd.vectors)
+    assert all(b.dtype == np.float64 for b in V.blocks)
+    energies = np.concatenate([sd.energies for sd in spectra.blocks])
+    order = np.argsort(energies, kind="stable")
+    dense = diagonalize(H)
+    assert np.abs(energies[order] - dense.energies).max() < 1e-12
+    cols = np.concatenate(A.index)[order[:5]]
+    V0 = V @ np.eye(512)[:, cols]
+    P = split_spectrum(dense, lowest_k(5)).projector
+    assert np.abs(V0 @ V0.T - P).max() < 1e-12
+    Vd = V.dense()
+    label = np.empty(512, dtype=int)
+    for k, s in enumerate(A.index):
+        label[s] = k
+    assert not Vd[label[:, None] != label].any()
+    assert np.allclose(Vd.T @ Vd, np.eye(512), atol=1e-12)
 
 
 def test_extreme_eigenvalue_against_power_iteration():
