@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 __all__ = [
     "PAULI_X",
@@ -25,6 +24,8 @@ __all__ = [
     "embed",
     "trace_sites",
     "conditional_expectation",
+    "svd",
+    "svdvals",
     "schatten_norm",
     "singular_value_norm",
     "operator_norm",
@@ -182,8 +183,10 @@ def conditional_expectation(A, keep_sites, n_sites):
 
 
 def is_hermitian(A, tol=1e-12):
-    """Every entry of A - A^dagger is at most tol in modulus (NaN fails)."""
-    return bool(np.abs(A - A.conj().T).max(initial=0.0) <= tol)
+    """Every entry of A - A^dagger is at most tol in modulus (NaN fails),
+    256 rows at a time, so that no dim x dim temporary is formed."""
+    return all(np.abs(A[k:k + 256] - A.T[k:k + 256].conj()).max(initial=0.0) <= tol
+               for k in range(0, len(A), 256))
 
 
 @dataclass(frozen=True)
@@ -268,13 +271,24 @@ class ChargeBlocks:
         return ChargeBlocks.of(m / (self.dim // label.size), label)
 
 
+def svd(A):
+    """U, s, Vh of A by numpy's LAPACK; inf or NaN in A raises ValueError."""
+    return np.linalg.svd(np.asarray_chkfinite(A))
+
+
+def svdvals(A):
+    """Singular values of A, descending; inf or NaN raises ValueError."""
+    return np.linalg.svd(np.asarray_chkfinite(A), compute_uv=False)
+
+
 def schatten_norm(A, p=np.inf):
     """Schatten p-norm from singular values; p may be any real >= 1 or inf.
 
     Hermitian inputs, judged relative to max |A| (`eigvalsh` reads one
-    triangle only), take the eigenvalue fast path.
+    triangle only), take the eigenvalue fast path.  inf or NaN in A raises
+    ValueError: an inf off the diagonal would pass that test and be unread.
     """
-    A = np.asarray(A)
+    A = np.asarray_chkfinite(A)
     if A.shape[0] == A.shape[1] and is_hermitian(A, 1e-12 * np.abs(A).max(initial=0.0)):
         return singular_value_norm(np.abs(np.linalg.eigvalsh(A)), p)
     return singular_value_norm(svdvals(A), p)
@@ -310,8 +324,9 @@ def commutator_norm(A, B, *, check_a=True):
     W- W-^dagger (see `involution_isometries`).  [A, B] then has the
     blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2 sqrt
     of the top eigenvalue of the smaller Gram matrix of M.  A 1-D B is a
-    real diagonal b: [A, B]_ij = (b_j - b_i) A_ij, 0.0 if all vanish.  A
-    dense B goes through C = A B: i (C - C^dagger) is exactly Hermitian.
+    real diagonal b: [A, B]_ij = (b_j - b_i) A_ij, 0.0 with no dim x dim
+    temporary if no nonzero A_ij joins unequal b.  A dense B goes through
+    C = A B: i (C - C^dagger) is exactly Hermitian.
     """
     pair = isinstance(B, tuple)
     if not ((not check_a or is_hermitian(A)) and (pair or is_hermitian(B))):
@@ -324,8 +339,11 @@ def commutator_norm(A, B, *, check_a=True):
         G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
         return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
     if np.ndim(B) == 1:
+        i, j = np.nonzero(A)
+        if (B[i] == B[j]).all():
+            return 0.0
         D = (B[None, :] - B[:, None]) * A
-        return float(np.abs(np.linalg.eigvalsh(1j * D)).max()) if D.any() else 0.0
+        return float(np.abs(np.linalg.eigvalsh(1j * D)).max())
     C = A @ B
     return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
 

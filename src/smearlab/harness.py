@@ -217,12 +217,12 @@ def _needed_bytes(kind, params):
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
     - qhe, 24 plus 160 per entry of its charge blocks, sum_k C(n, k)^2 =
-      C(2n, n) of them: the dense H and the two temporaries of the conservation
+      C(2n, n) of them: the dense H and the row chunks of the conservation
       check, then H's blocks, their eigenvectors, the dressed charge and
       its eigenvectors, W, lower^dagger W, the defect and the strip
-      operator's blocks; 24.1 to 24.7 per 4^n entry, then 89 to 138 per
-      block entry traced on the 3 x 3 and 3 x 4 tori, 387 MB of RSS growth
-      on the 3 x 4 torus (14 MB on the 3 x 3, mostly fixed workspace).
+      operator's blocks; 16.8 and 9.1 per 4^n entry, then 89 to 138 per
+      block entry traced on the 3 x 3 and 3 x 4 tori; 323 MB of peak RSS
+      on the 3 x 4 torus.  The 24, once the check's own peak, stays a margin.
     - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
       the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
       generator's temporaries and the `eigh` workspace (43 to 54 traced,

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svd
 
 from .algebra import (ChargeBlocks, LocalOperator, commutator_norm, conditional_expectation,
-                      real_matmul, schatten_norm, site_index)
+                      real_matmul, schatten_norm, site_index, svd)
 from .dynamics import smear
 from .errors import AssumptionError, DegenerateFactorError
 from .filtering import GaussianFilter

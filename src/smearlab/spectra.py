@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .algebra import LocalOperator, is_hermitian, real_matmul, singular_value_norm
+from .algebra import LocalOperator, is_hermitian, real_matmul, singular_value_norm, svdvals
 from .errors import AssumptionError, SchemaError
 
 __all__ = [
@@ -112,7 +111,7 @@ def lowest_levels(H, k):
     v0 = np.random.default_rng(12345).standard_normal(dim)
     energies, rows = np.empty(0), np.empty((0, dim), dtype=H.dtype)
     while energies.size < dim:
-        # einsum, not numpy's BLAS, whose threads would contend with eigsh's
+        # einsum, not numpy's BLAS, whose pool would compete with scipy's (ARPACK)
         conj, shifted = rows.conj(), shift * rows
         deflated = LinearOperator((dim, dim), dtype=H.dtype, matvec=lambda x: (
             H @ x + np.einsum("i,ik->k", np.einsum("ij,j->i", conj, x), shifted)))

@@ -1,6 +1,7 @@
 """Operator algebra: embeddings, partial traces, norms, Pauli words."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from smearlab.algebra import (
     random_hermitian,
     real_matmul,
     schatten_norm,
+    svd,
+    svdvals,
     trace_sites,
 )
 from smearlab.interaction import tfim, xy_charge
@@ -160,6 +163,32 @@ def test_schatten_norms_against_svd():
         schatten_norm(A, 0.5)
 
 
+def test_svd_helpers_match_the_decomposition():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    u, s, vh = svd(A)
+    assert u.shape == (5, 5) and vh.shape == (3, 3)
+    assert np.allclose(u[:, :3] * s @ vh, A, rtol=0.0, atol=1e-13)
+    assert np.allclose(svdvals(A), s, rtol=1e-14, atol=0.0)
+    assert np.all(np.diff(s) <= 0.0)
+
+
+@pytest.mark.parametrize("entry", [(0, 0, np.inf), (0, 0, np.nan), (0, 1, np.inf),
+                                   (1, 0, -np.inf), (0, 1, np.nan)])
+def test_svd_routes_refuse_non_finite_input(entry):
+    # numpy's svd returns NaN singular values for [[inf, 0], [0, 1]], and an
+    # inf above the diagonal passes the Hermitian test of schatten_norm,
+    # whose eigvalsh reads the lower triangle: a norm of 1.0
+    i, j, value = entry
+    A = np.eye(2)
+    A[i, j] = value
+    for route in (schatten_norm, operator_norm, svd, svdvals):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            route(A)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        schatten_norm(A.astype(complex), 1)
+
+
 def test_schatten_hoelder_and_ordering():
     rng = np.random.default_rng(13)
     A = random_hermitian(8, rng)
@@ -269,6 +298,30 @@ def test_is_hermitian_edge_cases():
     H[1, 1] = np.nan
     assert is_hermitian(H) is False
     assert is_hermitian(np.zeros((0, 0))) is True
+    # rows are compared in chunks: a defect in the last rows still counts
+    for dtype in (float, complex):
+        H = np.zeros((600, 600), dtype=dtype)
+        H[599, 598] = 1.0
+        assert is_hermitian(H) is False
+        H[598, 599] = 1.0
+        assert is_hermitian(H) is True
+
+
+def test_conservation_check_forms_no_full_size_temporary():
+    # the diagonal route of commutator_norm reads H's nonzero entries, and
+    # is_hermitian compares H with its adjoint row chunk by row chunk
+    H = xy_charge(build_chain(10), 0.7, 1.0).hamiltonian(0.0)
+    charge = np.array([bin(i).count("1") for i in range(2**10)], dtype=float)
+    tracemalloc.start()
+    try:
+        assert commutator_norm(H, charge) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < H.nbytes
+    # the hopping J on bond (0, 1) moves the charge of site 0: ||[H, n_0]|| = J
+    site0 = charge - np.array([bin(i).count("1") for i in range(2**9)] * 2, dtype=float)
+    assert commutator_norm(H, site0) == pytest.approx(0.7, rel=1e-12, abs=0.0)
 
 
 def test_sectors_are_the_charge_blocks_of_the_hopping_torus():

@@ -1,13 +1,16 @@
 """The import path: `import smearlab` leaves scipy.integrate (and the
 scipy.optimize it loads) to the two quadrature oracles, which import it on
-first use."""
+first use, and no module imports scipy.linalg, so that every dense
+decomposition runs on numpy's LAPACK and BLAS thread pool."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import smearlab
+from smearlab import algebra, qhe, spectra
 
 SRC = str(Path(smearlab.__file__).resolve().parent.parent)
 
@@ -42,3 +45,24 @@ def test_import_leaves_scipy_integrate_to_the_quadrature_oracle():
     loaded, deviation = out.strip().split("\n")
     assert loaded == "[]"
     assert float(deviation) <= 1e-6
+
+
+def test_dense_decompositions_use_numpys_lapack_only():
+    # scipy.linalg links its own OpenBLAS, whose thread pool would compete
+    # with numpy's; only scipy.sparse.linalg (ARPACK) may load it
+    package = Path(smearlab.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                           for n in names), f"{path.name}:{node.lineno}"
+    assert qhe.svd is algebra.svd
+    assert spectra.svdvals is algebra.svdvals
