@@ -325,10 +325,12 @@ def commutator_norm(A, B, *, check_a=True):
     blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2 sqrt
     of the top eigenvalue of the smaller Gram matrix of M.  A 1-D B is a
     real diagonal b: [A, B]_ij = (b_j - b_i) A_ij, 0.0 with no dim x dim
-    temporary if no nonzero A_ij joins unequal b.  A dense B goes through
-    C = A B: i (C - C^dagger) is exactly Hermitian.
+    temporary if no nonzero A_ij joins unequal b.  A 2-D B raises
+    ValueError.
     """
     pair = isinstance(B, tuple)
+    if not pair and np.ndim(B) != 1:
+        raise ValueError("commutator_norm takes B as a 1-D diagonal or a pair (W+, W-)")
     if not ((not check_a or is_hermitian(A)) and (pair or is_hermitian(B))):
         raise ValueError("commutator_norm needs Hermitian A and B")
     if pair:
@@ -338,14 +340,11 @@ def commutator_norm(A, B, *, check_a=True):
         M = W_plus.conj().T @ real_matmul(A, W_minus)
         G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
         return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
-    if np.ndim(B) == 1:
-        i, j = np.nonzero(A)
-        if (B[i] == B[j]).all():
-            return 0.0
-        D = (B[None, :] - B[:, None]) * A
-        return float(np.abs(np.linalg.eigvalsh(1j * D)).max())
-    C = A @ B
-    return float(np.abs(np.linalg.eigvalsh(1j * (C - C.conj().T))).max(initial=0.0))
+    i, j = np.nonzero(A)
+    if (B[i] == B[j]).all():
+        return 0.0
+    D = (B[None, :] - B[:, None]) * A
+    return float(np.abs(np.linalg.eigvalsh(1j * D)).max())
 
 
 def real_matmul(M, X):

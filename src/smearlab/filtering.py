@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erf
 
 from .algebra import liouvillian, schatten_norm
 from .dynamics import _RK4_ANGLE_CAP, heisenberg_samples
@@ -35,7 +35,6 @@ __all__ = [
     "gaussian_profile",
     "gaussian_kernel",
     "inverse_profile",
-    "inverse_kernel",
     "erf_step_kernel",
     "almost_inverse_liouvillian",
     "almost_inverse_quadrature",
@@ -47,7 +46,7 @@ __all__ = [
     "locality_bound",
 ]
 
-# Simpson nodes on [-t_max, t_max]: 40 per unit of beta t, which puts the
+# Simpson nodes on [-8/beta, 8/beta]: 40 per unit of beta t, which puts the
 # quadrature error well below the 1e-6 cross-check tolerance
 _GRID_NODES = 641
 
@@ -62,7 +61,6 @@ class GaussianFilter:
         if beta <= 0:
             raise ValueError("beta must be positive")
         self.beta = float(beta)
-        self.l1 = 1.0
 
     def __call__(self, t):
         b = self.beta
@@ -73,21 +71,10 @@ class GaussianFilter:
             2.0 * math.pi
         )
 
-    def tail(self, T):
-        """Mass of |phi_beta| outside [-T, T]."""
-        return float(erfc(self.beta * T))
-
-    def t_max(self, rel_tol=1e-10):
-        """Truncation horizon: T = 8/beta leaves tail mass ~1e-29; raises
-        ValueError if that exceeds rel_tol times the mass."""
-        T = 8.0 / self.beta
-        if self.tail(T) > rel_tol * self.l1:
-            raise ValueError(f"tail mass {self.tail(T):.1e} exceeds {rel_tol:.1e}")
-        return T
-
     def grid(self):
-        """The Simpson grid on [-t_max, t_max], symmetric about 0."""
-        T = self.t_max()
+        """The Simpson grid on [-T, T], symmetric about 0, with T = 8/beta:
+        the mass of phi_beta outside it is erfc(8) ~ 1.1e-29 for every beta."""
+        T = 8.0 / self.beta
         return np.linspace(-T, T, _GRID_NODES)
 
 
@@ -120,16 +107,7 @@ def inverse_profile(split):
             f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
             f"{split.gap / 2.0:.3e}"
         )
-    return _inverse_profile(omega, cross)
-
-
-def _inverse_profile(w, cross):
-    return np.divide(1.0, w, out=np.zeros(w.shape), where=cross)
-
-
-def inverse_kernel(w, patch_mask):
-    """Multiplier i/w on cross-patch entries, 0 within either patch."""
-    return 1j * _inverse_profile(w, patch_mask[:, None] ^ patch_mask[None, :])
+    return np.divide(1.0, omega, out=np.zeros(omega.shape), where=cross)
 
 
 def erf_step_kernel(w, beta, gamma):

@@ -77,7 +77,6 @@ class SiteGraph:
         self.dist.setflags(write=False)
         self.diameter = int(self.dist.max())
         self.C_vol = self._minimal_volume_constant()
-        self._check_volume_bound()
 
     def _minimal_volume_constant(self):
         # beyond the diameter the ball is the whole graph and the ratio
@@ -87,12 +86,6 @@ class SiteGraph:
             counts = (self.dist <= r).sum(axis=1)
             best = max(best, counts.max() / (r + 1) ** self.D)
         return float(best)
-
-    def _check_volume_bound(self):
-        for r in range(self.diameter + 1):
-            counts = (self.dist <= r).sum(axis=1)
-            if (counts > self.C_vol * (r + 1) ** self.D + 1e-9).any():
-                raise AssertionError("ball-volume bound violated")
 
     def sites(self):
         return range(self.n_sites)
@@ -170,13 +163,6 @@ class Region:
         if hits.size == 0:
             raise SchemaError(f"no site at distance {d} from sites {list(self.sites)}")
         return int(hits[0])
-
-    def complement(self):
-        rest = [x for x in self.graph.sites() if x not in self.sites]
-        return Region(self.graph, rest)
-
-    def fatten(self, k):
-        return self.graph.fatten(self, k)
 
 
 def build_chain(n):

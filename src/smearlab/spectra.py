@@ -2,9 +2,9 @@
 
 A spectral split partitions the spectrum into a distinguished patch
 sigma_0 and its complement sigma_1, keeping the gap
-gamma = dist(sigma_0, sigma_1) and the patch width Delta.  Eigenvalues
-closer than the degeneracy tolerance are clustered so a split never cuts
-through a degenerate level.
+gamma = dist(sigma_0, sigma_1) and the patch width Delta.  A split widens
+its patch across neighbouring levels closer than the degeneracy tolerance,
+so it never cuts through a degenerate level.
 """
 
 from __future__ import annotations
@@ -77,14 +77,6 @@ class SpectralData:
         """Largest ||H v - E v|| over the eigenpairs held."""
         V = self.vectors
         return float(np.linalg.norm(self.hamiltonian @ V - V * self.energies, axis=0).max())
-
-    def clusters(self, tol=DEGENERACY_TOL):
-        """Index ranges of eigenvalues within `tol` of their neighbour."""
-        e = self.energies
-        breaks = np.nonzero(np.diff(e) > tol)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [e.size]))
-        return list(zip(starts.tolist(), stops.tolist()))
 
 
 def diagonalize(H):
@@ -217,63 +209,43 @@ class SpectralSplit:
 
 def split_spectrum(sd, rule):
     """Apply a split rule; raises AssumptionError when the resulting gap is
-    below the rule's `min_gap` or the rule selects everything or nothing."""
-    e = sd.energies
-    clusters = sd.clusters()
+    below the rule's `min_gap` or the rule selects everything or nothing.
 
+    A rule names the first and last level of its patch, and `lowest_k` and
+    `window` widen that range level by level while the neighbour lies
+    within DEGENERACY_TOL, so that they never cut a degenerate cluster.  A
+    split reads only `sd.energies`.
+    """
+    e = sd.energies
     if rule.kind == "lowest_k":
-        (k,) = rule.params
-        if k >= e.size:
-            raise AssumptionError("lowest_k selects the entire spectrum")
-        stop = k
-        for start, end in clusters:
-            if start <= k - 1 < end:
-                # never cut the degenerate cluster containing level k-1
-                stop = max(k, end)
-                break
-        if stop >= e.size:
-            raise AssumptionError(
-                "degenerate cluster extension swallowed the whole spectrum"
-            )
-        idx0 = np.arange(stop)
+        lo, hi = 0, rule.params[0] - 1
     elif rule.kind == "window":
-        lo, hi = rule.params
-        inside = np.nonzero((e >= lo) & (e <= hi))[0]
+        inside = np.flatnonzero((e >= rule.params[0]) & (e <= rule.params[1]))
         if inside.size == 0:
-            raise AssumptionError(f"window [{lo}, {hi}] selects no eigenvalue")
-        chosen = set(inside.tolist())
-        for start, end in clusters:
-            if chosen & set(range(start, end)):
-                chosen |= set(range(start, end))
-        idx0 = np.array(sorted(chosen))
-        if idx0.size == e.size:
-            raise AssumptionError("window selects the entire spectrum")
-        if not np.array_equal(idx0, np.arange(idx0[0], idx0[-1] + 1)):
-            raise AssumptionError("window patch is not contiguous")
+            raise AssumptionError(f"{rule!r} selects no eigenvalue")
+        lo, hi = int(inside[0]), int(inside[-1])
     elif rule.kind == "largest_gap_below":
-        (cut,) = rule.params
-        below = np.nonzero(e <= cut)[0]
+        below = e[e <= rule.params[0]]
         if below.size < 2:
             raise AssumptionError("no spectral gap below the given energy")
-        diffs = np.diff(e[below])
-        j = int(np.argmax(diffs))
-        idx0 = below[: j + 1]
+        lo, hi = 0, int(np.argmax(np.diff(below)))
     else:
         raise SchemaError(f"unknown split rule {rule.kind!r}")
+    if rule.kind != "largest_gap_below":
+        while lo > 0 and e[lo] - e[lo - 1] <= DEGENERACY_TOL:
+            lo -= 1
+        while hi < e.size - 1 and e[hi + 1] - e[hi] <= DEGENERACY_TOL:
+            hi += 1
+    if lo == 0 and hi >= e.size - 1:
+        raise AssumptionError(f"{rule!r} selects the entire spectrum")
 
-    lo_i, hi_i = int(idx0[0]), int(idx0[-1])
-    gaps = []
-    if lo_i > 0:
-        gaps.append(e[lo_i] - e[lo_i - 1])
-    if hi_i < e.size - 1:
-        gaps.append(e[hi_i + 1] - e[hi_i])
-    gap = float(min(gaps))
-    width = float(e[hi_i] - e[lo_i])
+    gap = float(min(e[lo] - e[lo - 1] if lo > 0 else np.inf,
+                    e[hi + 1] - e[hi] if hi < e.size - 1 else np.inf))
     if gap < rule.min_gap:
         raise AssumptionError(
             f"spectral gap {gap:.3e} below the configured minimum {rule.min_gap:.3e}"
         )
-    return SpectralSplit(sd, idx0, gap, width)
+    return SpectralSplit(sd, np.arange(lo, hi + 1), gap, float(e[hi] - e[lo]))
 
 
 def patch_expectation(split, A):

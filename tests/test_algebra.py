@@ -215,13 +215,15 @@ def test_commutator_norm_matches_svd_of_the_commutator(dim):
     rng = np.random.default_rng(dim)
     A = random_hermitian(dim, rng)
     B = random_hermitian(dim, rng)
-    # the explicit commutator is anti-Hermitian, so its norm is taken by SVD
-    explicit = schatten_norm(A @ B - B @ A, np.inf)
-    assert commutator_norm(A, B) == pytest.approx(explicit, rel=1e-12, abs=0.0)
-    # a 1-D real b is the diagonal operator diag(b); a complex b is refused
+    # a 1-D real b is the diagonal operator D = diag(b); the explicit
+    # commutator is anti-Hermitian, so its norm is taken by SVD
     b = rng.standard_normal(dim)
-    dense = commutator_norm(A, np.diag(b))
-    assert commutator_norm(A, b) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    D = np.diag(b)
+    explicit = schatten_norm(A @ D - D @ A, np.inf)
+    assert commutator_norm(A, b) == pytest.approx(explicit, rel=1e-12, abs=0.0)
+    # a 2-D B and a complex b are refused
+    with pytest.raises(ValueError):
+        commutator_norm(A, B)
     with pytest.raises(ValueError):
         commutator_norm(A + 0.5j * np.eye(dim), b)
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """The import path: `import smearlab` leaves scipy.integrate (and the
 scipy.optimize it loads) to the two quadrature oracles, which import it on
 first use, and no module imports scipy.linalg, so that every dense
-decomposition runs on numpy's LAPACK and BLAS thread pool."""
+decomposition runs on numpy's LAPACK and BLAS thread pool; every name that a
+module lists in `__all__` exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -66,3 +68,16 @@ def test_dense_decompositions_use_numpys_lapack_only():
                            for n in names), f"{path.name}:{node.lineno}"
     assert qhe.svd is algebra.svd
     assert spectra.svdvals is algebra.svdvals
+
+
+def test_every_name_in_each_modules_all_exists():
+    package = Path(smearlab.__file__).resolve().parent
+    listed = 0
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"smearlab.{path.stem}")
+        names = getattr(module, "__all__", [])
+        assert [n for n in names if not hasattr(module, n)] == [], path.name
+        listed += bool(names)
+    assert listed > 10

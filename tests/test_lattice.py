@@ -102,11 +102,11 @@ def test_fatten_adds_metric_shell():
     g = build_ring(8)
     X = g.region([0])
     for k in range(4):
-        Xk = X.fatten(k)
+        Xk = g.fatten(X, k)
         expect = {s for s in g.sites() if g.distance(0, s) <= k}
         assert set(Xk.sites) == expect
     # fattening by the diameter covers everything
-    assert set(X.fatten(g.diameter).sites) == set(g.sites())
+    assert set(g.fatten(X, g.diameter).sites) == set(g.sites())
 
 
 def test_region_distance_and_complement():
@@ -117,8 +117,6 @@ def test_region_distance_and_complement():
     assert Y.distance_to(X) == 4
     assert X.distance_to(g.region([2, 9])) == 0
     assert X.site_distance(5) == 3
-    comp = X.complement()
-    assert set(comp.sites) == set(g.sites()) - {1, 2}
     with pytest.raises(ValueError):
         g.region([])
 

@@ -91,7 +91,6 @@ def test_commutator_norm_of_conserved_charge_is_exactly_zero(torus3):
     q = region_charge(geo.graph, geo.graph.sites())
     Q = np.diag(q)
     assert commutator_norm(H, q) == 0.0
-    assert commutator_norm(H, Q) == 0.0
     with pytest.raises(ValueError):
         commutator_norm(H + 0.5j * np.eye(H.shape[0]), q)
     with pytest.raises(ValueError):

@@ -184,6 +184,34 @@ def test_largest_gap_below_rule():
         split_spectrum(sd, largest_gap_below(0.1))
 
 
+def test_lowest_k_widens_through_a_chain_of_near_levels():
+    # each level within the tolerance (1e-9) of the next, the chain 2.4e-9 wide
+    sd = diagonalize(np.diag([0.0, 0.8e-9, 1.6e-9, 2.4e-9, 1.0, 2.0]))
+    split = split_spectrum(sd, lowest_k(1))
+    assert split.idx0.tolist() == [0, 1, 2, 3]
+    assert split.width == pytest.approx(2.4e-9, rel=1e-12)
+    assert split.gap == pytest.approx(1.0 - 2.4e-9, rel=1e-12)
+
+
+def test_window_widens_both_edges_to_whole_clusters():
+    # [lo, hi] holds only the top of the first cluster and the bottom of the second
+    sd = diagonalize(np.diag([0.0, 1.0, 1.0 + 5e-10, 2.0, 2.0 + 5e-10, 3.0]))
+    split = split_spectrum(sd, window(1.0 + 2e-10, 2.0 + 2e-10))
+    assert split.idx0.tolist() == [1, 2, 3, 4]
+    assert split.gap == pytest.approx(1.0, rel=1e-8)
+    assert split.width == pytest.approx(1.0 + 5e-10, rel=1e-12)
+
+
+def test_largest_gap_below_is_not_widened():
+    # the widest gap below 1.0 is the 5e-10 one inside a cluster
+    sd = diagonalize(np.diag([0.0, 5e-10, 2.0]))
+    split = split_spectrum(sd, largest_gap_below(1.0, min_gap=1e-10))
+    assert split.idx0.tolist() == [0]
+    assert split.gap == pytest.approx(5e-10, rel=1e-6)
+    with pytest.raises(AssumptionError, match="below the configured minimum"):
+        split_spectrum(sd, largest_gap_below(1.0))
+
+
 def test_min_gap_enforced():
     sd = diagonalize(np.diag([0.0, 1e-4, 1.0]))
     with pytest.raises(AssumptionError):
