@@ -13,6 +13,10 @@ V (M (V^dagger W)), three dim x p products, and no dim x dim K is formed.
 On a real path V and M are real and G is real antisymmetric: a real W_0
 stays real.
 
+Generators on one path step through s together (`integrate_flow` with a
+list), so a window of the three s of one RK4 step (`EigenCache`) serves
+them all and diagonalizes each s once.
+
 With the exact generator K(s) = I_{H(s)}(dH/ds) the flow intertwines the
 patch states exactly: omega_s(A) = omega_0(alpha_{0,s}(A)); the sign of
 the propagator equation is pinned by that identity.  The almost generator
@@ -38,33 +42,37 @@ from .spectra import (block_expectation, diagonalize, lowest_levels, patch_expec
                       split_spectrum)
 
 __all__ = [
-    "EigenbasisGenerator",
-    "FlowGenerator",
-    "FlowResult",
-    "integrate_flow",
-    "LocalizedGenerator",
-    "localize_generator",
-    "exact_flow_intertwining",
-    "automorphic_equivalence_experiment",
-    "lppl_experiment",
+    "EigenbasisGenerator", "FlowGenerator", "FlowResult", "integrate_flow",
+    "LocalizedGenerator", "localize_generator", "exact_flow_intertwining",
+    "automorphic_equivalence_experiment", "lppl_experiment",
 ]
 
 
 class EigenCache:
-    """Eigendecompositions of H(s) keyed by the path parameter.
+    """Eigendecompositions of H(s) at the last three distinct s asked for
+    (s_i, s_i + h/2 and s_{i+1} of an RK4 step), keyed by s rounded to 12
+    decimals; the oldest leaves as a new one enters, and `visit(key, sd)`,
+    if given, sees each new one."""
 
-    Shared between generators evaluated on the same path so beta sweeps
-    do not re-diagonalize.
-    """
+    size = 3
 
-    def __init__(self, phi):
+    def __init__(self, phi, visit=None):
         self.phi = phi
+        self.visit = visit
         self._store = {}
 
+    @staticmethod
+    def key(s):
+        return round(float(s), 12)
+
     def at(self, s):
-        key = round(float(s), 12)
+        key = self.key(s)
         if key not in self._store:
+            if len(self._store) == self.size:
+                del self._store[next(iter(self._store))]
             self._store[key] = diagonalize(self.phi.hamiltonian(key))
+            if self.visit is not None:
+                self.visit(key, self._store[key])
         return self._store[key]
 
 
@@ -155,21 +163,26 @@ def integrate_flow(generator, s_grid, block):
     `@`: the `EigenbasisGenerator` of a `FlowGenerator`, or a dense matrix.
     On a real path G is real antisymmetric, so a real block stays real.
     Returns the block at every grid point; the identity block gives the
-    transport unitaries.
+    transport unitaries.  A list of generators is stepped in lockstep from
+    the same block, each taking its step i before any takes step i + 1,
+    and gives a list of results.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    W = np.asarray(block)
-    blocks = [W]
+    many = isinstance(generator, list)
+    generators = generator if many else [generator]
+    paths = [[np.asarray(block)] for _ in generators]
     for s, b in zip(s_grid[:-1], s_grid[1:]):
         h = b - s
-        k1 = generator(s) @ W
-        G_mid = generator(s + 0.5 * h)
-        k2 = G_mid @ (W + 0.5 * h * k1)
-        k3 = G_mid @ (W + 0.5 * h * k2)
-        k4 = generator(s + h) @ (W + h * k3)
-        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        blocks.append(W)
-    return FlowResult(s_grid, blocks)
+        for gen, blocks in zip(generators, paths):
+            W = blocks[-1]
+            k1 = gen(s) @ W
+            G_mid = gen(s + 0.5 * h)
+            k2 = G_mid @ (W + 0.5 * h * k1)
+            k3 = G_mid @ (W + 0.5 * h * k2)
+            k4 = gen(s + h) @ (W + h * k3)
+            blocks.append(W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    results = [FlowResult(s_grid, blocks) for blocks in paths]
+    return results if many else results[0]
 
 
 @dataclass
@@ -244,60 +257,51 @@ def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
 
     The exact flow should intertwine the patch states up to integrator
     error; this is the operational check pinning the flow direction.
+    omega_s(A) is taken as each grid point enters the generator's window.
     """
-    gen = FlowGenerator(phi, "exact", split_rule=split_rule)
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
+    omega = dict.fromkeys(map(EigenCache.key, s_grid))
+
+    def record(key, sd):
+        if key in omega:
+            split = split_spectrum(sd, split_rule)
+            omega[key] = [patch_expectation(split, A) for A in observables]
+
+    gen = FlowGenerator(phi, "exact", split_rule=split_rule,
+                        cache=EigenCache(phi, record))
     result = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors())
     errors = np.zeros(len(observables))
-    for i, s in enumerate(s_grid):
-        split_s = gen.split(s)
+    for i, lhs in enumerate(omega.values()):
         for j, A in enumerate(observables):
-            lhs = patch_expectation(split_s, A)
-            errors[j] = max(errors[j], abs(lhs - result.expectation(A, i)))
+            errors[j] = max(errors[j], abs(lhs[j] - result.expectation(A, i)))
     return errors, result
 
 
-def automorphic_equivalence_experiment(
-    phi,
-    split_rule,
-    A,
-    beta_grid,
-    s_steps=200,
-):
+def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=200):
     """Endpoint transport error of the almost flow over a beta grid.
 
-    Returns (x, errors, path_gap) with x = beta^{-2} ascending.  The gap
-    is checked against the rule's floor at every point the flow visited,
-    via the shared eigenvalue cache, and path_gap is its minimum there.
+    Returns (x, errors, path_gap) with x = beta^{-2} ascending.  The betas
+    step through s together, sharing one three-point eigenvalue window; the
+    gap is checked against the rule's floor at every point as it enters,
+    and path_gap is its minimum.
     """
-    cache = EigenCache(phi)
+    gaps = []
+    cache = EigenCache(phi, lambda key, sd: gaps.append(split_spectrum(sd, split_rule).gap))
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
     W0 = split_spectrum(cache.at(0.0), split_rule).patch_vectors()
-    split1 = split_spectrum(cache.at(1.0), split_rule)
-    target = patch_expectation(split1, A)
 
     betas = sorted(float(b) for b in beta_grid)
-    errors = {}
-    for beta in betas:
-        gen = FlowGenerator(phi, "almost", beta=beta, cache=cache)
-        # each beta transports the dim x p patch block, never the unitary
-        errors[beta] = abs(target - integrate_flow(gen, s_grid, W0).expectation(A))
-    path_gap = min(
-        split_spectrum(sd, split_rule).gap for sd in cache._store.values()
-    )
+    # each beta transports the dim x p patch block, never the unitary
+    flows = integrate_flow([FlowGenerator(phi, "almost", beta=b, cache=cache) for b in betas],
+                           s_grid, W0)
+    target = patch_expectation(split_spectrum(cache.at(1.0), split_rule), A)
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
-    values = np.array([errors[b] for b in reversed(betas)])
-    return xs, values, path_gap
+    values = np.array([abs(target - flow.expectation(A)) for flow in reversed(flows)])
+    return xs, values, min(gaps)
 
 
-def lppl_experiment(
-    base,
-    perturbation_op,
-    strength_path,
-    distances,
-    observable_builder,
-    split_rule,
-):
+def lppl_experiment(base, perturbation_op, strength_path, distances, observable_builder,
+                    split_rule):
     """Endpoint patch-state response |omega_1(A) - omega_0(A)| versus the
     distance of A from the perturbed region.
 

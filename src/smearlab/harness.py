@@ -223,10 +223,14 @@ def _needed_bytes(kind, params):
       operator's blocks; 16.8 and 9.1 per 4^n entry, then 89 to 138 per
       block entry traced on the 3 x 3 and 3 x 4 tori; 323 MB of peak RSS
       on the 3 x 4 torus.  The 24, once the check's own peak, stays a margin.
-    - flow, 16 (2 s_steps + 17): a real H and its eigenvectors at each of
-      the 2 s_steps + 1 points its RK4 steps visit, and 256 for the
-      generator's temporaries and the `eigh` workspace (43 to 54 traced,
-      63 to 115 of RSS growth, chains of 8 and 9 at 40 and 100 steps).
+    - flow, 304: a real H and its eigenvectors at each of the three
+      points of one RK4 step, which all betas share, and 256 for the
+      generator's temporaries and the `eigh` workspace (41 to 47 traced
+      above the three points and the blocks, 117 to 172 of RSS growth in
+      all, chains of 8 and 9 at 40 and 100 steps); plus the transported
+      dim x p blocks kept at every grid point, 16 B per entry for each
+      beta, with p = k under `lowest_k` and p = dim - 1 under the other
+      rules, whose patch size the config does not fix.
     - lppl under a dense split rule, 96: H(s), its eigenvectors and the
       two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
       to 79 of RSS growth on 10 and 11.
@@ -240,7 +244,9 @@ def _needed_bytes(kind, params):
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
         return 96 * 2**n * (len(_build_graph(params["graph"]).edges) + n + 1)
     if kind == "flow":
-        return 16 * 4**n * (2 * params["s_steps"] + 17)
+        split = params["split"]
+        p = split["k"] if split["rule"] == "lowest_k" else 2**n - 1
+        return 304 * 4**n + 16 * 2**n * p * (params["s_steps"] + 1) * len(params["betas"])
     if kind == "liouvillian":
         return 96 * _GRID_NODES * 4**n
     if kind == "qhe":

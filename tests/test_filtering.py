@@ -37,7 +37,7 @@ from smearlab.lattice import build_chain
 from smearlab.spectra import diagonalize, lowest_k, split_spectrum
 
 
-def test_gaussian_filter_normalization_and_tail():
+def test_gaussian_filter_normalization():
     for beta in (0.4, 1.0, 2.5):
         filt = GaussianFilter(beta)
         mass, _ = quad(filt, -np.inf, np.inf)
@@ -206,7 +206,7 @@ def test_erf_step_kernel_monotone_and_centered():
     assert vals[0] < 1e-6 and vals[-1] > 1 - 1e-4
 
 
-def test_inverse_kernel_vanishes_inside_patches():
+def test_inverse_profile_vanishes_inside_patches():
     # levels 0 and 1 split into the patch {0} and its complement {1}
     split = split_spectrum(diagonalize(np.diag([0.0, 1.0])), lowest_k(1))
     K = 1j * inverse_profile(split)

@@ -253,6 +253,43 @@ def test_automorphic_experiment_returns_the_minimum_gap_along_the_path(field):
     assert path_gap == pytest.approx(min(gaps), rel=1e-12, abs=0.0)
 
 
+def test_betas_step_together_through_three_eigendecompositions(monkeypatch):
+    # the four betas share each distinct s: 21 grid points and 20 midpoints
+    import smearlab.flow as flow
+
+    calls, held = [], []
+    diagonalize_, at = flow.diagonalize, EigenCache.at
+    monkeypatch.setattr(flow, "diagonalize", lambda H: calls.append(1) or diagonalize_(H))
+
+    def counted_at(self, s):
+        sd = at(self, s)
+        held.append(len(self._store))
+        return sd
+
+    monkeypatch.setattr(EigenCache, "at", counted_at)
+    phi = tfim(build_chain(4), 1.0, TrigRampPath(2.0, 3.0))
+    automorphic_equivalence_experiment(phi, lowest_k(1), pauli_string("x", (1,)),
+                                       [0.9, 0.7, 0.55, 0.45], s_steps=20)
+    assert len(calls) == 2 * 20 + 1
+    assert max(held) == 3
+
+
+def test_flow_memory_does_not_grow_with_the_step_count():
+    # three eigendecompositions at dim 128 are held whatever the step count;
+    # only the 1 KB block each beta keeps per grid point grows with it
+    phi = tfim(build_chain(7), 1.0, TrigRampPath(2.0, 3.0))
+    peaks = []
+    for s_steps in (40, 400):
+        tracemalloc.start()
+        try:
+            automorphic_equivalence_experiment(phi, lowest_k(1), pauli_string("x", (1,)),
+                                               [0.9, 0.7], s_steps=s_steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
 def test_modulated_flow_with_large_cutoff_matches_almost():
     g = build_chain(4)
     phi = tfim(g, 1.0, TrigRampPath(1.2, 2.0))

@@ -500,8 +500,8 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
         raise AssertionError("the flow started instead of being refused")
 
     monkeypatch.setitem(harness._DRIVERS, "flow", must_not_run)
-    # 801 cached real (H, V) pairs of 16 MiB: 12.8 GiB
-    cfg = write_config(tmp_path, "flow10.json", _flow_config(10, 400))
+    # three real (H, V) pairs of 1 GiB and the generator's temporaries: 19 GiB
+    cfg = write_config(tmp_path, "flow13.json", _flow_config(13, 400))
     tracemalloc.start()
     try:
         code = cli_main(["run", cfg, "--out", str(tmp_path / "o")])
@@ -512,8 +512,8 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
     assert "config error" in capsys.readouterr().err
     assert peak < 10e6
     assert not (tmp_path / "o").exists()
-    # a chain of 9 needs 1.6 GiB, a chain of 6 with 400 steps 51 MiB, and
-    # a dense lppl on a chain of 12 1.5 GiB: all are accepted
+    # a chain of 9 at 200 steps needs 82 MiB, a chain of 6 at 400 steps
+    # 2.8 MiB, and a dense lppl on a chain of 12 1.5 GiB: all are accepted
     for params in (_flow_config(9, 200), _flow_config(6, 400)):
         harness._refuse_oversized("flow", validate_config(params).params)
     harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
@@ -526,17 +526,37 @@ def test_flow_is_sized_by_its_eigenvalue_cache(monkeypatch):
         os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
     )
 
-    def flow(n, s_steps):
-        return validate_config(_flow_config(n, s_steps)).params
+    def flow(n, s_steps, split=None):
+        return validate_config(dict(_flow_config(n, s_steps),
+                                    **({"split": split} if split else {}))).params
 
-    # 16 B per entry at each of the 2 s_steps + 1 cached points plus 256 B:
-    # 3.2 GiB on a chain of 9 at 400 steps, 12.8 GiB on a chain of 10
-    harness._refuse_oversized("flow", flow(9, 400))
+    # 304 B per entry for the three points of one RK4 step and the
+    # generator, plus 16 B per entry of each beta's dim x p block at every
+    # grid point: 4.9 GiB on a chain of 12 at 400 steps, 19 GiB on 13
+    harness._refuse_oversized("flow", flow(12, 400))
     with pytest.raises(SchemaError, match="GiB"):
-        harness._refuse_oversized("flow", flow(10, 400))
-    # no unitaries are counted: 6.5 GiB on a chain of 10 at 200 steps,
-    # where 201 complex unitaries beside the cache made 9.4 GiB
+        harness._refuse_oversized("flow", flow(13, 400))
+    # a window may hold up to dim - 1 levels, and its blocks are counted at
+    # that width: 12.8 GiB on a chain of 10 at 200 steps, 0.3 GiB under k = 1
     harness._refuse_oversized("flow", flow(10, 200))
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("flow", flow(10, 200, {"rule": "window", "lo": -20.0,
+                                                         "hi": -10.0}))
+
+
+def test_flow_admits_a_chain_of_10_at_400_steps(monkeypatch):
+    sysconf = os.sysconf
+    memory = {"bytes": 7 * 2**30}
+    monkeypatch.setattr(os, "sysconf", lambda name: (
+        memory["bytes"] // sysconf("SC_PAGE_SIZE") if name == "SC_PHYS_PAGES"
+        else sysconf(name)))
+    params = validate_config(_flow_config(10, 400)).params
+    # a cache of all 801 points the RK4 steps visit made 12.8 GiB; three of
+    # them, the generator and four betas' blocks make 0.32 GiB
+    harness._refuse_oversized("flow", params)
+    memory["bytes"] = 256 * 2**20
+    with pytest.raises(SchemaError, match="GiB"):
+        harness._refuse_oversized("flow", params)
 
 
 def test_lppl_under_lowest_k_is_sized_by_its_sparse_route(monkeypatch):

@@ -109,7 +109,7 @@ def test_fatten_adds_metric_shell():
     assert set(g.fatten(X, g.diameter).sites) == set(g.sites())
 
 
-def test_region_distance_and_complement():
+def test_region_distance():
     g = build_chain(10)
     X = g.region([1, 2])
     Y = g.region([6, 7])
