@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +81,10 @@ class LocalOperator:
         """Dense global operator acting as `matrix` on `sites`."""
         return embed(self.matrix, self.sites, n_sites)
 
-    @property
+    @cached_property
     def dagger(self):
+        """The local adjoint, built once: an observable met at every step of
+        a flow would otherwise be rebuilt, and re-validated, at each."""
         return LocalOperator(self.sites, self.matrix.conj().T)
 
     def apply(self, X):

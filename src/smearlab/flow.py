@@ -42,7 +42,7 @@ from .spectra import (block_expectation, diagonalize, lowest_levels, patch_expec
                       split_spectrum)
 
 __all__ = [
-    "EigenbasisGenerator", "FlowGenerator", "FlowResult", "integrate_flow",
+    "EigenbasisGenerator", "FlowGenerator", "integrate_flow",
     "LocalizedGenerator", "localize_generator", "exact_flow_intertwining",
     "automorphic_equivalence_experiment", "lppl_experiment",
 ]
@@ -136,53 +136,37 @@ class FlowGenerator:
         return EigenbasisGenerator(sd.vectors, M)
 
 
-@dataclass
-class FlowResult:
-    """Transported blocks W(s) = V(s) W(0) on the parameter grid."""
-
-    s_grid: np.ndarray
-    blocks: list
-
-    def expectation(self, A, index=-1):
-        """tr(W^dagger A W) / p at the grid point with the given index; for
-        W(0) the patch vectors of H(0) this is omega_0(alpha_{0,s}(A))."""
-        return block_expectation(self.blocks[index], A)
-
-    @property
-    def transport_defect(self):
-        """||W^dagger W - 1|| at s = 1, a p x p matrix."""
-        W = self.blocks[-1]
-        return schatten_norm(W.conj().T @ W - np.eye(W.shape[1]), np.inf)
-
-
-def integrate_flow(generator, s_grid, block):
+def integrate_flow(generator, s_grid, block, observe=None):
     """RK4 integration of W' = G(s) W from W(0) = `block` (dim x p) over
     the given grid, one step per grid interval.
 
     G(s) = `generator(s)` is i K(s), anything that multiplies the block by
     `@`: the `EigenbasisGenerator` of a `FlowGenerator`, or a dense matrix.
     On a real path G is real antisymmetric, so a real block stays real.
-    Returns the block at every grid point; the identity block gives the
-    transport unitaries.  A list of generators is stepped in lockstep from
-    the same block, each taking its step i before any takes step i + 1,
-    and gives a list of results.
+    Returns the block at the last grid point; the identity block gives the
+    transport unitary.  `observe(i, W)`, if given, sees the block at grid
+    point i as it lands, once for each i from 0 to len(s_grid) - 1; no
+    other block is kept.  A list of generators is stepped in lockstep from
+    the same block, each taking its step i before any takes step i + 1;
+    it gives a list of blocks, and `observe` sees that list.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     many = isinstance(generator, list)
     generators = generator if many else [generator]
-    paths = [[np.asarray(block)] for _ in generators]
-    for s, b in zip(s_grid[:-1], s_grid[1:]):
-        h = b - s
-        for gen, blocks in zip(generators, paths):
-            W = blocks[-1]
-            k1 = gen(s) @ W
-            G_mid = gen(s + 0.5 * h)
-            k2 = G_mid @ (W + 0.5 * h * k1)
-            k3 = G_mid @ (W + 0.5 * h * k2)
-            k4 = gen(s + h) @ (W + h * k3)
-            blocks.append(W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    results = [FlowResult(s_grid, blocks) for blocks in paths]
-    return results if many else results[0]
+    blocks = [np.asarray(block)] * len(generators)
+    for i in range(len(s_grid)):
+        if i:
+            s, h = s_grid[i - 1], s_grid[i] - s_grid[i - 1]
+            for j, (gen, W) in enumerate(zip(generators, blocks)):
+                k1 = gen(s) @ W
+                G_mid = gen(s + 0.5 * h)
+                k2 = G_mid @ (W + 0.5 * h * k1)
+                k3 = G_mid @ (W + 0.5 * h * k2)
+                k4 = gen(s + h) @ (W + h * k3)
+                blocks[j] = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if observe is not None:
+            observe(i, list(blocks) if many else blocks[0])
+    return blocks if many else blocks[0]
 
 
 @dataclass
@@ -253,28 +237,25 @@ def localize_generator(sd, beta, phi_dot, graph=None):
 
 
 def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
-    """Max over the grid of |omega_s(A) - omega_0(alpha_{0,s}(A))| per A.
+    """Max over the grid of |omega_s(A) - omega_0(alpha_{0,s}(A))| per A,
+    and the transport defect ||W^dagger W - 1|| of the block at s = 1.
 
     The exact flow should intertwine the patch states up to integrator
     error; this is the operational check pinning the flow direction.
-    omega_s(A) is taken as each grid point enters the generator's window.
+    Both sides are taken at each grid point as its step lands, while the
+    point is still in the generator's window.
     """
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    omega = dict.fromkeys(map(EigenCache.key, s_grid))
-
-    def record(key, sd):
-        if key in omega:
-            split = split_spectrum(sd, split_rule)
-            omega[key] = [patch_expectation(split, A) for A in observables]
-
-    gen = FlowGenerator(phi, "exact", split_rule=split_rule,
-                        cache=EigenCache(phi, record))
-    result = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors())
+    gen = FlowGenerator(phi, "exact", split_rule=split_rule)
     errors = np.zeros(len(observables))
-    for i, lhs in enumerate(omega.values()):
+
+    def compare(i, W):
+        split = gen.split(s_grid[i])
         for j, A in enumerate(observables):
-            errors[j] = max(errors[j], abs(lhs[j] - result.expectation(A, i)))
-    return errors, result
+            errors[j] = max(errors[j], abs(patch_expectation(split, A) - block_expectation(W, A)))
+
+    W = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors(), compare)
+    return errors, float(schatten_norm(W.conj().T @ W - np.eye(W.shape[1]), np.inf))
 
 
 def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=200):
@@ -292,11 +273,11 @@ def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=20
 
     betas = sorted(float(b) for b in beta_grid)
     # each beta transports the dim x p patch block, never the unitary
-    flows = integrate_flow([FlowGenerator(phi, "almost", beta=b, cache=cache) for b in betas],
-                           s_grid, W0)
+    blocks = integrate_flow([FlowGenerator(phi, "almost", beta=b, cache=cache) for b in betas],
+                            s_grid, W0)
     target = patch_expectation(split_spectrum(cache.at(1.0), split_rule), A)
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
-    values = np.array([abs(target - flow.expectation(A)) for flow in reversed(flows)])
+    values = np.array([abs(target - block_expectation(W, A)) for W in reversed(blocks)])
     return xs, values, min(gaps)
 
 

@@ -227,10 +227,11 @@ def _needed_bytes(kind, params):
       points of one RK4 step, which all betas share, and 256 for the
       generator's temporaries and the `eigh` workspace (41 to 47 traced
       above the three points and the blocks, 117 to 172 of RSS growth in
-      all, chains of 8 and 9 at 40 and 100 steps); plus the transported
-      dim x p blocks kept at every grid point, 16 B per entry for each
-      beta, with p = k under `lowest_k` and p = dim - 1 under the other
-      rules, whose patch size the config does not fix.
+      all, chains of 8 and 9 at 40 and 100 steps); plus each beta's
+      transported dim x p block, 16 B per entry, with p = k under
+      `lowest_k` and p = dim - 1 under the other rules, whose patch size
+      the config does not fix.  Only the current block is kept, so
+      nothing grows with `s_steps`.
     - lppl under a dense split rule, 96: H(s), its eigenvectors and the
       two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
       to 79 of RSS growth on 10 and 11.
@@ -246,7 +247,7 @@ def _needed_bytes(kind, params):
     if kind == "flow":
         split = params["split"]
         p = split["k"] if split["rule"] == "lowest_k" else 2**n - 1
-        return 304 * 4**n + 16 * 2**n * p * (params["s_steps"] + 1) * len(params["betas"])
+        return 304 * 4**n + 16 * 2**n * p * len(params["betas"])
     if kind == "liouvillian":
         return 96 * _GRID_NODES * 4**n
     if kind == "qhe":
@@ -412,11 +413,9 @@ def _run_flow(params, rng):
         "monotone_decreasing_above_floor": monotone,
     }
     if params["exact_control"]:
-        errors, control = exact_flow_intertwining(
-            phi, rule, [A], s_steps=params["s_steps"]
-        )
+        errors, defect = exact_flow_intertwining(phi, rule, [A], s_steps=params["s_steps"])
         summary["exact_control_error"] = float(errors.max())
-        summary["transport_defect"] = control.transport_defect
+        summary["transport_defect"] = defect
     rows = [(float(x), float(v)) for x, v in zip(xs, values)]
     return ("x", "value"), rows, summary
 

@@ -254,7 +254,9 @@ def patch_expectation(split, A):
 
 
 def block_expectation(W, A):
-    """tr(W^dagger A W) / p for a dim x p block W.  A LocalOperator meets W
-    on its support only, as W^dagger A = (A^dagger W)^dagger."""
+    """tr(W^dagger A W) / p for a dim x p block W, as p batched dot
+    products of the rows of W^dagger A with the columns of W.  A
+    LocalOperator meets W on its support only, as W^dagger A =
+    (A^dagger W)^dagger."""
     WA = A.dagger.apply(W).conj().T if isinstance(A, LocalOperator) else W.conj().T @ A
-    return complex(np.einsum("ik,ki->i", WA, W, optimize=True).sum() / W.shape[1])
+    return complex(np.matmul(WA[:, None, :], W.T[:, :, None]).sum() / W.shape[1])

@@ -67,8 +67,8 @@ def test_constant_path_gives_zero_generator():
     gen = FlowGenerator(phi, "almost", beta=0.7)
     assert operator_norm(gen(0.3) @ np.eye(8)) < 1e-14
     # and the flow is the identity map
-    res = integrate_flow(gen, np.linspace(0, 1, 11), np.eye(8))
-    assert operator_norm(res.blocks[-1] - np.eye(8)) < 1e-12
+    W = integrate_flow(gen, np.linspace(0, 1, 11), np.eye(8))
+    assert operator_norm(W - np.eye(8)) < 1e-12
 
 
 def test_commuting_derivative_gives_zero_almost_generator():
@@ -117,9 +117,9 @@ def test_integrate_flow_unitarity_and_phase_oracle():
             return iK
 
     grid = np.linspace(0, 1, 51)
-    res = integrate_flow(_const(phi), grid, np.eye(2))
-    assert operator_norm(res.blocks[-1] - expm(iK)) < 1e-10
-    assert res.transport_defect < 1e-12
+    W = integrate_flow(_const(phi), grid, np.eye(2))
+    assert operator_norm(W - expm(iK)) < 1e-10
+    assert operator_norm(W.conj().T @ W - np.eye(2)) < 1e-12
 
 
 def test_exact_flow_intertwines_patch_states():
@@ -130,9 +130,32 @@ def test_exact_flow_intertwines_patch_states():
     for site in (0, 1, 3):
         M = random_hermitian(2, rng, norm=1.0)
         obs.append(LocalOperator((site,), M).embed(4))
-    errors, result = exact_flow_intertwining(phi, lowest_k(1), obs, s_steps=100)
+    errors, defect = exact_flow_intertwining(phi, lowest_k(1), obs, s_steps=100)
     assert errors.max() < 1e-8
-    assert result.transport_defect < 1e-8
+    assert isinstance(defect, float) and defect < 1e-8
+
+
+def _trajectory(gen, grid, block):
+    """The block at every grid point, as `observe` sees each step land."""
+    seen = []
+    last = integrate_flow(gen, grid, block, lambda i, W: seen.append((i, W)))
+    assert [i for i, _ in seen] == list(range(grid.size))
+    assert seen[-1][1] is last
+    return [W for _, W in seen]
+
+
+def test_lockstep_generators_match_separate_flows():
+    # each generator's block is the one it reaches alone, bit for bit
+    phi = tfim(build_chain(4), 1.0, TrigRampPath(1.2, 2.0))
+    gens = [FlowGenerator(phi, "almost", beta=b) for b in (0.9, 0.6)]
+    grid = np.linspace(0.0, 1.0, 11)
+    W0 = np.eye(phi.dim)[:, :1]
+    seen = []
+    blocks = integrate_flow(gens, grid, W0, lambda i, Ws: seen.append((i, Ws)))
+    assert [i for i, _ in seen] == list(range(grid.size))
+    assert all(W is last for W, last in zip(seen[-1][1], blocks))
+    for gen, W in zip(gens, blocks):
+        assert np.array_equal(W, integrate_flow(gen, grid, W0))
 
 
 @pytest.mark.parametrize("kind", ["almost", "exact"])
@@ -143,10 +166,9 @@ def test_patch_block_flow_is_the_unitary_flow_on_the_patch(kind):
     gen = FlowGenerator(phi, kind, beta=0.7, split_rule=lowest_k(1))
     grid = np.linspace(0.0, 1.0, 21)
     W0 = gen.split(0.0).patch_vectors()
-    full = integrate_flow(gen, grid, np.eye(phi.dim))
-    patch = integrate_flow(gen, grid, W0)
-    assert len(patch.blocks) == grid.size
-    for W, V in zip(patch.blocks, full.blocks):
+    full = _trajectory(gen, grid, np.eye(phi.dim))
+    patch = _trajectory(gen, grid, W0)
+    for W, V in zip(patch, full):
         assert W.shape == W0.shape == (phi.dim, 1)
         assert np.abs(W - V @ W0).max() < 1e-12
 
@@ -158,8 +180,8 @@ def test_real_path_keeps_the_transport_real(kind):
     G = gen(0.5) @ np.eye(phi.dim)
     assert G.dtype == np.float64
     assert np.abs(G + G.T).max() < 1e-12
-    res = integrate_flow(gen, np.linspace(0.0, 1.0, 21), gen.split(0.0).patch_vectors())
-    assert [W.dtype for W in res.blocks] == [np.dtype(np.float64)] * 21
+    blocks = _trajectory(gen, np.linspace(0.0, 1.0, 21), gen.split(0.0).patch_vectors())
+    assert [W.dtype for W in blocks] == [np.dtype(np.float64)] * 21
 
 
 def _dense_generator(phi, kind, beta, rule, region, ell):
@@ -195,9 +217,9 @@ def test_complex_path_matches_the_dense_generator(kind):
     grid = np.linspace(0.0, 1.0, 21)
     W0 = gen.split(0.0).patch_vectors()
     assert np.iscomplexobj(phi.hamiltonian(0.5))
-    res = integrate_flow(gen, grid, W0)
-    ref = integrate_flow(_dense_generator(phi, kind, *args), grid, W0)
-    for W, R in zip(res.blocks, ref.blocks):
+    res = _trajectory(gen, grid, W0)
+    ref = _trajectory(_dense_generator(phi, kind, *args), grid, W0)
+    for W, R in zip(res, ref):
         assert W.dtype == np.complex128
         assert np.abs(W - R).max() < 1e-12
 
@@ -274,20 +296,31 @@ def test_betas_step_together_through_three_eigendecompositions(monkeypatch):
     assert max(held) == 3
 
 
-def test_flow_memory_does_not_grow_with_the_step_count():
-    # three eigendecompositions at dim 128 are held whatever the step count;
-    # only the 1 KB block each beta keeps per grid point grows with it
-    phi = tfim(build_chain(7), 1.0, TrigRampPath(2.0, 3.0))
+def _traced_peaks(run, step_counts):
     peaks = []
-    for s_steps in (40, 400):
+    for s_steps in step_counts:
         tracemalloc.start()
         try:
-            automorphic_equivalence_experiment(phi, lowest_k(1), pauli_string("x", (1,)),
-                                               [0.9, 0.7], s_steps=s_steps)
+            run(s_steps)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 2 * peaks[0]
+    return peaks
+
+
+def test_flow_memory_does_not_grow_with_the_step_count():
+    # three eigendecompositions and one block per flow are held whatever
+    # the step count: the four betas' almost flows on a chain of 7 and the
+    # exact control on a chain of 6
+    ramp = TrigRampPath(2.0, 3.0)
+    A = pauli_string("x", (1,))
+    almost = _traced_peaks(lambda s_steps: automorphic_equivalence_experiment(
+        tfim(build_chain(7), 1.0, ramp), lowest_k(1), A, [0.9, 0.7, 0.55, 0.45],
+        s_steps=s_steps), (40, 400))
+    exact = _traced_peaks(lambda s_steps: exact_flow_intertwining(
+        tfim(build_chain(6), 1.0, ramp), lowest_k(1), [A], s_steps=s_steps), (40, 400))
+    assert almost[1] <= 1.1 * almost[0]
+    assert exact[1] <= 1.1 * exact[0]
 
 
 def test_modulated_flow_with_large_cutoff_matches_almost():

@@ -252,11 +252,11 @@ def test_run_flow_reports_the_exact_control_transport_defect(tmp_path):
     params = dict(_flow_config(4, 40), betas=[0.9, 0.7])
     cfg = validate_config(params)
     a = run(cfg, out_dir=str(tmp_path / "a"))
-    errors, control = exact_flow_intertwining(
+    errors, defect = exact_flow_intertwining(
         tfim(build_chain(4), 1.0, TrigRampPath(2.0, 3.0)), lowest_k(1),
         [pauli_string("x", (1,)).embed(4)], s_steps=40)
     assert a.summary["exact_control_error"] == float(errors.max())
-    assert a.summary["transport_defect"] == control.transport_defect
+    assert a.summary["transport_defect"] == defect
     assert 0.0 < a.summary["transport_defect"] < 1e-8
 
 
@@ -512,8 +512,8 @@ def test_cli_refuses_flow_whose_caches_exceed_memory(tmp_path, capsys, monkeypat
     assert "config error" in capsys.readouterr().err
     assert peak < 10e6
     assert not (tmp_path / "o").exists()
-    # a chain of 9 at 200 steps needs 82 MiB, a chain of 6 at 400 steps
-    # 2.8 MiB, and a dense lppl on a chain of 12 1.5 GiB: all are accepted
+    # a chain of 9 at 200 steps needs 76 MiB, a chain of 6 at 400 steps
+    # 1.2 MiB, and a dense lppl on a chain of 12 1.5 GiB: all are accepted
     for params in (_flow_config(9, 200), _flow_config(6, 400)):
         harness._refuse_oversized("flow", validate_config(params).params)
     harness._refuse_oversized("lppl", {"graph": {"kind": "chain", "n": 12}})
@@ -531,17 +531,17 @@ def test_flow_is_sized_by_its_eigenvalue_cache(monkeypatch):
                                     **({"split": split} if split else {}))).params
 
     # 304 B per entry for the three points of one RK4 step and the
-    # generator, plus 16 B per entry of each beta's dim x p block at every
-    # grid point: 4.9 GiB on a chain of 12 at 400 steps, 19 GiB on 13
+    # generator, plus 16 B per entry of each beta's current dim x p block:
+    # 4.75 GiB on a chain of 12 at 400 steps, 19 GiB on 13
     harness._refuse_oversized("flow", flow(12, 400))
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("flow", flow(13, 400))
     # a window may hold up to dim - 1 levels, and its blocks are counted at
-    # that width: 12.8 GiB on a chain of 10 at 200 steps, 0.3 GiB under k = 1
+    # that width: 0.36 GiB on a chain of 10 at 200 steps, 0.30 GiB under
+    # k = 1; both are admitted, since only the current blocks are kept
     harness._refuse_oversized("flow", flow(10, 200))
-    with pytest.raises(SchemaError, match="GiB"):
-        harness._refuse_oversized("flow", flow(10, 200, {"rule": "window", "lo": -20.0,
-                                                         "hi": -10.0}))
+    harness._refuse_oversized("flow", flow(10, 200, {"rule": "window", "lo": -20.0,
+                                                     "hi": -10.0}))
 
 
 def test_flow_admits_a_chain_of_10_at_400_steps(monkeypatch):
@@ -552,7 +552,7 @@ def test_flow_admits_a_chain_of_10_at_400_steps(monkeypatch):
         else sysconf(name)))
     params = validate_config(_flow_config(10, 400)).params
     # a cache of all 801 points the RK4 steps visit made 12.8 GiB; three of
-    # them, the generator and four betas' blocks make 0.32 GiB
+    # them, the generator and four betas' blocks make 0.30 GiB
     harness._refuse_oversized("flow", params)
     memory["bytes"] = 256 * 2**20
     with pytest.raises(SchemaError, match="GiB"):
@@ -677,6 +677,9 @@ _SMALL_RUNS = {
                    "split": {"rule": "largest_gap_below", "energy": -8.0},
                    "perturbation": {"site": 0, "strength": 0.3}, "distances": [2, 3, 4]},
     "flow": {**_flow_config(7, 40), "betas": [0.9, 0.7]},
+    # a patch of half the spectrum (minimum gap 0.265 along the path)
+    "flow-window": {**_flow_config(6, 20), "split": {"rule": "window", "lo": -100.0,
+                                                     "hi": 0.0}},
     "qhe": {"experiment": "qhe", "L": 3, "J": [0.2]},
     "liouvillian": {"experiment": "liouvillian", "n_qubits": 3, "n_samples": 1,
                     "betas": [0.5]},
