@@ -98,10 +98,19 @@ class LocalOperator:
         n = round(math.log2(X.shape[0]))
         if 2**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
             raise ValueError(f"{X.shape[0]} rows do not hold the sites {self.sites}")
-        idx = site_index(self.sites, n)
+        idx = self._site_index(n)
         out = np.empty(X.shape, dtype=np.result_type(self.matrix, X))
         out[idx] = np.tensordot(self.matrix, X[idx], axes=1)
         return out
+
+    def _site_index(self, n):
+        """`site_index(self.sites, n)`, built once per n and kept read-only,
+        as `dagger` is: a flow applies one observable at every step."""
+        indices = self.__dict__.setdefault("_site_indices", {})
+        if n not in indices:
+            indices[n] = site_index(self.sites, n)
+            indices[n].flags.writeable = False
+        return indices[n]
 
     def norm(self, p=np.inf):
         return schatten_norm(self.matrix, p)
@@ -205,14 +214,14 @@ class ChargeBlocks:
 
     @classmethod
     def of(cls, A, charge):
-        """The blocks of a dense A by the values of the diagonal `charge`; a
-        nonzero entry between two charges (NaN counts) raises ValueError."""
+        """The blocks of A, an ndarray or a CSR matrix, by the values of the
+        diagonal `charge`; an entry between two charges (NaN counts) raises."""
         label = np.unique(charge, return_inverse=True)[1]
-        index = [np.flatnonzero(label == k) for k in range(label.max() + 1)]
-        blocks = [A[np.ix_(s, s)] for s in index]
-        if np.count_nonzero(A) != sum(map(np.count_nonzero, blocks)):
+        rows, cols = A.nonzero()
+        if (label[rows] != label[cols]).any():
             raise ValueError("the matrix connects two charges")
-        return cls(index, blocks)
+        index = [np.flatnonzero(label == k) for k in range(label.max() + 1)]
+        return cls(index, [A[np.ix_(s, s)] for s in index])
 
     @property
     def dim(self):
@@ -319,35 +328,22 @@ def commutator(A, B):
 
 
 def commutator_norm(A, B, *, check_a=True):
-    """||[A, B]||_inf for Hermitian A and B; other input raises ValueError,
-    since the routes below could then read too low.  `check_a=False` skips
-    the check of A, for a caller that has checked it once for many B.
-
-    B may come as its eigen-isometries (W+, W-), B = W+ W+^dagger -
-    W- W-^dagger (see `involution_isometries`).  [A, B] then has the
-    blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2 sqrt
-    of the top eigenvalue of the smaller Gram matrix of M.  A 1-D B is a
-    real diagonal b: [A, B]_ij = (b_j - b_i) A_ij, 0.0 with no dim x dim
-    temporary if no nonzero A_ij joins unequal b.  A 2-D B raises
-    ValueError.
-    """
-    pair = isinstance(B, tuple)
-    if not pair and np.ndim(B) != 1:
-        raise ValueError("commutator_norm takes B as a 1-D diagonal or a pair (W+, W-)")
-    if not ((not check_a or is_hermitian(A)) and (pair or is_hermitian(B))):
-        raise ValueError("commutator_norm needs Hermitian A and B")
-    if pair:
-        W_plus, W_minus = B
-        if W_plus.shape[1] + W_minus.shape[1] != A.shape[0]:
-            raise ValueError("the isometries of B must have dim columns together")
-        M = W_plus.conj().T @ real_matmul(A, W_minus)
-        G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
-        return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
-    i, j = np.nonzero(A)
-    if (B[i] == B[j]).all():
-        return 0.0
-    D = (B[None, :] - B[:, None]) * A
-    return float(np.abs(np.linalg.eigvalsh(1j * D)).max())
+    """||[A, B]||_inf for a Hermitian A and an involution B = W+ W+^dagger -
+    W- W-^dagger given as the pair (W+, W-) (`involution_isometries`): [A, B]
+    has the blocks -2 M and 2 M^dagger, M = W+^dagger A W-, so its norm is 2
+    sqrt of the top eigenvalue of the smaller Gram matrix of M.  Any other A
+    or B raises ValueError.  `check_a=False` skips the check of A, for a
+    caller that has checked it once for many B."""
+    if not isinstance(B, tuple):
+        raise ValueError("commutator_norm takes B as a pair (W+, W-)")
+    if check_a and not is_hermitian(A):
+        raise ValueError("commutator_norm needs a Hermitian A")
+    W_plus, W_minus = B
+    if W_plus.shape[1] + W_minus.shape[1] != A.shape[0]:
+        raise ValueError("the isometries of B must have dim columns together")
+    M = W_plus.conj().T @ real_matmul(A, W_minus)
+    G = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
+    return 2.0 * float(np.sqrt(max(np.linalg.eigvalsh(G).max(initial=0.0), 0.0)))
 
 
 def real_matmul(M, X):

@@ -216,13 +216,10 @@ def _needed_bytes(kind, params):
     - locality, 176: the filtered A beside H, its eigenvectors and the
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
-    - qhe, 24 plus 160 per entry of its charge blocks, sum_k C(n, k)^2 =
-      C(2n, n) of them: the dense H and the row chunks of the conservation
-      check, then H's blocks, their eigenvectors, the dressed charge and
-      its eigenvectors, W, lower^dagger W, the defect and the strip
-      operator's blocks; 16.8 and 9.1 per 4^n entry, then 89 to 138 per
-      block entry traced on the 3 x 3 and 3 x 4 tori; 323 MB of peak RSS
-      on the 3 x 4 torus.  The 24, once the check's own peak, stays a margin.
+    - qhe, 160 per entry of its charge blocks, sum_k C(n, k)^2 = C(2n, n)
+      of them: H's blocks, their eigenvectors, the dressed charge and its
+      eigenvectors, W, lower^dagger W, the defect and the strip operator's
+      blocks; 89 to 138 traced on the 3 x 3 and 3 x 4 tori, 323 MB of RSS on 3 x 4.
     - flow, 304: a real H and its eigenvectors at each of the three
       points of one RK4 step, which all betas share, and 256 for the
       generator's temporaries and the `eigh` workspace (41 to 47 traced
@@ -251,7 +248,7 @@ def _needed_bytes(kind, params):
     if kind == "liouvillian":
         return 96 * _GRID_NODES * 4**n
     if kind == "qhe":
-        return 24 * 4**n + 160 * math.comb(2 * n, n)
+        return 160 * math.comb(2 * n, n)
     return {"lr": 112, "cluster": 48, "locality": 176, "lppl": 96}[kind] * 4**n
 
 

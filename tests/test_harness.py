@@ -647,15 +647,17 @@ def test_qhe_is_sized_by_what_it_holds(monkeypatch):
     def qhe(L):
         return validate_config({"experiment": "qhe", "L": L, "J": [0.2]}).params
 
-    # 24 B per entry of a 4^n matrix and 160 per entry of the charge blocks,
-    # C(2n, n) of them, n = L^2: 13.4 MiB on the 3 x 3 torus, 186 GiB on
-    # the 4 x 4 one
+    # 160 B per entry of the charge blocks, C(2n, n) of them, n = L^2, and
+    # no dense H: 7.8 MB on the 3 x 3 torus, 90 GiB on the 4 x 4 one
     harness._refuse_oversized("qhe", qhe(3))
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(4))
-    # with 8 MiB the 3 x 3 torus is refused; one dense complex matrix
-    # (4 MiB) would let it through
-    memory["bytes"] = 8 * 2**20
+    # the 3 x 3 torus needs 160 C(18, 9) B: one page less is refused
+    need = 160 * math.comb(18, 9)
+    page = sysconf("SC_PAGE_SIZE")
+    memory["bytes"] = -(-need // page) * page
+    harness._refuse_oversized("qhe", qhe(3))
+    memory["bytes"] -= page
     with pytest.raises(SchemaError, match="GiB"):
         harness._refuse_oversized("qhe", qhe(3))
 

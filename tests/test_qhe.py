@@ -10,17 +10,17 @@ from smearlab.algebra import (
     ChargeBlocks,
     LocalOperator,
     commutator,
-    commutator_norm,
     conditional_expectation,
     liouvillian,
     operator_norm,
+    pauli_string,
     random_hermitian,
     schatten_norm,
     trace_sites,
 )
 from smearlab.errors import AssumptionError, DegenerateFactorError
 from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvillian
-from smearlab.interaction import tfim, xy_charge
+from smearlab.interaction import Interaction, PolyPath, local_perturbation, tfim, xy_charge
 from smearlab.lattice import build_chain
 from smearlab.qhe import (
     ChargeGeometry,
@@ -79,63 +79,60 @@ def test_region_charge_is_the_diagonal_of_the_embedded_local_charges():
 def test_hopping_model_conserves_charge(torus3):
     geo, phi, _ = torus3
     Q = region_charge(geo.graph, geo.graph.sites())
-    assert charge_conservation_defect(phi, Q)[0] < 1e-12
-    # the transverse-field model does not conserve the charge
-    bad = tfim(geo.graph, 1.0, 1.0)
-    assert charge_conservation_defect(bad, Q)[0] > 0.1
+    assert charge_conservation_defect(phi, Q) == 0.0
+    # the transverse field g = 1 flips one charge: its |entry| 1 times sup |g|
+    assert charge_conservation_defect(tfim(geo.graph, 1.0, 1.0), Q) == 1.0
+    # the hopping moves the charge of the upper half across its cuts
+    Q_up = region_charge(geo.graph, geo.upper_half)
+    assert charge_conservation_defect(phi, Q_up) == 0.2
 
 
-def test_commutator_norm_of_conserved_charge_is_exactly_zero(torus3):
-    geo, phi, _ = torus3
-    H = phi.hamiltonian(0.0)
-    q = region_charge(geo.graph, geo.graph.sites())
-    Q = np.diag(q)
-    assert commutator_norm(H, q) == 0.0
-    with pytest.raises(ValueError):
-        commutator_norm(H + 0.5j * np.eye(H.shape[0]), q)
-    with pytest.raises(ValueError):
-        commutator_norm(H + 0.5j * np.eye(H.shape[0]), Q)
-    with pytest.raises(ValueError):
-        commutator_norm(H, np.triu(Q + H))
-
-
-def test_charge_commutator_takes_no_eigensolver_when_conserved(torus3, monkeypatch):
-    # the diagonal route of commutator_norm: exactly 0.0 with no eigvalsh
-    # on a charge-conserving H, one eigvalsh on the transverse-field model
-    geo, phi, _ = torus3
-    q = region_charge(geo.graph, geo.graph.sites())
-    calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
-    assert commutator_norm(phi.hamiltonian(0.0), q) == 0.0
-    assert charge_conservation_defect(phi, q)[0] == 0.0
-    assert calls == []
-    assert commutator_norm(tfim(geo.graph, 1.0, 1.0).hamiltonian(), q) > 0.1
-    assert calls == [(512, 512)]
-
-
-def test_charge_defect_samples_a_constant_hamiltonian_once(torus3):
-    geo, phi, _ = torus3
-    Q = region_charge(geo.graph, geo.upper_half)
-    expect = max(
-        commutator_norm(phi.hamiltonian(t), Q) for t in np.linspace(0.0, 1.0, 5)
-    )
-    fresh = xy_charge(geo.graph, 0.2, 1.0)
-    build, calls = fresh.hamiltonian, []
-    fresh.hamiltonian = lambda t=0.0: calls.append(t) or build(t)
-    defect, H = charge_conservation_defect(fresh, Q)
-    assert defect == expect
-    assert calls == [0.0]
-    assert np.array_equal(H, phi.hamiltonian(0.0))
-
-
-def test_qhe_point_builds_its_hamiltonian_once(torus3):
-    # the H of the conservation check is the one diagonalized
+def test_charge_defect_builds_no_hamiltonian_and_no_eigensolver(torus3, monkeypatch):
+    # the check reads each term's local matrix; it assembles no H, dense or
+    # sparse, and diagonalizes nothing, on a model that keeps the charge and
+    # on one that does not
     geo, _, _ = torus3
-    phi = xy_charge(geo.graph, 0.2, 1.0)
-    build, calls = phi.hamiltonian, []
-    phi.hamiltonian = lambda t=0.0: calls.append(t) or build(t)
-    qhe_point(geo, phi, 3**-0.5, lowest_k(1))
-    assert calls == [0.0]
+    Q = region_charge(geo.graph, geo.graph.sites())
+    calls = []
+    for name in ("hamiltonian", "sparse_hamiltonian"):
+        monkeypatch.setattr(Interaction, name, lambda *a, name=name: calls.append(name))
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+    assert charge_conservation_defect(xy_charge(geo.graph, 0.2, 1.0), Q) == 0.0
+    assert charge_conservation_defect(tfim(geo.graph, 1.0, 1.0), Q) > 0.1
+    assert calls == []
+
+
+def _grid_miss(geo):
+    """xy_charge plus sigma^x_0 with a coefficient that vanishes at t = 0,
+    0.25, 0.5, 0.75 and 1, and nowhere else on [0, 1]."""
+    roots = np.polynomial.polynomial.polyfromroots([0.0, 0.25, 0.5, 0.75, 1.0])
+    return local_perturbation(xy_charge(geo.graph, 0.2, 1.0),
+                              pauli_string("x", (0,)), PolyPath(roots))
+
+
+def test_charge_defect_sees_a_violation_between_grid_points(torus3):
+    # a five-point sample of ||[H(t), Q]|| reads 0.0 on this model; the
+    # check takes the term's sup |c| on the interval instead
+    geo, _, _ = torus3
+    Q = region_charge(geo.graph, geo.graph.sites())
+    phi = _grid_miss(geo)
+    path = phi.terms[-1].path
+    assert [path(t) for t in np.linspace(0.0, 1.0, 5)] == [0.0] * 5
+    lo, hi = path.extent(*phi.interval)
+    assert charge_conservation_defect(phi, Q) == max(-lo, hi) > 0.0
+
+
+def test_qhe_point_never_builds_a_dense_hamiltonian(torus3, monkeypatch):
+    # H's blocks are cut from the CSR H, once; no dense H(t) is assembled
+    geo, _, _ = torus3
+    calls, sparse_calls, sparse = [], [], Interaction.sparse_hamiltonian
+    monkeypatch.setattr(Interaction, "hamiltonian", lambda self, t=0.0: calls.append(t))
+    monkeypatch.setattr(Interaction, "sparse_hamiltonian",
+                        lambda self, t=0.0: sparse_calls.append(t) or sparse(self, t))
+    qhe_point(geo, xy_charge(geo.graph, 0.2, 1.0), 3**-0.5, lowest_k(1))
+    assert calls == []
+    assert sparse_calls == [0.0]
 
 
 def test_geometry_halves_and_strips():
@@ -493,7 +490,6 @@ def test_transport_point_at_weak_coupling():
     assert pt.gap == pytest.approx(0.6)
     assert pt.nearest_integer == 0
     assert pt.residual <= 0.05
-    assert pt.conservation_defect < 1e-10
     assert not pt.strips_disjoint  # recorded, not fatal, on L = 3
 
 
@@ -505,10 +501,14 @@ def test_residual_decreases_with_coupling():
 
 
 def test_qhe_point_rejects_non_conserving_model():
+    # any defect is a model error, however small or wherever in t: a tiny
+    # sigma^x term is not passed on to the charge blocks
     geo = ChargeGeometry(3)
-    phi = tfim(geo.graph, 1.0, 1.0)
-    with pytest.raises(AssumptionError):
-        qhe_point(geo, phi, 0.5, lowest_k(1))
+    tiny = local_perturbation(xy_charge(geo.graph, 0.2, 1.0), pauli_string("x", (0,)),
+                              PolyPath([1e-11]))
+    for phi in (tfim(geo.graph, 1.0, 1.0), tiny, _grid_miss(geo)):
+        with pytest.raises(AssumptionError, match="not charge conserving"):
+            qhe_point(geo, phi, 0.5, lowest_k(1))
 
 
 def test_z_phase_operator_diagnostics(torus3):
