@@ -210,9 +210,10 @@ def _needed_bytes(kind, params):
       growth on 6.
     - lr, 112: H, its eigenvectors, A in their basis and the isometries of
       B; 81 to 89 traced on chains of 8 to 10.
-    - cluster, 48: H and its eigenvectors; A and B act on their supports.
-      24.5 to 26.4 traced for x, y and z on rings of 8 to 10, 41 to 43.5
-      of RSS growth on 10 and 11.
+    - cluster, 48: H and its eigenvectors, built from the eigenvectors of
+      the two spin-flip sectors; A and B act on their supports.  24.5 to
+      26.2 traced for x, y and z on rings of 8 to 10, 29 to 34 of RSS
+      growth on 10 and 11.
     - locality, 176: the filtered A beside H, its eigenvectors and the
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
@@ -486,6 +487,7 @@ def _run_cluster(params, rng):
         "betas": {str(r.distance): r.beta for r in records},
         "fit": asdict(fit),
         "max_identity_defect": worst_defect,
+        "patch_residual": split.spectral_data.residual(split.idx0),
         "verdict": {"holds": holds, "min_margin": worst_margin},
     }
     return ("x", "value", "bound", "margin"), rows, summary

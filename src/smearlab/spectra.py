@@ -73,19 +73,41 @@ class SpectralData:
         """omega[i, j] = E_i - E_j."""
         return self.energies[:, None] - self.energies[None, :]
 
-    def residual(self):
-        """Largest ||H v - E v|| over the eigenpairs held."""
-        V = self.vectors
-        return float(np.linalg.norm(self.hamiltonian @ V - V * self.energies, axis=0).max())
+    def residual(self, idx=slice(None)):
+        """Largest ||H v - E v|| over the eigenpairs held, or over those in
+        `idx` (a patch: one dim x p product)."""
+        V, e = self.vectors[:, idx], self.energies[idx]
+        return float(np.linalg.norm(self.hamiltonian @ V - V * e, axis=0).max())
 
 
 def diagonalize(H):
-    """Full eigendecomposition of a Hermitian matrix by one `eigh`,
-    eigenvectors in the dtype of H."""
+    """Full eigendecomposition of a Hermitian matrix, eigenvectors dense
+    and in the dtype of H.
+
+    Flipping every spin maps basis index i to dim - 1 - i, so the global
+    spin flip is the exchange matrix J.  An H of even dimension with
+    H = JHJ exactly, and an entry off its diagonal, splits into the flip
+    sectors H+- = A +- B, A = H[:h, :h] and B = H[:h, h:] J, h = dim/2
+    (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275): two `eigh`s
+    at dim/2, whose vectors [U+; JU+]/sqrt 2 and [U-; -JU-]/sqrt 2 are
+    merged with the energies by one stable sort.  Any other H takes one
+    `eigh`.  A diagonal H stays on that route, where `eigh` returns the
+    product basis itself.
+    """
     H = np.asarray(H)
     if not is_hermitian(H, tol=1e-10):
         raise ValueError("Hamiltonian is not Hermitian")
-    return SpectralData(*np.linalg.eigh(H), H)
+    h, odd = divmod(H.shape[0], 2)
+    if odd or not np.array_equal(H, H[::-1, ::-1]) or (
+            np.count_nonzero(H) == np.count_nonzero(np.diagonal(H))):
+        return SpectralData(*np.linalg.eigh(H), H)
+    A, B = H[:h, :h], H[:h, h:][:, ::-1]
+    e, U = (np.concatenate(parts, axis=-1)
+            for parts in zip(np.linalg.eigh(A + B), np.linalg.eigh(A - B)))
+    order = np.argsort(e, kind="stable")
+    U = U[:, order] / np.sqrt(2.0)
+    V = np.concatenate((U, U[::-1] * np.where(order < h, 1.0, -1.0)))
+    return SpectralData(e[order], V, H)
 
 
 def lowest_levels(H, k):

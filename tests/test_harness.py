@@ -340,6 +340,10 @@ def test_run_cluster_bounds_hold(tmp_path):
     assert res.summary["max_identity_defect"] <= 1e-10
     assert res.summary["fit"]["rate"] > 0
     assert res.summary["gap"] > 0
+    # the health of the patch eigenvectors, ||H V0 - V0 E0||, is deterministic
+    assert res.summary["patch_residual"] <= 1e-12
+    again = run(cfg, out_dir=str(tmp_path / "again"), seed=3)
+    assert again.summary == res.summary
 
 
 def test_run_qhe_free_point_is_trivial(tmp_path):
@@ -723,9 +727,11 @@ def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypat
     })
     res = run(cfg, out_dir=str(tmp_path / "loc"))
     assert res.summary["verdict"]["holds"] is True
-    # the diagonalization of H is the only solve at dimension 64; each of
-    # the four norms is one Gram matrix of dimension 32
-    assert [s for s in sizes if s[1] == 64] == [("eigh", 64)]
+    # nothing is solved at dimension 64: H, flip-even, is diagonalized as
+    # its two spin-flip sectors of dimension 32, and each of the four norms
+    # is one Gram matrix of dimension 32
+    assert [s for s in sizes if s[1] == 64] == []
+    assert sizes.count(("eigh", 32)) == 2
     assert sizes.count(("eigvalsh", 32)) == 4
 
 

@@ -6,9 +6,10 @@ import pytest
 from smearlab.algebra import ChargeBlocks, LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
 from smearlab.interaction import custom_model, tfim, xy_charge
-from smearlab.lattice import build_chain
+from smearlab.lattice import build_chain, build_ring
 from smearlab.qhe import ChargeGeometry, region_charge
 from smearlab.spectra import (
+    SpectralData,
     diagonalize,
     largest_gap_below,
     lowest_k,
@@ -344,3 +345,109 @@ def test_lowest_levels_refuse_a_cluster_that_reaches_the_top():
     assert lowest_levels(H, 2).energies.tolist() == pytest.approx([-1, -1, 1])
     with pytest.raises(AssumptionError):
         lowest_levels(H, 3)
+
+
+def _counted_eigh(monkeypatch):
+    """Record the dimension of every `np.linalg.eigh` call; return the
+    list and the unpatched `eigh`, the oracle."""
+    sizes, oracle = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return oracle(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes, oracle
+
+
+def _check_against_the_dense_eigh(sd, oracle, k):
+    """Energies and the lowest_k(k) patch projector against one dense
+    `eigh` of the stored H, both to 1e-12, and V orthonormal to 1e-13."""
+    e, U = oracle(sd.hamiltonian)
+    assert np.abs(sd.energies - e).max() <= 1e-12
+    V = sd.vectors
+    assert V.dtype == sd.hamiltonian.dtype
+    assert np.abs(V.conj().T @ V - np.eye(sd.dim)).max() <= 1e-13
+    split = split_spectrum(sd, lowest_k(k))
+    U0 = U[:, :split.p]
+    assert np.abs(split.projector - U0 @ U0.conj().T).max() <= 1e-12
+    return split
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("g, k", [(2.0, 1), (0.5, 2)], ids=["paramagnet", "ferromagnet"])
+def test_flip_even_tfim_ring_is_diagonalized_by_its_two_sectors(monkeypatch, n, g, k):
+    # the ferromagnet's two sector ground levels lie 1e-3 to 1e-4 apart
+    # (the patch takes both); the paramagnet's ground level stands alone
+    H = tfim(build_ring(n), 1.0, g).hamiltonian()
+    sizes, oracle = _counted_eigh(monkeypatch)
+    sd = diagonalize(H)
+    assert sizes == [2**(n - 1)] * 2
+    assert sd.hamiltonian is H
+    assert _check_against_the_dense_eigh(sd, oracle, k).p == k
+
+
+def test_flip_route_widens_and_refuses_as_the_dense_route(monkeypatch):
+    # the two sector ground levels of a deep ferromagnet: 1.6e-11 apart at
+    # g = 0.05, inside DEGENERACY_TOL, so lowest_k(1) widens to both; 4.2e-9
+    # apart at g = 0.1, outside it and below the default gap floor (1e-8)
+    sizes, oracle = _counted_eigh(monkeypatch)
+
+    def both(g):
+        H = tfim(build_ring(8), 1.0, g).hamiltonian()
+        return diagonalize(H), SpectralData(*oracle(H), H)
+
+    flip, dense = both(0.05)
+    assert sizes == [128, 128]
+    a, b = (split_spectrum(sd, lowest_k(1)) for sd in (flip, dense))
+    assert a.idx0.tolist() == b.idx0.tolist() == [0, 1]
+    assert a.gap == pytest.approx(b.gap, abs=1e-12)
+    assert a.width == pytest.approx(b.width, abs=1e-12)
+    assert 0.0 < a.width <= 1e-9
+    assert np.abs(a.projector - b.projector).max() <= 1e-12
+    flip, dense = both(0.1)
+    for sd in (flip, dense):
+        with pytest.raises(AssumptionError, match="below the configured minimum"):
+            split_spectrum(sd, lowest_k(1))
+    a, b = (split_spectrum(sd, lowest_k(1, min_gap=1e-9)) for sd in (flip, dense))
+    assert a.idx0.tolist() == b.idx0.tolist() == [0]
+    assert a.gap == pytest.approx(b.gap, abs=1e-12)
+
+
+def test_flip_route_takes_a_complex_flip_even_model(monkeypatch):
+    # sigma^y sigma^z bonds beside the TFIM terms: both letters change sign
+    # under the flip, so their product is flip-even, and H is complex
+    n = 8
+    specs = ([("ZZ", (i, i + 1), 1.0) for i in range(n - 1)]
+             + [("X", (i,), 1.5) for i in range(n)]
+             + [("YZ", (i, i + 1), 0.4) for i in range(n - 1)])
+    H = custom_model(build_chain(n), specs).hamiltonian()
+    assert H.dtype == np.complex128
+    sizes, oracle = _counted_eigh(monkeypatch)
+    sd = diagonalize(H)
+    assert sizes == [128, 128]
+    _check_against_the_dense_eigh(sd, oracle, 1)
+
+
+def _centrosymmetric(dim, rng):
+    X = random_hermitian(dim, rng).real
+    return X + X[::-1, ::-1]
+
+
+@pytest.mark.parametrize("case", ["sigma-z-perturbed", "diagonal", "odd-dimension"])
+def test_flip_route_is_taken_only_by_a_flip_even_h(monkeypatch, case):
+    # a sigma^z term breaks the flip; the classical Ising chain is diagonal
+    # and centrosymmetric; an odd dimension has no flip pairing
+    chain = build_chain(6)
+    H = {"sigma-z-perturbed": lambda: custom_model(
+             chain, [("ZZ", (i, i + 1), 1.0) for i in range(5)]
+             + [("X", (i,), 2.0) for i in range(6)] + [("Z", (0,), 0.3)]).hamiltonian(),
+         "diagonal": lambda: tfim(chain, 1.0, 0.0).hamiltonian(),
+         "odd-dimension": lambda: _centrosymmetric(63, np.random.default_rng(5))}[case]()
+    if case != "sigma-z-perturbed":
+        assert np.array_equal(H, H[::-1, ::-1])
+    sizes, oracle = _counted_eigh(monkeypatch)
+    sd = diagonalize(H)
+    assert sizes == [H.shape[0]]
+    e, U = oracle(H)
+    assert np.array_equal(sd.energies, e) and np.array_equal(sd.vectors, U)
