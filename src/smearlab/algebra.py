@@ -196,9 +196,11 @@ def conditional_expectation(A, keep_sites, n_sites):
 
 def is_hermitian(A, tol=1e-12):
     """Every entry of A - A^dagger is at most tol in modulus (NaN fails),
-    256 rows at a time, so that no dim x dim temporary is formed."""
-    return all(np.abs(A[k:k + 256] - A.T[k:k + 256].conj()).max(initial=0.0) <= tol
-               for k in range(0, len(A), 256))
+    each 256 x 256 tile (i, j), j >= i, against the conjugate transpose of
+    tile (j, i): both read by rows, and no dim x dim temporary is formed."""
+    tiles = range(0, len(A), 256)
+    return all(np.abs(A[i:i + 256, j:j + 256] - A[j:j + 256, i:i + 256].conj().T)
+               .max(initial=0.0) <= tol for i in tiles for j in tiles if j >= i)
 
 
 @dataclass(frozen=True)

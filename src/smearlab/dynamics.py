@@ -191,15 +191,34 @@ def measured_commutator_curve(sd, A, B, times):
     that basis, and tau_{0,-t} multiplies their row mu by e^{-i E_mu t}.
     A is checked Hermitian once, before the time loop.  A non-Hermitian A
     or a B that is not an involution raises ValueError.
+
+    When V[::-1] = +-V column by column (`diagonalize` builds such V), A's
+    and B's local matrices equal their index reversal and B leaves a site
+    free, each norm is the larger of the two spin-flip sectors': the flip
+    keeps B's local eigenspaces and joins rest states r and rest - 1 - r,
+    so the columns r < rest/2, times sqrt 2, span B's eigenspaces in a
+    sector orthonormally, at Gram size dim/4.  Else one sector is used.
     """
     n = round(math.log2(sd.dim))
     A_t = sd.to_eigenbasis(A.embed(n))
     if not is_hermitian(A_t):
         raise ValueError("measured_commutator_curve needs a Hermitian A")
     W_plus, W_minus = involution_isometries(B, n, sd.vectors)
-    phases = (np.exp(-1j * sd.energies * t)[:, None] for t in times)
-    return np.array([commutator_norm(A_t, (ph * W_plus, ph * W_minus), check_a=False)
-                     for ph in phases])
+    V, rest = sd.vectors, 2 ** (n - len(B.sites))
+    even, odd = (V[::-1] == V).all(axis=0), (V[::-1] == -V).all(axis=0)
+    sectors, kept, scale = (slice(None),), rest, 1.0
+    if rest > 1 and (even | odd).all() and all(
+            np.array_equal(M, M[::-1, ::-1]) for M in (A.matrix, B.matrix)):
+        sectors, kept, scale = (even, odd), rest // 2, math.sqrt(2.0)
+
+    def cut(W, rows):
+        return W[rows].reshape(-1, rest)[:, :kept].reshape(-1, W.shape[1] // rest * kept)
+
+    parts = [(sd.energies[s], A_t[s][:, s], cut(W_plus, s), cut(W_minus, s)) for s in sectors]
+    return np.array([max(commutator_norm(A_s, (ph * Wp, ph * Wm), check_a=False)
+                         for e, A_s, Wp, Wm in parts
+                         for ph in (scale * np.exp(-1j * e * t)[:, None],))
+                     for t in times])
 
 
 def lr_experiment(sd, params, A, B, X, Y, times):

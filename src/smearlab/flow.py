@@ -255,13 +255,18 @@ def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
             errors[j] = max(errors[j], abs(patch_expectation(split, A) - block_expectation(W, A)))
 
     W = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors(), compare)
-    return errors, float(schatten_norm(W.conj().T @ W - np.eye(W.shape[1]), np.inf))
+    return errors, _transport_defect(W)
+
+
+def _transport_defect(W):
+    return float(schatten_norm(W.conj().T @ W - np.eye(W.shape[1]), np.inf))
 
 
 def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=200):
     """Endpoint transport error of the almost flow over a beta grid.
 
-    Returns (x, errors, path_gap) with x = beta^{-2} ascending.  The betas
+    Returns (x, errors, path_gap, defects) with x = beta^{-2} ascending and
+    defects[i] = ||W^dagger W - 1|| of the final block at x[i].  The betas
     step through s together, sharing one three-point eigenvalue window; the
     gap is checked against the rule's floor at every point as it enters,
     and path_gap is its minimum.
@@ -278,7 +283,8 @@ def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=20
     target = patch_expectation(split_spectrum(cache.at(1.0), split_rule), A)
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
     values = np.array([abs(target - block_expectation(W, A)) for W in reversed(blocks)])
-    return xs, values, min(gaps)
+    defects = [_transport_defect(W) for W in reversed(blocks)]
+    return xs, values, min(gaps), defects
 
 
 def lppl_experiment(base, perturbation_op, strength_path, distances, observable_builder,

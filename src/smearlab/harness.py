@@ -209,7 +209,7 @@ def _needed_bytes(kind, params):
       of the Simpson rules; 84 to 89 traced on 3 to 5 qubits, 84 of RSS
       growth on 6.
     - lr, 112: H, its eigenvectors, A in their basis and the isometries of
-      B; 81 to 89 traced on chains of 8 to 10.
+      B; 53.5 (flip sectors) to 85.8 (one sector) traced on chains of 8 to 10.
     - cluster, 48: H and its eigenvectors, built from the eigenvectors of
       the two spin-flip sectors; A and B act on their supports.  24.5 to
       26.2 traced for x, y and z on rings of 8 to 10, 29 to 34 of RSS
@@ -315,6 +315,7 @@ def _run_lr(params, rng):
     summary = {
         "velocity": lrp.velocity,
         "distance": graph.distance(site_a, site_b),
+        "residual": sd.residual(),
         "verdict": {"holds": res.holds, "min_margin": res.min_margin},
     }
     return ("x", "value", "bound", "margin"), rows, summary
@@ -377,6 +378,7 @@ def _run_locality(params, rng):
     summary = {
         "betas": params["betas"],
         "velocity": lrp.velocity,
+        "residual": sd.residual(),
         "verdict": {"holds": worst >= -1e-12, "min_margin": worst},
     }
     return ("x", "value", "bound", "margin"), rows, summary
@@ -393,7 +395,7 @@ def _run_flow(params, rng):
     obs = params["observable"]
     A = pauli_string(obs["op"], (_check_site(obs["site"], n, "observable.site"),))
 
-    xs, values, path_gap = automorphic_equivalence_experiment(
+    xs, values, path_gap, defects = automorphic_equivalence_experiment(
         phi, rule, A, params["betas"], s_steps=params["s_steps"]
     )
     curve = DecayCurve(xs, values, floor=_FLOW_FLOOR)
@@ -409,6 +411,7 @@ def _run_flow(params, rng):
         "floor": _FLOW_FLOOR,
         "min_gap_along_path": path_gap,
         "monotone_decreasing_above_floor": monotone,
+        "transport_defects": defects,
     }
     if params["exact_control"]:
         errors, defect = exact_flow_intertwining(phi, rule, [A], s_steps=params["s_steps"])

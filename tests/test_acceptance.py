@@ -217,7 +217,7 @@ def test_criterion_07_exact_flow_intertwines(path6):
 
 def test_criterion_08_almost_flow_error_decays(path6):
     A = pauli_string("zz", (2, 3)).embed(path6.n_sites)
-    xs, values, _gap = automorphic_equivalence_experiment(
+    xs, values, _gap, _defects = automorphic_equivalence_experiment(
         path6, lowest_k(1), A, [0.9, 0.7, 0.55, 0.45], s_steps=400)
     floor = 1e-12
     above = values[values > floor]

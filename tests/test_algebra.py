@@ -296,6 +296,28 @@ def test_is_hermitian_edge_cases():
         assert is_hermitian(H) is True
 
 
+@pytest.mark.parametrize("dim", [300, 600])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_is_hermitian_reads_the_lower_left_tile(dim, dtype):
+    # 256 x 256 tiles (i, j), j >= i, are compared with tile (j, i); at a
+    # dim that is no multiple of 256 the lower-left tile is a ragged one
+    rng = np.random.default_rng(dim)
+    G = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        G += 1j * rng.standard_normal((dim, dim))
+    H = G + G.conj().T
+    assert is_hermitian(H) is True
+    H[dim - 1, 3] += 1e-11
+    assert is_hermitian(H) is False
+    assert is_hermitian(H, tol=2e-11) is True
+    H[3, dim - 1] += 1e-11
+    assert is_hermitian(H) is True
+    if dtype is complex:
+        H[dim - 1, 3] += 1j  # the conjugate entry needs -1j
+        H[3, dim - 1] += 1j
+        assert is_hermitian(H) is False
+
+
 def test_conservation_check_forms_no_full_size_temporary():
     # the check reads the terms' local matrices, so its peak stays far
     # below one dense H (8 MiB on a chain of 10)

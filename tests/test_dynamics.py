@@ -300,3 +300,78 @@ def test_commutator_curve_checks_a_once(monkeypatch):
         measured_commutator_curve(
             sd, smearlab.algebra.LocalOperator((0,), [[0.0, 1.0], [0.0, 0.0]]),
             pauli_string("z", (3,)), [0.0, 1.0])
+
+
+def _dense_commutator_curve(sd, A, B, n, times):
+    """The oracle: ||[tau_t(A), B]|| with tau_t(A) a dense `evolve`."""
+    Bf = B.embed(n)
+    return np.array([operator_norm(At @ Bf - Bf @ At)
+                     for At in (evolve(sd, A.embed(n), 0.0, t) for t in times)])
+
+
+def _count_gram_sizes(monkeypatch):
+    sizes, wrapped = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: sizes.append(a.shape[0]) or wrapped(a, *args, **kw))
+    return sizes
+
+
+_FLIP_EVEN_PAIRS = {
+    "x-x": (pauli_string("x", (0,)), pauli_string("x", (5,))),
+    "x-xx": (pauli_string("x", (0,)), pauli_string("xx", (4, 5))),
+    # eigh gives ZZ's +1 eigenvectors as |00> and |11>, which the flip
+    # swaps: a column pair then spans two local eigenvectors, and the route
+    # still holds
+    "x-zz": (pauli_string("x", (1,)), pauli_string("zz", (4, 5))),
+}
+
+
+@pytest.mark.parametrize("g", [2.0, 0.5])
+@pytest.mark.parametrize("pair", sorted(_FLIP_EVEN_PAIRS))
+def test_commutator_curve_runs_in_the_flip_sectors(monkeypatch, g, pair):
+    n = 8
+    sd = diagonalize(tfim(build_chain(n), 1.0, g).hamiltonian(0.0))
+    if g < 1.0:
+        # ferromagnetic: the two sectors' lowest levels lie 5.9e-3 apart
+        assert sd.energies[1] - sd.energies[0] < 1e-2
+    A, B = _FLIP_EVEN_PAIRS[pair]
+    times = np.linspace(0.0, 2.0, 9)
+    oracle = _dense_commutator_curve(sd, A, B, n, times)
+    sizes = _count_gram_sizes(monkeypatch)
+    curve = measured_commutator_curve(sd, A, B, times)
+    # one Gram matrix per sector and time, at dim/4
+    assert sizes == [2**n // 4] * (2 * times.size)
+    assert np.abs(curve - oracle).max() <= 1e-12
+    assert curve[-1] > 1e-3
+
+
+def _sigma_z_field(n):
+    chain = build_chain(n)
+    return custom_model(chain, [("zz", e, -1.0) for e in chain.edges]
+                        + [(label, (x,), c) for x in chain.sites()
+                           for label, c in (("x", -2.0), ("z", -0.3))])
+
+
+_ONE_SECTOR = {
+    # B maps one sector into the other
+    "flip-odd B": (tfim(build_chain(8), 1.0, 2.0), pauli_string("z", (5,))),
+    # the eigenvectors are not flip-definite
+    "sigma-z field": (_sigma_z_field(8), pauli_string("x", (5,))),
+    # no rest state is left to pair with its flip
+    "B on every site": (tfim(build_chain(8), 1.0, 2.0), pauli_string("xyyxxxxx", range(8))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_SECTOR))
+def test_commutator_curve_keeps_one_sector_otherwise(monkeypatch, case):
+    n = 8
+    phi, B = _ONE_SECTOR[case]
+    sd = diagonalize(phi.hamiltonian(0.0))
+    A = pauli_string("x", (0,))
+    times = np.linspace(0.0, 2.0, 9)
+    oracle = _dense_commutator_curve(sd, A, B, n, times)
+    sizes = _count_gram_sizes(monkeypatch)
+    curve = measured_commutator_curve(sd, A, B, times)
+    assert sizes == [2**n // 2] * times.size
+    assert np.abs(curve - oracle).max() <= 1e-12
+    assert curve[-1] > 1e-3

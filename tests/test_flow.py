@@ -228,7 +228,7 @@ def test_automorphic_error_decreases_with_filter_sharpness():
     g = build_chain(4)
     phi = tfim(g, 1.0, TrigRampPath(1.2, 2.0))
     A = pauli_string("x", (1,)).embed(4)
-    xs, vals, _gap = automorphic_equivalence_experiment(
+    xs, vals, _gap, _defects = automorphic_equivalence_experiment(
         phi, lowest_k(1), A, [0.9, 0.5], s_steps=100
     )
     # xs is beta^{-2} ascending
@@ -263,7 +263,7 @@ def test_automorphic_experiment_checks_the_gap_along_the_whole_path():
 def test_automorphic_experiment_returns_the_minimum_gap_along_the_path(field):
     phi = tfim(build_chain(4), 1.0, field)
     A = pauli_string("x", (1,)).embed(4)
-    _xs, _vals, path_gap = automorphic_equivalence_experiment(
+    _xs, _vals, path_gap, _defects = automorphic_equivalence_experiment(
         phi, lowest_k(1), A, [0.7], s_steps=20
     )
     # the RK4 steps visit the 21 grid points and the 20 midpoints; the flow

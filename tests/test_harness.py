@@ -260,6 +260,33 @@ def test_run_flow_reports_the_exact_control_transport_defect(tmp_path):
     assert 0.0 < a.summary["transport_defect"] < 1e-8
 
 
+_HEALTH_RUNS = {
+    "lr": ({"experiment": "lr", **_CHAIN6, "site_a": 0, "site_b": 4,
+            "times": {"start": 0.0, "stop": 1.0, "num": 5}}, "residual"),
+    "locality": ({"experiment": "locality", **_CHAIN6, "site_a": 0, "distances": [2, 3],
+                  "betas": [0.5]}, "residual"),
+    "flow": ({**_CHAIN4_RAMP, "experiment": "flow", "split": {"rule": "lowest_k", "k": 1},
+              "betas": [0.9, 0.7, 0.55], "observable": {"site": 1, "op": "x"},
+              "s_steps": 40}, "transport_defects"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HEALTH_RUNS))
+def test_summaries_state_their_numerical_health_alike_twice(tmp_path, kind):
+    # lr and locality: max ||H v - E v|| over the whole eigenbasis; the
+    # flow: ||W^dagger W - 1|| of each beta's final block, beside x
+    params, key = _HEALTH_RUNS[kind]
+    cfg = validate_config(params)
+    one, two = (run(cfg, out_dir=str(tmp_path / name)) for name in ("one", "two"))
+    assert filecmp.cmp(one.summary_path, two.summary_path, shallow=False)
+    health = one.summary[key]
+    if kind == "flow":
+        assert len(health) == len(params["betas"])
+        assert all(0.0 < d < 1e-8 for d in health)
+    else:
+        assert 0.0 <= health <= 1e-12
+
+
 def test_run_flow_too_few_points_above_floor(tmp_path):
     # a single beta can never support a two-point fit
     cfg = validate_config({
