@@ -296,17 +296,18 @@ def lppl_experiment(base, perturbation_op, strength_path, distances, observable_
     site; sites are picked as the lowest index realizing each requested
     graph distance from the perturbation support (`Region.site_at`, a
     SchemaError if there is none).  Also returns the minimum gap over 21
-    evenly spaced s and the largest ||H v - E v||.
+    evenly spaced s and the largest ||H v - E v||.  Under `lowest_k` each
+    point's `lowest_levels` starts from the levels of the point before it.
     """
     phi = local_perturbation(base, perturbation_op, strength_path)
     pert_region = Region(phi.graph, perturbation_op.sites)
     sites = [pert_region.site_at(d) for d in distances]
 
     # keep only the endpoint splits: a dense one holds a full eigendecomposition
-    gaps, residuals, ends = [], [], []
+    gaps, residuals, ends, sd = [], [], [], None
     for s in np.linspace(0.0, 1.0, 21):
         if split_rule.kind == "lowest_k":
-            sd = lowest_levels(phi.sparse_hamiltonian(s), *split_rule.params)
+            sd = lowest_levels(phi.sparse_hamiltonian(s), *split_rule.params, guess=sd)
         else:
             sd = diagonalize(phi.hamiltonian(s))
         split = split_spectrum(sd, split_rule)

@@ -235,9 +235,10 @@ def _needed_bytes(kind, params):
       to 79 of RSS growth on 10 and 11.
     - lppl under `lowest_k` holds no dense matrix: 96 per entry of the
       sparse H, whose terms (one per edge, one per site and the
-      perturbation) hold 2^n entries each; 61.5 to 71.9 traced on TFIM
-      chains of 10 to 14 sites, Krylov vectors included, and 67.5 to 80.2
-      of RSS growth on chains of 13 to 16.
+      perturbation) hold 2^n entries each; 51.2 to 61.7 traced on TFIM
+      chains of 14 down to 10 sites, Krylov vectors and the previous
+      point's levels (the warm start) included, and 67.5 to 80.2 of RSS
+      growth on chains of 13 to 16.
     """
     n = _site_count(params)
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":

@@ -33,6 +33,10 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-9
 MIN_GAP = 1e-8
+# A warm start holds no weight on a level that crosses in from a sector the
+# guess does not touch, and ARPACK would then converge to a higher level:
+# this fraction of the fixed cold start restores that weight.
+WARM_ADMIXTURE = 1e-8
 
 
 @dataclass
@@ -110,26 +114,31 @@ def diagonalize(H):
     return SpectralData(e[order], V, H)
 
 
-def lowest_levels(H, k):
+def lowest_levels(H, k, guess=None):
     """The lowest levels of a sparse Hermitian H, enough for
     `split_spectrum(., lowest_k(k))`: the whole degenerate cluster holding
     level k-1 and the one level above it.
 
     A Krylov space can miss copies of a degenerate level, so each level is
-    the lowest eigenpair, by `eigsh` with fixed seeds, of H shifted above
-    its spectrum on the span of the levels found before it.  Returns a
-    partial SpectralData holding H.
+    the lowest eigenpair, by `eigsh` with fixed seeds and `tol=0`, of H
+    shifted above its spectrum on the span of the levels found before it.
+    Level j starts from a fixed random vector or, given `guess` (the
+    SpectralData of a nearby H, say the point before on a path), from its
+    column j plus WARM_ADMIXTURE of that vector.  Returns a partial
+    SpectralData holding H.
     """
     dim = H.shape[0]
     shift = 2.0 * abs(H).sum(axis=1).max() + 1.0  # above 2 ||H||
     v0 = np.random.default_rng(12345).standard_normal(dim)
+    warm = () if guess is None else guess.vectors.T + WARM_ADMIXTURE / np.linalg.norm(v0) * v0
     energies, rows = np.empty(0), np.empty((0, dim), dtype=H.dtype)
     while energies.size < dim:
         # einsum, not numpy's BLAS, whose pool would compete with scipy's (ARPACK)
         conj, shifted = rows.conj(), shift * rows
         deflated = LinearOperator((dim, dim), dtype=H.dtype, matvec=lambda x: (
             H @ x + np.einsum("i,ik->k", np.einsum("ij,j->i", conj, x), shifted)))
-        val, vec = eigsh(deflated, k=1, which="SA", v0=v0, tol=0.0,
+        start = warm[energies.size] if energies.size < len(warm) else v0
+        val, vec = eigsh(deflated, k=1, which="SA", v0=start, tol=0.0,
                          rng=np.random.default_rng(12345))
         closed = energies.size >= k and val[0] - energies[-1] > DEGENERACY_TOL
         energies = np.append(energies, val)

@@ -32,7 +32,8 @@ from smearlab.interaction import (
     tfim,
 )
 from smearlab.lattice import build_chain
-from smearlab.spectra import diagonalize, lowest_k, patch_expectation, split_spectrum
+from smearlab.spectra import (diagonalize, lowest_k, lowest_levels, patch_expectation,
+                              split_spectrum)
 
 PAULI_Y = pauli_string("y", (0,)).matrix
 
@@ -451,6 +452,30 @@ def test_lppl_lowest_k_never_goes_dense(monkeypatch):
     assert np.all(np.diff(vals) < 0)
     assert path_gap > 1.0
     assert residual <= 1e-12
+
+
+def test_lppl_sweep_starts_each_point_from_the_one_before(monkeypatch):
+    # warm starts must save a fifth of the products with H that cold
+    # starts at the same 21 points take
+    import smearlab.spectra as spectra
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    products = [0]
+
+    def counted(A, **kw):
+        def matvec(x):
+            products[0] += 1
+            return A.matvec(x)
+        return eigsh(LinearOperator(A.shape, dtype=A.dtype, matvec=matvec), **kw)
+
+    monkeypatch.setattr(spectra, "eigsh", counted)
+    base, pert, path = tfim(build_chain(10), 1.0, 2.0), pauli_string("z", (0,)), PolyPath([0.0, 0.3])
+    lppl_experiment(base, pert, path, [2], lambda s: pauli_string("z", (s,)), lowest_k(1))
+    warm, products[0] = products[0], 0
+    phi = local_perturbation(base, pert, path)
+    for s in np.linspace(0.0, 1.0, 21):
+        lowest_levels(phi.sparse_hamiltonian(s), 1)
+    assert 0 < warm <= 0.8 * products[0]
 
 
 def test_lppl_response_decays_with_distance():

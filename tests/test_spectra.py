@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import block_diag, identity
 
 from smearlab.algebra import ChargeBlocks, LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
@@ -305,38 +306,59 @@ def test_lowest_levels_match_the_dense_spectrum_on_a_chain_of_12():
 
 _COMPLEX_SPECS = [("Y", (0,), 0.7), ("ZZ", (1, 2), 1.1), ("XY", (2, 3), 0.5),
                   ("ZZ", (3, 4), 1.0), ("X", (5,), 0.3)]
+_FIELD6 = [("X", (i,), 0.1) for i in range(6)]
 
 
 @pytest.mark.parametrize(
-    "phi, k, p",
+    "phi, near, k, p",
     [
-        (tfim(build_chain(6), 1.0, 0.0), 1, 2),
-        (tfim(build_chain(6), 1.0, 0.0), 3, 12),
-        (tfim(build_chain(8), 1.0, 0.0), 3, 16),
-        (tfim(build_chain(8), 1.0, 0.0), 11, 16),
-        (custom_model(build_chain(6), _COMPLEX_SPECS), 2, 4),
+        (tfim(build_chain(6), 1.0, 0.0), tfim(build_chain(6), 1.0, 0.1), 1, 2),
+        (tfim(build_chain(6), 1.0, 0.0), tfim(build_chain(6), 1.0, 0.1), 3, 12),
+        (tfim(build_chain(8), 1.0, 0.0), tfim(build_chain(8), 1.0, 0.1), 3, 16),
+        (tfim(build_chain(8), 1.0, 0.0), tfim(build_chain(8), 1.0, 0.1), 11, 16),
+        (custom_model(build_chain(6), _COMPLEX_SPECS),
+         custom_model(build_chain(6), _COMPLEX_SPECS + _FIELD6), 2, 4),
     ],
     ids=["ising6-k1", "ising6-k3", "ising8-k3", "ising8-k11", "complex6-k2"],
 )
-def test_lowest_levels_close_exactly_degenerate_clusters(phi, k, p):
+def test_lowest_levels_close_exactly_degenerate_clusters(phi, near, k, p):
     # the classical Ising chain of n sites has a twofold ground level and a
     # 2(n-1)-fold first excited level; one Krylov space from one start
-    # vector need not hold every copy of a level
+    # vector need not hold every copy of a level.  A small transverse field
+    # splits the clusters, so a guess taken there holds too few columns.
     dense = split_spectrum(diagonalize(phi.hamiltonian()), lowest_k(k))
     H = phi.sparse_hamiltonian()
-    sd = lowest_levels(H, k)
-    split = split_spectrum(sd, lowest_k(k))
-    # eigsh restarts from random vectors when its Krylov space closes
-    assert np.array_equal(sd.vectors, lowest_levels(H, k).vectors)
-    assert split.p == dense.p == p
-    assert sd.energies.size == p + 1
-    assert split.gap == pytest.approx(dense.gap, abs=1e-10)
-    assert split.width == pytest.approx(dense.width, abs=1e-10)
-    # Davis-Kahan: the patch can be off by no more than residual / gap
-    residual = sd.residual()
-    assert residual <= 1e-9
-    bound = np.sqrt(p) * residual / split.gap + 1e-13
-    assert np.abs(split.projector - dense.projector).max() <= bound
+    guess = lowest_levels(near.sparse_hamiltonian(), k)
+    assert guess.energies.size < p + 1
+    for kw in ({}, {"guess": guess}):
+        sd = lowest_levels(H, k, **kw)
+        split = split_spectrum(sd, lowest_k(k))
+        # eigsh restarts from random vectors when its Krylov space closes
+        assert np.array_equal(sd.vectors, lowest_levels(H, k, **kw).vectors)
+        assert split.p == dense.p == p
+        assert sd.energies.size == p + 1
+        assert split.gap == pytest.approx(dense.gap, abs=1e-10)
+        assert split.width == pytest.approx(dense.width, abs=1e-10)
+        # Davis-Kahan: the patch can be off by no more than residual / gap
+        residual = sd.residual()
+        assert residual <= 1e-9
+        bound = np.sqrt(p) * residual / split.gap + 1e-13
+        assert np.abs(split.projector - dense.projector).max() <= bound
+
+
+def test_warm_started_sweep_follows_a_crossing_from_a_decoupled_block():
+    # two decoupled TFIM chains whose ground levels cross between s = 0.50
+    # and 0.55: a warm start from the point before lies in the wrong block,
+    # and only the fixed start vector mixed into it reaches the new ground
+    blocks = [tfim(build_chain(9), 1.0, g).sparse_hamiltonian() for g in (2.0, 1.5)]
+    e0 = [np.linalg.eigvalsh(b.toarray())[0] for b in blocks]
+    sd = None
+    for s in np.linspace(0.0, 1.0, 21):
+        offset = e0[0] - e0[1] + 0.8 * (s - 0.52)
+        H = block_diag([blocks[0], blocks[1] + offset * identity(512)], format="csr")
+        sd = lowest_levels(H, 1, guess=sd)
+        exact = np.linalg.eigvalsh(H.toarray())[:sd.energies.size]
+        assert np.abs(sd.energies - exact).max() <= 1e-10, s
 
 
 def test_lowest_levels_refuse_a_cluster_that_reaches_the_top():
