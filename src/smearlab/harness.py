@@ -208,8 +208,8 @@ def _needed_bytes(kind, params):
       the complex samples, their cumulative integral and the temporaries
       of the Simpson rules; 84 to 89 traced on 3 to 5 qubits, 84 of RSS
       growth on 6.
-    - lr, 112: H, its eigenvectors, A in their basis and the isometries of
-      B; 53.5 (flip sectors) to 85.8 (one sector) traced on chains of 8 to 10.
+    - lr, 112: H, its eigenvectors, A's blocks in that basis, B's isometries;
+      49.5 (flip sectors) to 89.8 (one sector) traced on chains of 8 to 10.
     - cluster, 48: H and its eigenvectors, built from the eigenvectors of
       the two spin-flip sectors; A and B act on their supports.  24.5 to
       26.2 traced for x, y and z on rings of 8 to 10, 29 to 34 of RSS
@@ -317,12 +317,14 @@ def _run_lr(params, rng):
         "velocity": lrp.velocity,
         "distance": graph.distance(site_a, site_b),
         "residual": sd.residual(),
-        "verdict": {"holds": res.holds, "min_margin": res.min_margin},
+        "verdict": {"holds": res.holds, "min_margin": res.min_margin, "slack": res.slack},
     }
     return ("x", "value", "bound", "margin"), rows, summary
 
 
 _ORACLE_TOL = 1e-6
+# a margin may fall this far below 0 by rounding alone; verdicts write it
+_SLACK = 1e-12
 
 
 def _run_liouvillian(params, rng):
@@ -380,7 +382,7 @@ def _run_locality(params, rng):
         "betas": params["betas"],
         "velocity": lrp.velocity,
         "residual": sd.residual(),
-        "verdict": {"holds": worst >= -1e-12, "min_margin": worst},
+        "verdict": {"holds": worst >= -_SLACK, "min_margin": worst, "slack": _SLACK},
     }
     return ("x", "value", "bound", "margin"), rows, summary
 
@@ -485,14 +487,14 @@ def _run_cluster(params, rng):
     fit = fit_exponential(curve)
     worst_margin = float(min(margins))
     worst_defect = float(max(defects))
-    holds = worst_margin >= -1e-12 and worst_defect <= 1e-10
+    holds = worst_margin >= -_SLACK and worst_defect <= 1e-10
     summary = {
         "gap": split.gap,
         "betas": {str(r.distance): r.beta for r in records},
         "fit": asdict(fit),
         "max_identity_defect": worst_defect,
         "patch_residual": split.spectral_data.residual(split.idx0),
-        "verdict": {"holds": holds, "min_margin": worst_margin},
+        "verdict": {"holds": holds, "min_margin": worst_margin, "slack": _SLACK},
     }
     return ("x", "value", "bound", "margin"), rows, summary
 

@@ -41,11 +41,13 @@ WARM_ADMIXTURE = 1e-8
 
 @dataclass
 class SpectralData:
-    """Eigenvalues (ascending), eigenvector columns, and the Hamiltonian."""
+    """Eigenvalues (ascending), eigenvector columns, the Hamiltonian and, from
+    the spin-flip route of `diagonalize` only, the even and odd columns."""
 
     energies: np.ndarray
     vectors: np.ndarray
     hamiltonian: np.ndarray
+    sectors: tuple = None
 
     @property
     def dim(self):
@@ -94,9 +96,9 @@ def diagonalize(H):
     sectors H+- = A +- B, A = H[:h, :h] and B = H[:h, h:] J, h = dim/2
     (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275): two `eigh`s
     at dim/2, whose vectors [U+; JU+]/sqrt 2 and [U-; -JU-]/sqrt 2 are
-    merged with the energies by one stable sort.  Any other H takes one
-    `eigh`.  A diagonal H stays on that route, where `eigh` returns the
-    product basis itself.
+    merged with the energies by one stable sort, their columns kept as
+    `sectors`.  Any other H takes one `eigh`.  A diagonal H stays on that
+    route, where `eigh` returns the product basis itself.
     """
     H = np.asarray(H)
     if not is_hermitian(H, tol=1e-10):
@@ -111,7 +113,7 @@ def diagonalize(H):
     order = np.argsort(e, kind="stable")
     U = U[:, order] / np.sqrt(2.0)
     V = np.concatenate((U, U[::-1] * np.where(order < h, 1.0, -1.0)))
-    return SpectralData(e[order], V, H)
+    return SpectralData(e[order], V, H, (np.flatnonzero(order < h), np.flatnonzero(order >= h)))
 
 
 def lowest_levels(H, k, guess=None):
@@ -124,8 +126,9 @@ def lowest_levels(H, k, guess=None):
     shifted above its spectrum on the span of the levels found before it.
     Level j starts from a fixed random vector or, given `guess` (the
     SpectralData of a nearby H, say the point before on a path), from its
-    column j plus WARM_ADMIXTURE of that vector.  Returns a partial
-    SpectralData holding H.
+    column j plus WARM_ADMIXTURE of that vector.  A level found below the
+    one before means a start vector missed a level: AssumptionError.
+    Returns a partial SpectralData holding H.
     """
     dim = H.shape[0]
     shift = 2.0 * abs(H).sum(axis=1).max() + 1.0  # above 2 ||H||
@@ -140,6 +143,8 @@ def lowest_levels(H, k, guess=None):
         start = warm[energies.size] if energies.size < len(warm) else v0
         val, vec = eigsh(deflated, k=1, which="SA", v0=start, tol=0.0,
                          rng=np.random.default_rng(12345))
+        if energies.size and val[0] < energies[-1] - DEGENERACY_TOL:
+            raise AssumptionError(f"level {energies.size} lies below the one before: one was missed")
         closed = energies.size >= k and val[0] - energies[-1] > DEGENERACY_TOL
         energies = np.append(energies, val)
         rows = np.vstack((rows, vec.T))

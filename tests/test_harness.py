@@ -736,6 +736,16 @@ def test_traced_peak_stays_within_the_counted_bytes(tmp_path, name):
     assert peak <= harness._needed_bytes(cfg.kind, cfg.params)
 
 
+@pytest.mark.parametrize("name", ["cluster", "locality", "lr"])
+def test_verdicts_show_the_slack_they_hold_by(tmp_path, name):
+    # lr's margin at t = 0 is rounding noise about a bound of exactly 0
+    res = run(validate_config(_SMALL_RUNS[name]), out_dir=str(tmp_path / name))
+    verdict = res.summary["verdict"]
+    assert verdict["slack"] == 1e-12
+    assert verdict["holds"] is True
+    assert verdict["holds"] == (verdict["min_margin"] >= -verdict["slack"])
+
+
 def test_run_locality_solves_no_commutator_at_full_dimension(tmp_path, monkeypatch):
     sizes = []
     for name in ("eigvalsh", "eigh"):

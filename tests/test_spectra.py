@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, identity
 
+import smearlab.spectra
 from smearlab.algebra import ChargeBlocks, LocalOperator, pauli_string, random_hermitian, schatten_norm
 from smearlab.errors import AssumptionError, SchemaError
 from smearlab.interaction import custom_model, tfim, xy_charge
@@ -361,10 +362,28 @@ def test_warm_started_sweep_follows_a_crossing_from_a_decoupled_block():
         assert np.abs(sd.energies - exact).max() <= 1e-10, s
 
 
+def test_lowest_levels_refuse_a_level_below_the_one_before(monkeypatch):
+    # the crossing above with a pure warm start: at s = 0.55 it stays in
+    # the block of the old ground level, which comes back as level 0, and
+    # the next deflated solve finds the new ground level below it
+    monkeypatch.setattr(smearlab.spectra, "WARM_ADMIXTURE", 0.0)
+    blocks = [tfim(build_chain(9), 1.0, g).sparse_hamiltonian() for g in (2.0, 1.5)]
+    e0 = [np.linalg.eigvalsh(b.toarray())[0] for b in blocks]
+    sd = None
+    with pytest.raises(AssumptionError, match="below the one before"):
+        for s in np.linspace(0.0, 1.0, 21):
+            offset = e0[0] - e0[1] + 0.8 * (s - 0.52)
+            H = block_diag([blocks[0], blocks[1] + offset * identity(512)], format="csr")
+            sd = lowest_levels(H, 1, guess=sd)
+            assert s < 0.52
+
+
 def test_lowest_levels_refuse_a_cluster_that_reaches_the_top():
     # a single Ising bond: levels -1, -1, 1, 1, so level 2 has none above it
     H = tfim(build_chain(2), 1.0, 0.0).sparse_hamiltonian()
-    assert lowest_levels(H, 2).energies.tolist() == pytest.approx([-1, -1, 1])
+    sd = lowest_levels(H, 2)
+    assert sd.energies.tolist() == pytest.approx([-1, -1, 1])
+    assert sd.sectors is None
     with pytest.raises(AssumptionError):
         lowest_levels(H, 3)
 
@@ -384,12 +403,23 @@ def _counted_eigh(monkeypatch):
 
 def _check_against_the_dense_eigh(sd, oracle, k):
     """Energies and the lowest_k(k) patch projector against one dense
-    `eigh` of the stored H, both to 1e-12, and V orthonormal to 1e-13."""
-    e, U = oracle(sd.hamiltonian)
+    `eigh` of the stored H, both to 1e-12, and V orthonormal to 1e-13.
+    The flip sectors partition the columns, V[::-1] = +-V on them exactly,
+    and their energies are those of A +- B to 1e-12."""
+    H = sd.hamiltonian
+    e, U = oracle(H)
     assert np.abs(sd.energies - e).max() <= 1e-12
     V = sd.vectors
-    assert V.dtype == sd.hamiltonian.dtype
+    assert V.dtype == H.dtype
     assert np.abs(V.conj().T @ V - np.eye(sd.dim)).max() <= 1e-13
+    even, odd = sd.sectors
+    assert np.array_equal(np.sort(np.concatenate((even, odd))), np.arange(sd.dim))
+    assert np.array_equal(V[:, even], V[::-1, even])
+    assert np.array_equal(V[:, odd], -V[::-1, odd])
+    h = sd.dim // 2
+    A, B = H[:h, :h], H[:h, h:][:, ::-1]
+    for cols, block in ((even, A + B), (odd, A - B)):
+        assert np.abs(sd.energies[cols] - np.linalg.eigvalsh(block)).max() <= 1e-12
     split = split_spectrum(sd, lowest_k(k))
     U0 = U[:, :split.p]
     assert np.abs(split.projector - U0 @ U0.conj().T).max() <= 1e-12
@@ -471,5 +501,6 @@ def test_flip_route_is_taken_only_by_a_flip_even_h(monkeypatch, case):
     sizes, oracle = _counted_eigh(monkeypatch)
     sd = diagonalize(H)
     assert sizes == [H.shape[0]]
+    assert sd.sectors is None
     e, U = oracle(H)
     assert np.array_equal(sd.energies, e) and np.array_equal(sd.vectors, U)
