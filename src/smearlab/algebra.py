@@ -99,8 +99,12 @@ class LocalOperator:
         if 2**n != X.shape[0] or (self.sites and self.sites[-1] >= n):
             raise ValueError(f"{X.shape[0]} rows do not hold the sites {self.sites}")
         idx = self._site_index(n)
-        out = np.empty(X.shape, dtype=np.result_type(self.matrix, X))
-        out[idx] = np.tensordot(self.matrix, X[idx], axes=1)
+        out, rows = np.empty(X.shape, dtype=np.result_type(self.matrix, X)), X[idx]
+        if np.iscomplexobj(out) and not np.iscomplexobj(rows):  # no complex copy of the rows
+            out.real[idx] = np.tensordot(self.matrix.real, rows, axes=1)
+            out.imag[idx] = np.tensordot(self.matrix.imag, rows, axes=1)
+        else:
+            out[idx] = np.tensordot(self.matrix, rows, axes=1)
         return out
 
     def _site_index(self, n):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .algebra import liouvillian, schatten_norm
 from .dynamics import _RK4_ANGLE_CAP, heisenberg_samples
@@ -111,9 +110,9 @@ def inverse_profile(split):
 
 
 def erf_step_kernel(w, beta, gamma):
-    """ghat_beta(w) = (1 + erf((w - gamma/2)/(2 beta)))/2."""
-    w = np.asarray(w, dtype=float)
-    return 0.5 * (1.0 + erf((w - gamma / 2.0) / (2.0 * beta)))
+    """ghat_beta(w) = (1 + erf((w - gamma/2)/(2 beta)))/2, `math.erf` per entry."""
+    x = (np.asarray(w, dtype=float) - gamma / 2.0) / (2.0 * beta)
+    return 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(x))
 
 
 def almost_inverse_liouvillian(sd, beta, A):

@@ -235,10 +235,10 @@ def _needed_bytes(kind, params):
       to 79 of RSS growth on 10 and 11.
     - lppl under `lowest_k` holds no dense matrix: 96 per entry of the
       sparse H, whose terms (one per edge, one per site and the
-      perturbation) hold 2^n entries each; 51.2 to 61.7 traced on TFIM
-      chains of 14 down to 10 sites, Krylov vectors and the previous
-      point's levels (the warm start) included, and 67.5 to 80.2 of RSS
-      growth on chains of 13 to 16.
+      perturbation) hold 2^n entries each; 67.9 to 89.7 traced on TFIM
+      chains of 14 down to 10 sites, the Lanczos basis (`KRYLOV_CAP`
+      vectors) and the previous point's levels included, and 75.1 to
+      85.0 of RSS growth on chains of 13 to 16.
     """
     n = _site_count(params)
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":

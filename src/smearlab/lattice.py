@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import SchemaError
 
@@ -52,28 +50,23 @@ class SiteGraph:
         self.label = label or f"graph(n={n_sites})"
         self.D = int(growth_exponent)
 
-        seen = set()
-        rows, cols = [], []
+        hop = np.eye(n_sites, dtype=bool)  # within one step
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError(f"self loop at site {a}")
             if not (0 <= a < n_sites and 0 <= b < n_sites):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            rows += [a, b]
-            cols += [b, a]
-        self.edges = sorted(seen)
+            hop[a, b] = hop[b, a] = True
+        self.edges = [(int(a), int(b)) for a, b in np.argwhere(np.triu(hop, 1))]
 
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = csr_matrix((data, (rows, cols)), shape=(n_sites, n_sites))
-        dist = shortest_path(adj, method="D", unweighted=True)
-        if np.isinf(dist).any():
+        # breadth-first from all sites: d(x, y) counts radii r < n - 1 whose ball misses y
+        self.dist, reached = np.zeros((n_sites, n_sites), dtype=np.int64), np.eye(n_sites, dtype=bool)
+        for _ in range(n_sites - 1):
+            self.dist += ~reached
+            reached = reached @ hop
+        if not reached.all():
             raise ValueError("graph is not connected")
-        self.dist = dist.astype(np.int64)
         self.dist.setflags(write=False)
         self.diameter = int(self.dist.max())
         self.C_vol = self._minimal_volume_constant()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .algebra import LocalOperator, is_hermitian, real_matmul, singular_value_norm, svdvals
 from .errors import AssumptionError, SchemaError
@@ -34,9 +33,10 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 MIN_GAP = 1e-8
 # A warm start holds no weight on a level that crosses in from a sector the
-# guess does not touch, and ARPACK would then converge to a higher level:
-# this fraction of the fixed cold start restores that weight.
+# guess does not touch, and the Lanczos would then converge to a higher
+# level: this fraction of the fixed cold start restores that weight.
 WARM_ADMIXTURE = 1e-8
+KRYLOV_MIN, KRYLOV_STRIDE, KRYLOV_CAP, CERTIFIED = 20, 20, 100, 64
 
 
 @dataclass
@@ -122,35 +122,84 @@ def lowest_levels(H, k, guess=None):
     level k-1 and the one level above it.
 
     A Krylov space can miss copies of a degenerate level, so each level is
-    the lowest eigenpair, by `eigsh` with fixed seeds and `tol=0`, of H
-    shifted above its spectrum on the span of the levels found before it.
-    Level j starts from a fixed random vector or, given `guess` (the
-    SpectralData of a nearby H, say the point before on a path), from its
-    column j plus WARM_ADMIXTURE of that vector.  A level found below the
-    one before means a start vector missed a level: AssumptionError.
-    Returns a partial SpectralData holding H.
-    """
-    dim = H.shape[0]
-    shift = 2.0 * abs(H).sum(axis=1).max() + 1.0  # above 2 ||H||
-    v0 = np.random.default_rng(12345).standard_normal(dim)
+    the lowest eigenpair of H on the complement of the levels found before
+    it (`_lowest_pair`).  Level j starts from a fixed random vector or,
+    given `guess` (the SpectralData of a nearby H, say the point before on
+    a path), from its column j plus WARM_ADMIXTURE of that vector.  A level
+    below the one before (a start vector missed one) and a returned pair
+    with ||H v - E v|| above CERTIFIED eps ||H||_1 are an AssumptionError.
+    Returns a partial SpectralData holding H."""
+    rng, dim = np.random.default_rng(12345), H.shape[0]
+    tol = np.finfo(float).eps * abs(H).sum(axis=0).max()
+    v0 = rng.standard_normal(dim)
     warm = () if guess is None else guess.vectors.T + WARM_ADMIXTURE / np.linalg.norm(v0) * v0
     energies, rows = np.empty(0), np.empty((0, dim), dtype=H.dtype)
     while energies.size < dim:
-        # einsum, not numpy's BLAS, whose pool would compete with scipy's (ARPACK)
-        conj, shifted = rows.conj(), shift * rows
-        deflated = LinearOperator((dim, dim), dtype=H.dtype, matvec=lambda x: (
-            H @ x + np.einsum("i,ik->k", np.einsum("ij,j->i", conj, x), shifted)))
         start = warm[energies.size] if energies.size < len(warm) else v0
-        val, vec = eigsh(deflated, k=1, which="SA", v0=start, tol=0.0,
-                         rng=np.random.default_rng(12345))
-        if energies.size and val[0] < energies[-1] - DEGENERACY_TOL:
+        val, vec = _lowest_pair(H, rows, start, rng, tol)
+        if energies.size and val < energies[-1] - DEGENERACY_TOL:
             raise AssumptionError(f"level {energies.size} lies below the one before: one was missed")
-        closed = energies.size >= k and val[0] - energies[-1] > DEGENERACY_TOL
+        closed = energies.size >= k and val - energies[-1] > DEGENERACY_TOL
         energies = np.append(energies, val)
-        rows = np.vstack((rows, vec.T))
+        rows = np.vstack((rows, vec))
         if closed:
-            return SpectralData(energies, rows.T, H)
+            sd = SpectralData(energies, rows.T, H)
+            if sd.residual() > CERTIFIED * tol:
+                raise AssumptionError(f"residual {sd.residual():.3e} above {CERTIFIED * tol:.3e}")
+            return sd
     raise AssumptionError(f"lowest_k({k}) selects the entire spectrum")
+
+
+def _lowest_pair(H, locked, w, rng, tol):
+    """The lowest eigenpair of H on the complement of the rows of `locked`:
+    a Lanczos from w with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13) to a Ritz residual estimate of `tol`.  As
+    ARPACK's ncv = 20, it tests no basis under KRYLOV_MIN vectors and goes
+    on from a fresh vector of `rng`, uncoupled, past an invariant subspace.
+    A test (an `eigh` of the tridiagonal) plans the next where the estimate
+    would reach `tol` at its rate since the last, at most KRYLOV_STRIDE
+    vectors on; at KRYLOV_CAP vectors the basis restarts from its Ritz vector."""
+    L, dim = locked.shape
+    Q = np.empty((min(dim, L + KRYLOV_CAP), dim), dtype=H.dtype)
+    Q[:L] = locked
+    alpha, beta = np.empty(len(Q) - L), np.empty(len(Q) - L)
+    m, test, last = 0, KRYLOV_MIN, None
+    while True:
+        i = L + m
+        w, b = _orthogonalize(Q[:i], w)
+        if m and (i == len(Q) or m >= test or b == 0.0 and m >= KRYLOV_MIN):
+            theta, S = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1), UPLO="U")
+            estimate = b * abs(S[-1, 0])
+            if i == dim or estimate <= tol:
+                y = S[:, 0] @ Q[L:i]
+                return theta[0], y / np.linalg.norm(y)
+            if i == len(Q):
+                w, m, test, last = S[:, 0] @ Q[L:i], 0, KRYLOV_MIN, None
+                continue
+            rate = np.log(estimate / last[1]) / (m - last[0]) if last else 0.0
+            steps = np.log(tol / estimate) / rate if rate < 0.0 else KRYLOV_STRIDE
+            test, last = m + int(np.ceil(min(steps, KRYLOV_STRIDE))), (m, estimate)
+        if m:
+            beta[m - 1] = b
+        if b == 0.0:
+            w, b = _orthogonalize(Q[:i], rng.standard_normal(dim))
+        q = np.multiply(w, 1.0 / b, out=Q[i])
+        w = H @ q
+        alpha[m] = np.vdot(q, w).real
+        w -= alpha[m] * q if m == 0 else np.array((beta[m - 1], alpha[m])) @ Q[i - 1:i + 1]
+        m += 1
+
+
+def _orthogonalize(Q, w):
+    """w less its part in the span of Q's orthonormal rows, and its norm: 0
+    when each of three Gram-Schmidt passes removes most of w (ARPACK)."""
+    norm = np.linalg.norm(w)
+    for _ in range(3):
+        w = w - (np.conj(Q @ w.conj()) if np.iscomplexobj(Q) else Q @ w) @ Q
+        norm, last = np.linalg.norm(w), norm
+        if norm > 0.717 * last:
+            return w, norm
+    return w, 0.0
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from test_spectra import _counted_eigh
 
 from smearlab.algebra import (
     LocalOperator,
@@ -25,6 +27,7 @@ from smearlab.flow import (
     lppl_experiment,
 )
 from smearlab.interaction import (
+    Interaction,
     PolyPath,
     TrigRampPath,
     custom_model,
@@ -427,7 +430,8 @@ def test_lppl_matches_the_dense_route_along_the_path():
 
 
 def test_lppl_lowest_k_never_goes_dense(monkeypatch):
-    # one dense H on 14 sites alone would take 2.1 GB
+    # one dense H on 14 sites alone would take 2.1 GB; the only eigh is the
+    # Lanczos's on its tridiagonal, at most the size of its basis
     import smearlab.flow as flow
     import smearlab.spectra as spectra
 
@@ -435,9 +439,7 @@ def test_lppl_lowest_k_never_goes_dense(monkeypatch):
     for module in (flow, spectra):
         monkeypatch.setattr(module, "diagonalize",
                             lambda H: calls.append("diagonalize"))
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *a, **kw: calls.append("eigh") or eigh(*a, **kw))
+    sizes, _ = _counted_eigh(monkeypatch)
     tracemalloc.start()
     try:
         _, vals, _, path_gap, residual = lppl_experiment(
@@ -448,6 +450,7 @@ def test_lppl_lowest_k_never_goes_dense(monkeypatch):
     finally:
         tracemalloc.stop()
     assert calls == []
+    assert 0 < max(sizes) <= spectra.KRYLOV_CAP
     assert peak < 64e6
     assert np.all(np.diff(vals) < 0)
     assert path_gap > 1.0
@@ -456,19 +459,17 @@ def test_lppl_lowest_k_never_goes_dense(monkeypatch):
 
 def test_lppl_sweep_starts_each_point_from_the_one_before(monkeypatch):
     # warm starts must save a fifth of the products with H that cold
-    # starts at the same 21 points take
-    import smearlab.spectra as spectra
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
+    # starts at the same 21 points take; each CSR H counts its products
     products = [0]
 
-    def counted(A, **kw):
-        def matvec(x):
-            products[0] += 1
-            return A.matvec(x)
-        return eigsh(LinearOperator(A.shape, dtype=A.dtype, matvec=matvec), **kw)
+    class Counted(csr_array):
+        def __matmul__(self, x):
+            products[0] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+            return super().__matmul__(x)
 
-    monkeypatch.setattr(spectra, "eigsh", counted)
+    sparse_hamiltonian = Interaction.sparse_hamiltonian
+    monkeypatch.setattr(Interaction, "sparse_hamiltonian",
+                        lambda self, t=0.0: Counted(sparse_hamiltonian(self, t)))
     base, pert, path = tfim(build_chain(10), 1.0, 2.0), pauli_string("z", (0,)), PolyPath([0.0, 0.3])
     lppl_experiment(base, pert, path, [2], lambda s: pauli_string("z", (s,)), lowest_k(1))
     warm, products[0] = products[0], 0

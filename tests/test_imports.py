@@ -1,11 +1,12 @@
 """The import path: `import smearlab` leaves scipy.integrate (and the
 scipy.optimize it loads) to the two quadrature oracles, which import it on
-first use, and no module imports scipy.linalg, so that every dense
-decomposition runs on numpy's LAPACK and BLAS thread pool; every name that a
-module lists in `__all__` exists."""
+first use, and no module imports a scipy module that loads scipy's own
+OpenBLAS, so that a run maps one BLAS, numpy's, with one thread pool; every
+name that a module lists in `__all__` exists."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -49,9 +50,46 @@ def test_import_leaves_scipy_integrate_to_the_quadrature_oracle():
     assert float(deviation) <= 1e-6
 
 
+# each loads scipy's own OpenBLAS, whose thread pool would compete with numpy's
+_SCIPY_WITH_BLAS = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+_CHAIN4_RAMP = {"graph": {"kind": "chain", "n": 4},
+                "model": {"kind": "tfim", "j": 1.0,
+                          "g": {"kind": "trig_ramp", "start": 2.0, "stop": 3.0}}}
+_CHAIN6 = {"graph": {"kind": "chain", "n": 6}, "model": {"kind": "tfim", "j": 1.0, "g": 2.0}}
+_BOTTOM = {"rule": "lowest_k", "k": 1}
+# one small run of every experiment kind but liouvillian, whose quadrature
+# oracle imports scipy.integrate on first use
+_SMALL_RUNS = {
+    "lr": {**_CHAIN6, "site_a": 0, "site_b": 3, "times": {"start": 0.0, "stop": 1.0, "num": 5}},
+    "locality": {**_CHAIN6, "site_a": 0, "distances": [2, 3], "betas": [0.5]},
+    "flow": {**_CHAIN4_RAMP, "split": _BOTTOM, "betas": [0.9, 0.7],
+             "observable": {"site": 1, "op": "x"}, "s_steps": 100, "exact_control": False},
+    "lppl": {**_CHAIN6, "split": _BOTTOM, "perturbation": {"site": 0, "strength": 0.3},
+             "distances": [1, 2, 3]},
+    "cluster": {**_CHAIN6, "split": _BOTTOM, "site_a": 0, "distances": [1, 2, 3]},
+    "qhe": {"L": 3, "J": [0.2]},
+}
+
+
+def test_every_run_maps_one_openblas(tmp_path):
+    out = fresh_python(
+        "import json, sys\n"
+        "import smearlab, smearlab.cli\n"
+        "from smearlab.config import validate_config\n"
+        "from smearlab.harness import run\n"
+        f"for kind, params in json.loads({json.dumps(json.dumps(_SMALL_RUNS))}).items():\n"
+        f"    run(validate_config({{'experiment': kind, **params}}), out_dir={str(tmp_path)!r} + '/' + kind)\n"
+        f"print([m for m in {_SCIPY_WITH_BLAS!r} if m in sys.modules])\n"
+        "print(json.dumps(sorted({line.split()[-1] for line in open('/proc/self/maps')\n"
+        "                         if 'openblas' in line.lower()})))\n"
+    )
+    loaded, blas = out.strip().split("\n")
+    assert loaded == "[]"
+    assert len(json.loads(blas)) == 1, blas
+
+
 def test_dense_decompositions_use_numpys_lapack_only():
-    # scipy.linalg links its own OpenBLAS, whose thread pool would compete
-    # with numpy's; only scipy.sparse.linalg (ARPACK) may load it
     package = Path(smearlab.__file__).resolve().parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 10
@@ -64,8 +102,8 @@ def test_dense_decompositions_use_numpys_lapack_only():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            assert not any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
-                           for n in names), f"{path.name}:{node.lineno}"
+            assert not any(n == m or n.startswith(m + ".") for n in names
+                           for m in _SCIPY_WITH_BLAS), f"{path.name}:{node.lineno}"
     assert qhe.svd is algebra.svd
     assert spectra.svdvals is algebra.svdvals
 
