@@ -312,7 +312,7 @@ def lppl_experiment(base, perturbation_op, strength_path, distances, observable_
             sd = diagonalize(phi.hamiltonian(s))
         split = split_spectrum(sd, split_rule)
         gaps.append(split.gap)
-        residuals.append(sd.residual())
+        residuals.append(sd.residual())  # under lowest_k, the one it certified
         if s in (0.0, 1.0):
             ends.append(split)
 

@@ -37,6 +37,7 @@ from .flow import (
 )
 from .interaction import PolyPath, TrigRampPath, tfim, xy_charge
 from .lattice import Region, build_chain, build_ring, build_torus
+from . import spectra
 from .qhe import qhe_experiment
 from .spectra import diagonalize, largest_gap_below, lowest_k, window
 
@@ -210,10 +211,10 @@ def _needed_bytes(kind, params):
       growth on 6.
     - lr, 112: H, its eigenvectors, A's blocks in that basis, B's isometries;
       49.5 (flip sectors) to 89.8 (one sector) traced on chains of 8 to 10.
-    - cluster, 48: H and its eigenvectors, built from the eigenvectors of
-      the two spin-flip sectors; A and B act on their supports.  24.5 to
-      26.2 traced for x, y and z on rings of 8 to 10, 29 to 34 of RSS
-      growth on 10 and 11.
+    - cluster, 48: H and its eigenvectors, written in place from the
+      momentum and spin-flip sectors; A and B act on their supports.  18.4
+      to 25.8 traced for x, y and z on rings of 8 to 10, 29 to 34 of RSS
+      growth on 10 and 11 (with the two flip sectors).
     - locality, 176: the filtered A beside H, its eigenvectors and the
       kernel; 121 to 145 traced on chains of 8 to 10, up to 154 of RSS
       growth on chains of 10 and 11.
@@ -233,16 +234,18 @@ def _needed_bytes(kind, params):
     - lppl under a dense split rule, 96: H(s), its eigenvectors and the
       two endpoint splits; 56.5 to 58.5 traced on chains of 8 to 10, 74
       to 79 of RSS growth on 10 and 11.
-    - lppl under `lowest_k` holds no dense matrix: 96 per entry of the
-      sparse H, whose terms (one per edge, one per site and the
-      perturbation) hold 2^n entries each; 67.9 to 89.7 traced on TFIM
-      chains of 14 down to 10 sites, the Lanczos basis (`KRYLOV_CAP`
-      vectors) and the previous point's levels included, and 75.1 to
-      85.0 of RSS growth on chains of 13 to 16.
+    - lppl under `lowest_k` holds no dense matrix: the Lanczos basis,
+      `KRYLOV_CAP` vectors of 2^n entries in H's dtype (complex with a
+      sigma^y perturbation), and 72 per entry of the sparse H, whose terms
+      (one per edge, one per site and the perturbation) hold 2^n entries
+      each; beside the basis 39.4 to 49.5 traced on TFIM chains of 14
+      down to 10 sites (55.9 to 65.7 with sigma^y), with it 67.9 to 89.5,
+      and 75.1 to 85.0 of RSS growth on chains of 13 to 16.
     """
     n = _site_count(params)
     if kind == "lppl" and params.get("split", {}).get("rule") == "lowest_k":
-        return 96 * 2**n * (len(_build_graph(params["graph"]).edges) + n + 1)
+        item = 16 if "y" in params["perturbation"]["op"] else 8  # bytes per entry of H
+        return 2**n * (72 * (len(_build_graph(params["graph"]).edges) + n + 1) + spectra.KRYLOV_CAP * item)
     if kind == "flow":
         split = params["split"]
         p = split["k"] if split["rule"] == "lowest_k" else 2**n - 1

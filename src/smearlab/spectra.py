@@ -48,6 +48,7 @@ class SpectralData:
     vectors: np.ndarray
     hamiltonian: np.ndarray
     sectors: tuple = None
+    _residual: float = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -79,9 +80,12 @@ class SpectralData:
         """omega[i, j] = E_i - E_j."""
         return self.energies[:, None] - self.energies[None, :]
 
-    def residual(self, idx=slice(None)):
-        """Largest ||H v - E v|| over the eigenpairs held, or over those in
-        `idx` (a patch: one dim x p product)."""
+    def residual(self, idx=None):
+        """Largest ||H v - E v|| over the eigenpairs held (formed once, then
+        kept), or over those in `idx` (a patch: one dim x p product)."""
+        if idx is None:
+            self._residual = self._residual or self.residual(slice(None))
+            return self._residual
         V, e = self.vectors[:, idx], self.energies[idx]
         return float(np.linalg.norm(self.hamiltonian @ V - V * e, axis=0).max())
 
@@ -95,10 +99,11 @@ def diagonalize(H):
     H = JHJ exactly, and an entry off its diagonal, splits into the flip
     sectors H+- = A +- B, A = H[:h, :h] and B = H[:h, h:] J, h = dim/2
     (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275): two `eigh`s
-    at dim/2, whose vectors [U+; JU+]/sqrt 2 and [U-; -JU-]/sqrt 2 are
-    merged with the energies by one stable sort, their columns kept as
-    `sectors`.  Any other H takes one `eigh`.  A diagonal H stays on that
-    route, where `eigh` returns the product basis itself.
+    at dim/2, or on a ring about 2n by momentum (`_momentum_blocks`).  A
+    sector's vectors u are the columns [u; +-Ju] of V, written in place in
+    energy order (one stable sort): V[::-1] = +-V exactly on the columns
+    `sectors` holds.  Any other H takes one `eigh`.  A diagonal H stays on
+    that route, where `eigh` returns the product basis itself.
     """
     H = np.asarray(H)
     if not is_hermitian(H, tol=1e-10):
@@ -107,13 +112,65 @@ def diagonalize(H):
     if odd or not np.array_equal(H, H[::-1, ::-1]) or (
             np.count_nonzero(H) == np.count_nonzero(np.diagonal(H))):
         return SpectralData(*np.linalg.eigh(H), H)
-    A, B = H[:h, :h], H[:h, h:][:, ::-1]
-    e, U = (np.concatenate(parts, axis=-1)
-            for parts in zip(np.linalg.eigh(A + B), np.linalg.eigh(A - B)))
+    if (blocks := _momentum_blocks(H)) is None:
+        A, B = H[:h, :h], H[:h, h:][:, ::-1]
+        blocks = [(e, U / np.sqrt(2.0), None, None, sigma)
+                  for sigma, (e, U) in ((1.0, np.linalg.eigh(A + B)), (-1.0, np.linalg.eigh(A - B)))]
+    e = np.concatenate([b[0] for b in blocks])
     order = np.argsort(e, kind="stable")
-    U = U[:, order] / np.sqrt(2.0)
-    V = np.concatenate((U, U[::-1] * np.where(order < h, 1.0, -1.0)))
-    return SpectralData(e[order], V, H, (np.flatnonzero(order < h), np.flatnonzero(order >= h)))
+    at, k = np.argsort(order), 0  # the column of V that each block column fills
+    W = np.empty(H.shape, dtype=blocks[0][1].dtype)  # W = V^T: a column of V per row
+    for _, U, o, chi, sigma in blocks:
+        Y = U if o is None else chi[:, None] * U[o]
+        for Y in (Y,) if Y.dtype == W.dtype else (Y.real, Y.imag):
+            rows, k = at[k:k + Y.shape[1]], k + Y.shape[1]
+            W[rows, :h], W[rows, h:] = Y.T, sigma * Y[::-1].T
+    return SpectralData(e[order], W.T, H, (np.flatnonzero(order < h), np.flatnonzero(order >= h)))
+
+
+def _momentum_blocks(H):
+    """The flip sectors split by the momentum q = 0 .. n/2 of the cyclic
+    shift T of the n bits, when a real H of dim 2^n (n >= 3) commutes with T
+    (a ring; Sandvik, AIP Conf. Proc. 1297 (2010) 135, sec. 4); else None.
+    In sector sigma, T takes s < h to T s, or past h to sigma J T s; s
+    reaches its orbit's first state in j steps with f flips, itself in p
+    with `wrap`, and enters momentum q with sigma^f e^{2 pi i q j/n}/sqrt p
+    if e^{2 pi i q p/n} = sigma^wrap.  A block F^dagger (A + sigma B) F is
+    gathered from H's nonzeros in first states' rows; its u = chi U[o] is
+    real for q = 0, n/2, else gives sqrt 2 Re and Im of [u; sigma Ju]/sqrt 2."""
+    dim, h, d = H.shape[0], H.shape[0] // 2, H.diagonal()
+    n = dim.bit_length() - 1
+    if dim != 2**n or n < 3 or H.dtype.kind == "c" or not (
+            (d[::2] == d[:h]).all() and (d[1::2] == d[h:]).all()):  # d[T s] = d[s]
+        return None
+    s = np.arange(dim)
+    shift = (s << 1 | s >> (n - 1)) & (dim - 1)
+    r, c = np.divmod(np.flatnonzero(H != 0), dim)
+    if not np.array_equal(H[shift[r], shift[c]], H[r, c]):  # exact: T is a bijection
+        return None
+    s, orbit, flips = s[:h], np.empty((n + 1, h), dtype=int), np.zeros((n + 1, h), dtype=int)
+    orbit[0] = s
+    for i in range(n):
+        t = shift[orbit[i]]
+        orbit[i + 1], flips[i + 1] = np.minimum(t, dim - 1 - t), flips[i] + (t >= h)
+    first = orbit.min(0)
+    j, p = (orbit == first).argmax(0), 1 + (orbit[1:] == s).argmax(0)
+    f, wrap, keep = flips[j, s] % 2, flips[p, s] % 2, (r < h) & (first[r % h] == r)
+    a, t, u, blocks = r[keep], c[keep], np.minimum(c[keep], dim - 1 - c[keep]), []  # J folds t onto u
+    for sigma in (1.0, -1.0):
+        w = np.where(t >= h, sigma, 1.0) * H[a, t] * np.sqrt(p[a])
+        for q in range(n // 2 + 1):  # each (q, sigma) holds the orbit of 0...01 (p = n, wrap = 0)
+            ok = 2 * q * p % (2 * n) == n * (sigma < 0) * wrap
+            o = np.cumsum(ok & (first == s))[first] - 1
+            real = 2 * q % n == 0
+            chi = np.where(2 * q * j % (2 * n), -1.0, 1.0) if real else np.exp(2j * np.pi * (q * j % n) / n)
+            chi = np.where(ok, np.where(f == 1, sigma, 1.0) * chi, 0.0) / np.sqrt(p)
+            m, nb = ok[a], o[ok].max() + 1
+            M = np.zeros((nb, nb), dtype=chi.dtype)
+            np.add.at(M, (o[a[m]], o[u[m]]), w[m] * chi[u[m]])
+            e, U = np.linalg.eigh(M)
+            blocks.append((e, U, o, chi / np.sqrt(2.0), sigma) if real else (np.tile(e, 2), U, o, chi, sigma))
+    return blocks
 
 
 def lowest_levels(H, k, guess=None):
@@ -128,7 +185,7 @@ def lowest_levels(H, k, guess=None):
     a path), from its column j plus WARM_ADMIXTURE of that vector.  A level
     below the one before (a start vector missed one) and a returned pair
     with ||H v - E v|| above CERTIFIED eps ||H||_1 are an AssumptionError.
-    Returns a partial SpectralData holding H."""
+    Returns a partial SpectralData holding H, its residual kept."""
     rng, dim = np.random.default_rng(12345), H.shape[0]
     tol = np.finfo(float).eps * abs(H).sum(axis=0).max()
     v0 = rng.standard_normal(dim)
@@ -144,8 +201,8 @@ def lowest_levels(H, k, guess=None):
         rows = np.vstack((rows, vec))
         if closed:
             sd = SpectralData(energies, rows.T, H)
-            if sd.residual() > CERTIFIED * tol:
-                raise AssumptionError(f"residual {sd.residual():.3e} above {CERTIFIED * tol:.3e}")
+            if (residual := sd.residual()) > CERTIFIED * tol:
+                raise AssumptionError(f"residual {residual:.3e} above {CERTIFIED * tol:.3e}")
             return sd
     raise AssumptionError(f"lowest_k({k}) selects the entire spectrum")
 

@@ -736,6 +736,23 @@ def test_traced_peak_stays_within_the_counted_bytes(tmp_path, name):
     assert peak <= harness._needed_bytes(cfg.kind, cfg.params)
 
 
+def test_lppl_count_grows_with_the_krylov_basis(tmp_path, monkeypatch):
+    # the basis is counted as KRYLOV_CAP vectors apart from H's entries: at
+    # a cap of 120 a chain of 10 traces 96 to 98 B per H entry, at or above
+    # the old flat count of 96, and stays within this one (120)
+    import smearlab.spectra
+
+    monkeypatch.setattr(smearlab.spectra, "KRYLOV_CAP", 120)
+    cfg = validate_config(_SMALL_RUNS["lppl"])
+    tracemalloc.start()
+    try:
+        run(cfg, out_dir=str(tmp_path / "lppl"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._needed_bytes(cfg.kind, cfg.params)
+
+
 @pytest.mark.parametrize("name", ["cluster", "locality", "lr"])
 def test_verdicts_show_the_slack_they_hold_by(tmp_path, name):
     # lr's margin at t = 0 is rounding noise about a bound of exactly 0

@@ -1,5 +1,7 @@
 """Diagonalization, split rules, patch states, degeneracy handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import block_diag, identity
@@ -428,13 +430,14 @@ def _check_against_the_dense_eigh(sd, oracle, k):
 
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("g, k", [(2.0, 1), (0.5, 2)], ids=["paramagnet", "ferromagnet"])
-def test_flip_even_tfim_ring_is_diagonalized_by_its_two_sectors(monkeypatch, n, g, k):
+def test_flip_even_tfim_ring_is_diagonalized_by_its_momentum_and_flip_sectors(monkeypatch, n, g, k):
     # the ferromagnet's two sector ground levels lie 1e-3 to 1e-4 apart
-    # (the patch takes both); the paramagnet's ground level stands alone
+    # (the patch takes both); the paramagnet's ground level stands alone.
+    # One eigh per momentum q = 0 .. n/2 and flip sector, about dim/2n each
     H = tfim(build_ring(n), 1.0, g).hamiltonian()
     sizes, oracle = _counted_eigh(monkeypatch)
     sd = diagonalize(H)
-    assert sizes == [2**(n - 1)] * 2
+    assert len(sizes) == n + 2 and max(sizes) < 1.5 * 2**n / (2 * n)
     assert sd.hamiltonian is H
     assert _check_against_the_dense_eigh(sd, oracle, k).p == k
 
@@ -450,7 +453,7 @@ def test_flip_route_widens_and_refuses_as_the_dense_route(monkeypatch):
         return diagonalize(H), SpectralData(*oracle(H), H)
 
     flip, dense = both(0.05)
-    assert sizes == [128, 128]
+    assert sizes == [20, 14, 17, 14, 18, 16, 16, 16, 16, 16]  # momentum x flip sectors
     a, b = (split_spectrum(sd, lowest_k(1)) for sd in (flip, dense))
     assert a.idx0.tolist() == b.idx0.tolist() == [0, 1]
     assert a.gap == pytest.approx(b.gap, abs=1e-12)
@@ -504,3 +507,108 @@ def test_flip_route_is_taken_only_by_a_flip_even_h(monkeypatch, case):
     assert sd.sectors is None
     e, U = oracle(H)
     assert np.array_equal(sd.energies, e) and np.array_equal(sd.vectors, U)
+
+
+def _ring_model(n, specs=()):
+    ring = build_ring(n)
+    return custom_model(ring, [("ZZ", e, 1.0) for e in ring.edges]
+                        + [("X", (i,), 1.5) for i in range(n)] + list(specs)).hamiltonian()
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_momentum_route_matches_the_dense_eigh_on_rings(monkeypatch, n):
+    # energies and the ground projector against one dense eigh, each column
+    # flip-even or flip-odd (J v = +-v exactly)
+    H = tfim(build_ring(n), 1.0, 1.3).hamiltonian()
+    sizes, oracle = _counted_eigh(monkeypatch)
+    sd = diagonalize(H)
+    assert len(sizes) > 2 and max(sizes) < 2**(n - 1)
+    _check_against_the_dense_eigh(sd, oracle, 1)
+    even, odd = sd.sectors
+    V = sd.vectors
+    assert even.size == odd.size == 2**(n - 1)
+    for cols, sign in ((even, 1.0), (odd, -1.0)):
+        assert np.array_equal(V[::-1, cols], sign * V[:, cols])
+
+
+@pytest.mark.parametrize("case", ["altered-bond", "chain", "complex", "sigma-z-field", "charge-blocks"])
+def test_momentum_route_is_taken_only_by_a_ring(monkeypatch, case):
+    # a bond of 1.5 breaks the shift, a chain has no shift; sigma^y sigma^z
+    # bonds make a flip- and shift-even H complex: those keep the two flip
+    # sectors.  A uniform sigma^z field keeps the shift but breaks the flip,
+    # and qhe's charge blocks (dims C(9, k)) are not 2^n: one eigh each.
+    H = {"altered-bond": lambda: _ring_model(8, [("ZZ", (3, 4), 0.5)]),
+         "chain": lambda: tfim(build_chain(8), 1.0, 1.5).hamiltonian(),
+         "complex": lambda: _ring_model(8, [("YZ", e, 0.4) for e in build_ring(8).edges]),
+         "sigma-z-field": lambda: _ring_model(8, [("Z", (i,), 0.3) for i in range(8)]),
+         "charge-blocks": None}[case]
+    sizes, oracle = _counted_eigh(monkeypatch)
+    if H is None:
+        geo = ChargeGeometry(3)
+        H = xy_charge(geo.graph, 0.2, 1.0).hamiltonian()
+        blocks = ChargeBlocks.of(H, region_charge(geo.graph, geo.graph.sites()))
+        spectra = blocks.map(diagonalize)
+        assert sizes == [b.shape[0] for b in blocks.blocks]
+        assert all(sd.sectors is None for sd in spectra.blocks)
+        return
+    H = H()
+    sd = diagonalize(H)
+    if case == "sigma-z-field":
+        assert sizes == [256] and sd.sectors is None
+        return
+    assert sizes == [128, 128]
+    _check_against_the_dense_eigh(sd, oracle, 1)
+
+
+@pytest.mark.parametrize("min_gap", [1e-8, 1e-3])
+def test_momentum_route_widens_and_refuses_as_the_dense_route_near_degenerate_sectors(min_gap):
+    # g = 0.5: the two flip sectors' ground levels lie 1.5e-3 apart, in
+    # momentum 0; each lowest_k(k) takes the same levels with the same gap
+    # and width, or both routes refuse.  The dense eigh mixes levels a gap
+    # apart at eps ||H|| / gap (Davis-Kahan), the sectors do not: the
+    # projectors agree to that
+    H = tfim(build_ring(8), 1.0, 0.5).hamiltonian()
+    fast, dense = diagonalize(H), SpectralData(*np.linalg.eigh(H), H)
+    norm = np.abs(H).sum(axis=0).max()
+    for k in range(1, 6):
+        rule = lowest_k(k, min_gap=min_gap)
+        try:
+            b = split_spectrum(dense, rule)
+        except AssumptionError:
+            with pytest.raises(AssumptionError):
+                split_spectrum(fast, rule)
+            continue
+        a = split_spectrum(fast, rule)
+        assert a.idx0.tolist() == b.idx0.tolist()
+        assert abs(a.gap - b.gap) <= 1e-12 and abs(a.width - b.width) <= 1e-12
+        bound = 1e-12 + 4 * np.finfo(float).eps * norm / b.gap
+        assert np.abs(a.projector - b.projector).max() <= bound
+
+
+def test_lr_curve_on_a_ring_reads_the_momentum_route_as_flip_sectors():
+    # U_sigma = sqrt 2 V[:h, cols_sigma] still spans each flip sector, so
+    # lr's two-sector curve equals its one-sector curve on the dense V
+    from smearlab.dynamics import measured_commutator_curve
+
+    H = tfim(build_ring(8), 1.0, 0.7).hamiltonian()
+    A, B = pauli_string("x", (0,)), pauli_string("xx", (3, 4))
+    times = np.linspace(0.0, 2.0, 9)
+    sd = diagonalize(H)
+    assert sd.sectors is not None
+    curve = measured_commutator_curve(sd, A, B, times)
+    one = measured_commutator_curve(SpectralData(*np.linalg.eigh(H), H), A, B, times)
+    assert np.abs(curve - one).max() <= 1e-12 and curve[-1] > 1e-3
+
+
+def test_momentum_route_forms_no_full_size_temporary():
+    # beside V (dim^2 floats), the largest temporaries are H's boolean
+    # masks (dim^2 bytes) and the dim/2n blocks: a second float dim x dim
+    # array would double the peak
+    H = tfim(build_ring(10), 1.0, 2.0).hamiltonian()
+    tracemalloc.start()
+    try:
+        sd = diagonalize(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * sd.vectors.nbytes
