@@ -430,10 +430,11 @@ def _check_against_the_dense_eigh(sd, oracle, k):
 
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("g, k", [(2.0, 1), (0.5, 2)], ids=["paramagnet", "ferromagnet"])
-def test_flip_even_tfim_ring_is_diagonalized_by_its_momentum_and_flip_sectors(monkeypatch, n, g, k):
-    # the ferromagnet's two sector ground levels lie 1e-3 to 1e-4 apart
-    # (the patch takes both); the paramagnet's ground level stands alone.
-    # One eigh per momentum q = 0 .. n/2 and flip sector, about dim/2n each
+def test_flip_even_tfim_ring_is_diagonalized_by_its_two_sectors(monkeypatch, n, g, k):
+    # each of the two flip sectors is split further by momentum: one eigh
+    # per momentum q = 0 .. n/2 and flip sector, about dim/2n each. The
+    # ferromagnet's two sector ground levels lie 1e-3 to 1e-4 apart (the
+    # patch takes both); the paramagnet's ground level stands alone
     H = tfim(build_ring(n), 1.0, g).hamiltonian()
     sizes, oracle = _counted_eigh(monkeypatch)
     sd = diagonalize(H)
