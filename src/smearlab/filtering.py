@@ -90,23 +90,25 @@ def gaussian_kernel(w, beta):
     return 1j * gaussian_profile(w, beta)
 
 
-def inverse_profile(split):
+def inverse_profile(split, cols=slice(None)):
     """The real profile 1/w of the exact inverse on the split's cross-patch
-    frequencies, 0 within either patch.
+    frequencies among the levels `cols` (all), 0 within either patch.
 
-    Raises AssumptionError when the smallest cross-patch frequency falls
-    below gamma/2, which signals an inconsistent split.
+    Raises AssumptionError when the smallest cross-patch frequency of the
+    whole spectrum, a step between neighbouring levels, falls below gamma/2,
+    which signals an inconsistent split.
     """
-    omega = split.spectral_data.frequency_table()
-    mask = split.patch_mask()
-    cross = mask[:, None] ^ mask[None, :]
-    min_cross = float(np.abs(omega[cross]).min()) if cross.any() else np.inf
+    e, mask = split.spectral_data.energies, split.patch_mask()
+    steps = np.abs(np.diff(e))[mask[1:] != mask[:-1]]
+    min_cross = float(steps.min()) if steps.size else np.inf
     if min_cross < split.gap / 2.0:
         raise AssumptionError(
             f"cross-patch frequency {min_cross:.3e} below gamma/2 = "
             f"{split.gap / 2.0:.3e}"
         )
-    return np.divide(1.0, omega, out=np.zeros(omega.shape), where=cross)
+    e, mask = e[cols], mask[cols]
+    cross = mask[:, None] ^ mask[None, :]
+    return np.divide(1.0, e[:, None] - e[None, :], out=np.zeros(cross.shape), where=cross)
 
 
 def erf_step_kernel(w, beta, gamma):

@@ -13,6 +13,13 @@ V (M (V^dagger W)), three dim x p products, and no dim x dim K is formed.
 On a real path V and M are real and G is real antisymmetric: a real W_0
 stays real.
 
+When every term commutes with the global spin flip (TFIM), dH/ds is
+block-diagonal in the flip sectors of `diagonalize` and a patch in one stays
+there: the experiments' almost and exact generators take G = V_k M_k V_k^dagger
+on it, M_k = -kappa o (U_k^dagger D_k U_k), D_k = A +- B the fold of dH/ds
+(`SpectralData.sector` keeps V_k, U_k and E_k - E_k^T), at an eighth of the
+rotation flops.  Other paths, patches and kinds keep the full V.
+
 Generators on one path step through s together (`integrate_flow` with a
 list), so a window of the three s of one RK4 step (`EigenCache`) serves
 them all and diagonalizes each s once.
@@ -94,10 +101,12 @@ class FlowGenerator:
 
     kind: 'exact' (needs a split rule), 'almost' (needs beta), or
     'modulated' (needs beta, a reference region X and a threshold ell).
+    `sector` (0 even, 1 odd), on a flip-even path, restricts the exact and
+    almost kinds to that flip sector, where `gen(s) @ W` is still i K W.
     """
 
     def __init__(self, phi, kind, beta=None, split_rule=None, region=None, ell=None,
-                 cache=None):
+                 cache=None, sector=None):
         if kind not in ("exact", "almost", "modulated"):
             raise ValueError(f"unknown flow kind {kind!r}")
         if kind == "exact" and split_rule is None:
@@ -112,6 +121,7 @@ class FlowGenerator:
         self.split_rule = split_rule
         self.region = region
         self.ell = ell
+        self.sector = sector
         self.cache = cache if cache is not None else EigenCache(phi)
 
     def split(self, s):
@@ -120,10 +130,15 @@ class FlowGenerator:
     def __call__(self, s):
         sd = self.cache.at(s)
         if self.kind != "modulated":
-            kappa = (inverse_profile(self.split(s)) if self.kind == "exact"
-                     else gaussian_profile(sd.frequency_table(), self.beta))
-            tilde = sd.to_eigenbasis(self.phi.hamiltonian_derivative(s))
-            return EigenbasisGenerator(sd.vectors, -kappa * tilde)
+            dH = self.phi.hamiltonian_derivative(s)
+            if self.sector is None or sd.sectors is None:
+                V, cols, omega, tilde = sd.vectors, slice(None), None, sd.to_eigenbasis(dH)
+            else:  # dH/ds folded into the sector as `diagonalize` folds H
+                (V, U, omega), cols, h = sd.sector(self.sector), sd.sectors[self.sector], sd.dim // 2
+                tilde = U.conj().T @ (dH[:h, :h] + (1 - 2 * self.sector) * dH[:h, h:][:, ::-1]) @ U
+            kappa = (inverse_profile(self.split(s), cols) if self.kind == "exact" else
+                     gaussian_profile(sd.frequency_table() if omega is None else omega, self.beta))
+            return EigenbasisGenerator(V, -kappa * tilde)
         # modulated: per-term filter widths, accumulated in the eigenbasis
         omega = sd.frequency_table()
         M = np.zeros((self.phi.dim, self.phi.dim), sd.vectors.dtype)
@@ -247,6 +262,7 @@ def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
     """
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
     gen = FlowGenerator(phi, "exact", split_rule=split_rule)
+    gen.sector = _patch_sector(phi, gen.split(0.0))
     errors = np.zeros(len(observables))
 
     def compare(i, W):
@@ -256,6 +272,16 @@ def exact_flow_intertwining(phi, split_rule, observables, s_steps=200):
 
     W = integrate_flow(gen, s_grid, gen.split(0.0).patch_vectors(), compare)
     return errors, _transport_defect(W)
+
+
+def _patch_sector(phi, split):
+    """The flip sector (0 even, 1 odd) holding the whole patch when each term's
+    local matrix equals its index reversal (the flip holds); else None."""
+    if split.spectral_data.sectors is None or not all(
+            np.array_equal(t.operator.matrix, t.operator.matrix[::-1, ::-1]) for t in phi.terms):
+        return None
+    return next((k for k, cols in enumerate(split.spectral_data.sectors)
+                 if np.isin(split.idx0, cols).all()), None)
 
 
 def _transport_defect(W):
@@ -274,12 +300,13 @@ def automorphic_equivalence_experiment(phi, split_rule, A, beta_grid, s_steps=20
     gaps = []
     cache = EigenCache(phi, lambda key, sd: gaps.append(split_spectrum(sd, split_rule).gap))
     s_grid = np.linspace(0.0, 1.0, s_steps + 1)
-    W0 = split_spectrum(cache.at(0.0), split_rule).patch_vectors()
+    start = split_spectrum(cache.at(0.0), split_rule)
+    sector = _patch_sector(phi, start)
 
     betas = sorted(float(b) for b in beta_grid)
     # each beta transports the dim x p patch block, never the unitary
-    blocks = integrate_flow([FlowGenerator(phi, "almost", beta=b, cache=cache) for b in betas],
-                            s_grid, W0)
+    blocks = integrate_flow([FlowGenerator(phi, "almost", beta=b, cache=cache, sector=sector)
+                             for b in betas], s_grid, start.patch_vectors())
     target = patch_expectation(split_spectrum(cache.at(1.0), split_rule), A)
     xs = np.array([1.0 / b**2 for b in reversed(betas)])
     values = np.array([abs(target - block_expectation(W, A)) for W in reversed(blocks)])

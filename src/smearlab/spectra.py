@@ -49,6 +49,7 @@ class SpectralData:
     hamiltonian: np.ndarray
     sectors: tuple = None
     _residual: float = field(default=None, repr=False)
+    _sector_views: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -80,11 +81,20 @@ class SpectralData:
         """omega[i, j] = E_i - E_j."""
         return self.energies[:, None] - self.energies[None, :]
 
+    def sector(self, k):
+        """Flip sector k (0 even, 1 odd): its columns V_k of V, U_k = sqrt 2
+        V_k[:h] and E_k - E_k^T, formed once, then kept."""
+        if k not in self._sector_views:
+            V, e = self.vectors[:, self.sectors[k]], self.energies[self.sectors[k]]
+            self._sector_views[k] = V, np.sqrt(2.0) * V[:self.dim // 2], e[:, None] - e[None, :]
+        return self._sector_views[k]
+
     def residual(self, idx=None):
         """Largest ||H v - E v|| over the eigenpairs held (formed once, then
         kept), or over those in `idx` (a patch: one dim x p product)."""
         if idx is None:
-            self._residual = self._residual or self.residual(slice(None))
+            if self._residual is None:  # an exact 0.0 is kept too
+                self._residual = self.residual(slice(None))
             return self._residual
         V, e = self.vectors[:, idx], self.energies[idx]
         return float(np.linalg.norm(self.hamiltonian @ V - V * e, axis=0).max())

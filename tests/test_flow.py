@@ -20,6 +20,7 @@ from smearlab.filtering import almost_inverse_liouvillian, exact_inverse_liouvil
 from smearlab.flow import (
     EigenCache,
     FlowGenerator,
+    _patch_sector,
     automorphic_equivalence_experiment,
     exact_flow_intertwining,
     integrate_flow,
@@ -34,9 +35,10 @@ from smearlab.interaction import (
     local_perturbation,
     tfim,
 )
-from smearlab.lattice import build_chain
-from smearlab.spectra import (diagonalize, lowest_k, lowest_levels, patch_expectation,
-                              split_spectrum)
+from smearlab.lattice import build_chain, build_ring
+from smearlab.spectra import (SpectralSplit, _momentum_blocks, block_expectation, diagonalize,
+                              lowest_k, lowest_levels, patch_expectation, split_spectrum,
+                              window)
 
 PAULI_Y = pauli_string("y", (0,)).matrix
 
@@ -226,6 +228,127 @@ def test_complex_path_matches_the_dense_generator(kind):
     for W, R in zip(res, ref):
         assert W.dtype == np.complex128
         assert np.abs(W - R).max() < 1e-12
+
+
+def _sector_views(monkeypatch):
+    """(kind, sector, columns of V) of every generator value the flows take."""
+    seen, call = [], FlowGenerator.__call__
+
+    def recorded(self, s):
+        G = call(self, s)
+        seen.append((self.kind, self.sector, G.vectors.shape[1]))
+        return G
+
+    monkeypatch.setattr(FlowGenerator, "__call__", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["almost", "exact"])
+@pytest.mark.parametrize("graph", [build_chain(6), build_ring(6)], ids=["chain", "ring"])
+def test_flip_sector_generator_matches_the_dense_route(graph, kind):
+    # the ring's V comes from the momentum blocks, the chain's from A +- B;
+    # both keep the even and odd columns in `sectors`
+    phi = tfim(graph, 1.0, TrigRampPath(2.0, 3.0))
+    assert (_momentum_blocks(phi.hamiltonian(0.0)) is None) == (graph.label.startswith("chain"))
+    args = dict(beta=0.7, split_rule=lowest_k(1))
+    dense = FlowGenerator(phi, kind, **args)
+    start = dense.split(0.0)
+    assert _patch_sector(phi, start) == 0
+    gen = FlowGenerator(phi, kind, sector=0, **args)
+    grid = np.linspace(0.0, 1.0, 21)
+    W0 = start.patch_vectors()
+    for W, R in zip(_trajectory(gen, grid, W0), _trajectory(dense, grid, W0)):
+        assert np.abs(W - R).max() < 1e-12
+    oracle = _dense_generator(phi, kind, 0.7, lowest_k(1), None, None)
+    for s in (0.0, 0.35, 0.8):
+        G, iK = gen(s), dense(s) @ np.eye(phi.dim)
+        V = G.vectors
+        assert V.shape == (phi.dim, phi.dim // 2)
+        assert np.array_equal(V, dense.cache.at(s).vectors[:, dense.cache.at(s).sectors[0]])
+        assert np.abs(G.matrix - V.T @ iK @ V).max() < 1e-12
+        assert np.abs(iK - oracle(s)).max() < 1e-12
+
+
+def test_experiments_run_the_patch_sector(monkeypatch):
+    # the TFIM ground state is flip-even: every almost and exact generator
+    # value holds the even columns only, and the outputs match the dense route
+    phi = tfim(build_chain(6), 1.0, TrigRampPath(2.0, 3.0))
+    A = pauli_string("x", (1,))
+    seen = _sector_views(monkeypatch)
+    sector = (automorphic_equivalence_experiment(phi, lowest_k(1), A, [0.9, 0.6], s_steps=20),
+              exact_flow_intertwining(phi, lowest_k(1), [A.embed(6)], s_steps=20))
+    assert set(seen) == {("almost", 0, 32), ("exact", 0, 32)}
+    import smearlab.flow as flow
+
+    monkeypatch.setattr(flow, "_patch_sector", lambda phi, split: None)
+    dense = (automorphic_equivalence_experiment(phi, lowest_k(1), A, [0.9, 0.6], s_steps=20),
+             exact_flow_intertwining(phi, lowest_k(1), [A.embed(6)], s_steps=20))
+    (xs, vals, gap, defects), (errors, defect) = sector
+    assert np.array_equal(xs, dense[0][0]) and gap == dense[0][2]
+    assert np.abs(vals - dense[0][1]).max() < 1e-12
+    assert np.abs(np.subtract(defects, dense[0][3])).max() < 1e-12
+    assert np.abs(errors - dense[1][0]).max() < 1e-12 and abs(defect - dense[1][1]) < 1e-12
+
+
+_DENSE_ROUTES = {
+    # a sigma^z field switched on along the path: H(0) keeps the flip, dH/ds does not
+    "z-field": (local_perturbation(tfim(build_chain(6), 1.0, TrigRampPath(2.0, 3.0)),
+                                   pauli_string("z", (0,)), PolyPath([0.0, 0.3])), lowest_k(1)),
+    # the ground level (even) and the lowest odd level
+    "window": (tfim(build_chain(6), 1.0, TrigRampPath(2.0, 2.05)), window(-14.0, -10.0)),
+    # the ferromagnetic doublet, one level from each sector
+    "ferromagnet": (tfim(build_chain(6), 1.0, TrigRampPath(0.5, 0.6)), lowest_k(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DENSE_ROUTES))
+def test_flip_breaking_paths_and_two_sector_patches_stay_dense(case, monkeypatch):
+    phi, rule = _DENSE_ROUTES[case]
+    start = split_spectrum(diagonalize(phi.hamiltonian(0.0)), rule)
+    assert start.spectral_data.sectors is not None
+    assert _patch_sector(phi, start) is None
+    A = pauli_string("x", (1,))
+    seen = _sector_views(monkeypatch)
+    xs, vals, _gap, _defects = automorphic_equivalence_experiment(phi, rule, A, [0.9, 0.6],
+                                                                  s_steps=20)
+    errors, _defect = exact_flow_intertwining(phi, rule, [A.embed(6)], s_steps=20)
+    assert {(sector, cols) for _, sector, cols in seen} == {(None, phi.dim)}
+    # both match the flows of the dense oracle, taken at s rounded as the flow keys it
+    grid, W0, dense_A = np.linspace(0.0, 1.0, 21), start.patch_vectors(), A.embed(6)
+    splits = [split_spectrum(diagonalize(phi.hamiltonian(round(s, 12))), rule) for s in grid]
+    exact = _dense_generator(phi, "exact", None, rule, None, None)
+    reference = max(abs(patch_expectation(split, dense_A) - block_expectation(W, dense_A))
+                    for split, W in zip(splits, _trajectory(lambda s: exact(round(s, 12)), grid, W0)))
+    assert errors[0] == pytest.approx(reference, abs=1e-12)
+    target = patch_expectation(splits[-1], dense_A)
+    for x, value in zip(xs, vals):
+        almost = _dense_generator(phi, "almost", x**-0.5, rule, None, None)
+        W = integrate_flow(lambda s: almost(round(s, 12)), grid, W0)
+        assert value == pytest.approx(abs(target - block_expectation(W, dense_A)), abs=1e-12)
+
+
+def test_modulated_kind_ignores_a_sector():
+    g = build_chain(6)
+    phi = tfim(g, 1.0, TrigRampPath(2.0, 3.0))
+    args = dict(beta=0.6, region=g.region([0]), ell=2)
+    with_sector = FlowGenerator(phi, "modulated", sector=0, **args)
+    plain = FlowGenerator(phi, "modulated", cache=with_sector.cache, **args)
+    for s in (0.2, 0.7):
+        G = with_sector(s)
+        assert G.vectors.shape == (phi.dim, phi.dim)
+        assert np.array_equal(G @ np.eye(phi.dim), plain(s) @ np.eye(phi.dim))
+
+
+@pytest.mark.parametrize("sector", [None, 0])
+def test_exact_kind_refuses_a_split_that_overstates_its_gap(sector):
+    # a split whose gap is twice the real one has a cross-patch frequency
+    # below gamma/2, on the sector route as on the dense route
+    phi = tfim(build_chain(6), 1.0, TrigRampPath(2.0, 3.0))
+    gen = FlowGenerator(phi, "exact", split_rule=lowest_k(1), sector=sector)
+    real = gen.split(0.5)
+    gen.split = lambda s: SpectralSplit(real.spectral_data, real.idx0, 2.5 * real.gap, real.width)
+    with pytest.raises(AssumptionError, match="cross-patch frequency"):
+        gen(0.5)
 
 
 def test_automorphic_error_decreases_with_filter_sharpness():

@@ -292,6 +292,23 @@ def test_patch_expectation_matches_projector_trace():
     )
 
 
+def test_residual_is_formed_once_even_when_it_is_zero():
+    # a diagonal H keeps the product basis, whose residual is exactly 0.0
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    H = np.diag([0.0, 1.0, 2.0, 3.0])
+    sd = diagonalize(H)
+    sd = SpectralData(sd.energies, sd.vectors, H.view(Counted))
+    assert [sd.residual() for _ in range(3)] == [0.0] * 3
+    assert products == [(4, 4)]
+    assert sd.residual([1]) == 0.0 and products == [(4, 4), (4, 1)]
+
+
 def test_lowest_levels_match_the_dense_spectrum_on_a_chain_of_12():
     n = 12
     phi = tfim(build_chain(n), 1.0, 2.0)
